@@ -6,19 +6,17 @@ key, or a key on a non-object, gives null rather than an error.
 
     compile('{"id": .user.id, * - secret : .}')
 
-The compiled Program is reusable and safe to share across threads.
+`compile` checks a program and turns it into Python closures in one
+pass over its syntax tree (see `compiler`).  The compiled Program is
+reusable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import sys
 
-from ..errors import JsltCompileError, PatternError
-from . import nodes as N
-from .evaluator import Evaluator
-from .functions import BUILTINS, compile_time_format
+from .compiler import compile_program
 from .parser import parse
-from ..pattern import compile_pattern
 
 __all__ = ["Program", "compile"]
 
@@ -30,121 +28,19 @@ def _ensure_recursion_room() -> None:
         sys.setrecursionlimit(20000)
 
 
-def _check_literal_args(node: N.Call) -> None:
-    """Surface bad regexes and time formats at compile time when literal."""
-    arg = node.args[1] if len(node.args) > 1 else None
-    if not isinstance(arg, N.Literal) or not isinstance(arg.value, str):
-        return
-    try:
-        if node.name == "test":
-            compile_pattern(arg.value)
-        elif node.name == "parse-time":
-            compile_time_format(arg.value)
-    except (PatternError, ValueError) as exc:
-        raise JsltCompileError(f"{node.name}: {exc}", arg.pos[0], arg.pos[1]) from None
-
-
-def _resolve(node: N.Node, scope: frozenset, functions: dict) -> None:
-    if isinstance(node, (N.Literal, N.ContextValue)):
-        return
-    if isinstance(node, N.VarRef):
-        if node.name not in scope:
-            raise JsltCompileError(f"undefined variable ${node.name}", node.pos[0], node.pos[1])
-        return
-    if isinstance(node, N.Let):
-        _resolve(node.value, scope, functions)
-        _resolve(node.body, scope | {node.name}, functions)
-        return
-    if isinstance(node, N.Call):
-        user = functions.get(node.name)
-        if user is not None:
-            low = high = len(user.params)
-        elif node.name in BUILTINS:
-            low, high, _ = BUILTINS[node.name]
-        else:
-            raise JsltCompileError(f"unknown function {node.name!r}", node.pos[0], node.pos[1])
-        if not low <= len(node.args) <= high:
-            want = str(low) if low == high else f"{low} to {high}"
-            raise JsltCompileError(
-                f"{node.name} takes {want} argument(s), got {len(node.args)}", node.pos[0], node.pos[1]
-            )
-        _check_literal_args(node)
-        for arg in node.args:
-            _resolve(arg, scope, functions)
-        return
-    if isinstance(node, N.KeyAccess):
-        _resolve(node.target, scope, functions)
-        return
-    if isinstance(node, N.IndexAccess):
-        _resolve(node.target, scope, functions)
-        _resolve(node.index, scope, functions)
-        return
-    if isinstance(node, N.SliceAccess):
-        _resolve(node.target, scope, functions)
-        if node.low is not None:
-            _resolve(node.low, scope, functions)
-        if node.high is not None:
-            _resolve(node.high, scope, functions)
-        return
-    if isinstance(node, N.ArrayCtor):
-        for item in node.items:
-            _resolve(item, scope, functions)
-        return
-    if isinstance(node, N.ObjectCtor):
-        for key, value in node.pairs:
-            _resolve(key, scope, functions)
-            _resolve(value, scope, functions)
-        if node.matcher is not None:
-            _resolve(node.matcher.value, scope, functions)
-        return
-    if isinstance(node, N.ArrayComp):
-        _resolve(node.source, scope, functions)
-        _resolve(node.body, scope, functions)
-        if node.cond is not None:
-            _resolve(node.cond, scope, functions)
-        return
-    if isinstance(node, N.ObjectComp):
-        _resolve(node.source, scope, functions)
-        _resolve(node.key, scope, functions)
-        _resolve(node.value, scope, functions)
-        if node.cond is not None:
-            _resolve(node.cond, scope, functions)
-        return
-    if isinstance(node, N.If):
-        _resolve(node.cond, scope, functions)
-        _resolve(node.then, scope, functions)
-        if node.orelse is not None:
-            _resolve(node.orelse, scope, functions)
-        return
-    if isinstance(node, N.UnaryMinus):
-        _resolve(node.operand, scope, functions)
-        return
-    if isinstance(node, N.Binary):
-        _resolve(node.left, scope, functions)
-        _resolve(node.right, scope, functions)
-        return
-    raise AssertionError(f"unhandled node {type(node).__name__}")
-
-
 class Program:
     """A compiled, reusable transformation."""
 
-    def __init__(self, source: str, body: N.Node, functions: dict):
+    def __init__(self, source: str, run):
         self.source = source
-        self._body = body
-        self._functions = functions
+        self._run = run
 
     def evaluate(self, value):
-        _ensure_recursion_room()
-        return Evaluator(self._functions).eval(self._body, value, {})
+        return self._run(value, {})
 
 
 def compile(source: str) -> Program:
     """Parse and check a program, raising JsltCompileError on bad input."""
     _ensure_recursion_room()
     body, functions = parse(source)
-    for fn in functions.values():
-        # function bodies see only their parameters, not top-level lets
-        _resolve(fn.body, frozenset(fn.params), functions)
-    _resolve(body, frozenset(), functions)
-    return Program(source, body, functions)
+    return Program(source, compile_program(body, functions))

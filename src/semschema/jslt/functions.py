@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re as _re
 from datetime import datetime, timedelta, timezone
@@ -122,26 +123,9 @@ class TimeFormat:
         return dt.timestamp()
 
 
-_time_format_cache: dict[str, TimeFormat] = {}
-_pattern_cache: dict[str, object] = {}
-
-
+@functools.lru_cache(maxsize=512)
 def compile_time_format(source: str) -> TimeFormat:
-    fmt = _time_format_cache.get(source)
-    if fmt is None:
-        fmt = TimeFormat(source)
-        if len(_time_format_cache) < 1000:
-            _time_format_cache[source] = fmt
-    return fmt
-
-
-def _compiled(regexp: str):
-    pat = _pattern_cache.get(regexp)
-    if pat is None:
-        pat = compile_pattern(regexp)
-        if len(_pattern_cache) < 1000:
-            _pattern_cache[regexp] = pat
-    return pat
+    return TimeFormat(source)
 
 
 # -- the functions themselves -------------------------------------------
@@ -199,7 +183,7 @@ def fn_test(args):
         return False
     _require_string("test", "regexp", regexp)
     try:
-        pat = _compiled(regexp)
+        pat = compile_pattern(regexp)
     except PatternError as exc:
         raise JsltRuntimeError(f"test: {exc}") from None
     return pat.search(to_string(value))

@@ -1,4 +1,4 @@
-"""AST node types produced by the parser and walked by the evaluator.
+"""AST node types produced by the parser and compiled into closures.
 
 Nodes are immutable after compilation; `pos` is the (line, column) of the
 first token of the expression, used in runtime diagnostics.

@@ -8,7 +8,8 @@ Serves the schema repository read-only by default:
     POST /validate     body {"event": ..., "target": null | "Title" | "Title@N"}
     POST /transform    body is the event; response is the event at the
                        latest version of its declared schema
-    POST /reload       re-read the repository (writable mode only, else 409)
+    POST /reload       re-read the repository (writable mode only, else 409);
+                       any body is read and ignored
 
 Handlers work against an immutable registry snapshot; /reload swaps the
 snapshot atomically, so concurrent requests see either the old or the
@@ -117,12 +118,22 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self):
         length = self.headers.get("Content-Length")
         if length is None or not length.isdigit():
-            raise ValueError("missing Content-Length")
-        size = int(length)
-        if size > MAX_BODY_BYTES:
-            raise ValueError("body too large")
-        raw = self.rfile.read(size)
-        return jsonmodel.parse_json(raw.decode("utf-8"))
+            error = "missing Content-Length"
+        elif int(length) > MAX_BODY_BYTES:
+            error = "body too large"
+        else:
+            return jsonmodel.parse_json(self.rfile.read(int(length)).decode("utf-8"))
+        # a body left unread would be taken for the next request
+        self.close_connection = True
+        raise ValueError(error)
+
+    def _discard_body(self) -> None:
+        """Skip a body the route ignores; no Content-Length means none."""
+        length = self.headers.get("Content-Length", "0")
+        if length.isdigit() and int(length) <= MAX_BODY_BYTES:
+            self.rfile.read(int(length))
+        else:
+            self.close_connection = True
 
     # -- routes ----------------------------------------------------------
 
@@ -164,6 +175,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/reload":
             self._post_reload()
         else:
+            self._discard_body()
             self._fail(404, f"no such resource: {self.path}")
 
     def _post_validate(self) -> None:
@@ -215,6 +227,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, transformed)
 
     def _post_reload(self) -> None:
+        self._discard_body()
         if self.app.cfg.read_only:
             self._fail(409, "server is read-only; restart with --writable to allow /reload")
             return

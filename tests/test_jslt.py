@@ -1,3 +1,7 @@
+import math
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -206,6 +210,9 @@ class TestFunctions:
         with pytest.raises(JsltCompileError):
             jslt.compile("let a = 1 def f(x) $a + $x f(1)")
 
+    def test_user_function_shadows_builtin_literal_checks(self):
+        assert run('def test(a, b) $b test(1, "(")') == "("
+
     def test_function_body_sees_context(self):
         assert run("def grab() .name grab()", {"name": "n"}) == "n"
 
@@ -334,6 +341,14 @@ class TestCompileErrors:
             ("let x = ", "expected"),
             ("{", "expected"),
             ("if true 1", "("),
+            # the first error in source order wins
+            ("[$a, unknown(1)]", "undefined variable $a"),
+            ("[unknown(1), $a]", "unknown function"),
+            ("round($a, $b)", "round takes 1"),
+            ('{for ($a) $b : $c if ($d)}', "undefined variable $a"),
+            ('{for (.) . : $c if ($d)}', "undefined variable $c"),
+            ("def f(x) $y f($z)", "undefined variable $y"),
+            ("def f(x) g($x) def g(y) $x g(1)", "undefined variable $x"),
         ],
     )
     def test_messages(self, source, fragment):
@@ -350,6 +365,70 @@ class TestCompileErrors:
         with pytest.raises(JsltCompileError) as err:
             jslt.compile("1 +\n  bogus")
         assert err.value.line == 2
+
+
+class TestRuntimeErrorPositions:
+    @pytest.mark.parametrize(
+        "source, value, fragment, line, col",
+        [
+            (".a\n  [1]", {"a": {}}, "object index must be a string", 2, 3),
+            (".a\n    [0]", {"a": 5}, "cannot index into 5", 2, 5),
+            ("[1, 2]\n  [0.5]", None, "index must be a whole number", 2, 3),
+            ('[1, 2]\n [1:"x"]', None, "index must be a number", 2, 2),
+            (".a\n   [0:1]", {"a": 5}, "cannot slice 5", 2, 4),
+            ('{"a": 1,\n  2: 3}', None, "object key must be a string, got 2", 2, 3),
+            ("{for (.)\n    . : 1}", [7], "object key must be a string, got 7", 2, 5),
+            ("[1] +\n  [for (.a) .]", {"a": 5}, "cannot loop over 5", 2, 3),
+            ('[1] +\n   {for (.a) "k" : .}', {"a": 5}, "cannot loop over 5", 2, 4),
+            ('1\n  < "a"', None, "cannot order 1 and a", 2, 3),
+            ("true\n    + 1", None, "cannot add true and 1", 2, 5),
+            ('"a"\n  - 1', None, "cannot apply '-' to a and 1", 2, 3),
+            ("1\n /\n 0", None, "division by zero", 2, 2),
+            ('1 +\n  -"a"', None, "cannot negate a", 2, 3),
+            ('1 +\n   round("x")', None, "round: not a number", 2, 4),
+            ("def f(n)\n  f($n + 1)\nf(0)", None, "call depth exceeds 500", 2, 3),
+        ],
+    )
+    def test_message_and_position(self, source, value, fragment, line, col):
+        with pytest.raises(JsltRuntimeError) as err:
+            run(source, value)
+        assert fragment in str(err.value)
+        assert (err.value.line, err.value.col) == (line, col)
+
+
+class TestSharedProgram:
+    def test_threads_keep_separate_call_depths(self):
+        program = jslt.compile(
+            "def fact(n) if ($n < 2) 1 else $n * fact($n - 1)\n"
+            "def loop(n) loop($n + 1)\n"
+            "if (.runaway) loop(0) else fact(.n)"
+        )
+        inputs = {"a": {"n": 400}, "b": {"n": 400}, "runaway": {"runaway": True}}
+        results = {name: [] for name in inputs}
+        errors = {name: [] for name in inputs}
+        barrier = threading.Barrier(len(inputs))
+
+        def work(name):
+            barrier.wait()
+            for _ in range(50):
+                try:
+                    results[name].append(program.evaluate(inputs[name]))
+                except JsltRuntimeError as exc:
+                    errors[name].append(str(exc))
+
+        threads = [threading.Thread(target=work, args=(name,)) for name in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-evaluation
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results["a"] == results["b"] == [math.factorial(400)] * 50
+        assert errors == {"a": [], "b": [], "runaway": ["call depth exceeds 500 at 2:13"] * 50}
 
 
 class TestPrograms:

@@ -1,5 +1,6 @@
 import json
 import shutil
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -8,7 +9,7 @@ import pytest
 
 from semschema.generator import GenConfig, generate_valid
 from semschema.registry import load_repo, make_id, write_version
-from semschema.server import ServerConfig, make_server, parse_target
+from semschema.server import MAX_BODY_BYTES, ServerConfig, make_server, parse_target
 from semschema.validator import ValidationTarget
 
 
@@ -187,3 +188,68 @@ class TestReload:
         status, payload = request(httpd, "GET", "/schemas/object/Vehicle/3")
         assert status == 200
         assert json.loads(payload)["id"] == make_id("object", "Vehicle", 3)
+
+
+def exchange(httpd, *requests):
+    """Send raw requests in turn on one keep-alive connection.
+
+    Returns the (status, payload) of each response read; stops early
+    when the server closes the connection.
+    """
+    responses = []
+    with socket.create_connection(("127.0.0.1", httpd.server_address[1]), timeout=5) as sock:
+        reader = sock.makefile("rb")
+        for raw in requests:
+            try:
+                sock.sendall(raw)
+                status_line = reader.readline()
+            except ConnectionError:
+                break
+            if not status_line:
+                break
+            length = 0
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    length = int(value)
+            responses.append((int(status_line.split()[1]), reader.read(length)))
+    return responses
+
+
+HEALTH = b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+def post(path, body=b"", length=None):
+    length = len(body) if length is None else length
+    head = f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n"
+    return head.encode() + body
+
+
+class TestKeepAlive:
+    def test_reload_body_is_consumed(self, writable_server):
+        httpd, _ = writable_server
+        responses = exchange(httpd, post("/reload", b'{"x": 1}'), HEALTH)
+        assert [status for status, _ in responses] == [200, 200]
+        assert json.loads(responses[1][1])["status"] == "ok"
+
+    def test_read_only_reload_body_is_consumed(self, server):
+        responses = exchange(server, post("/reload", b'{"x": 1}'), HEALTH)
+        assert [status for status, _ in responses] == [409, 200]
+
+    def test_unknown_post_route_body_is_consumed(self, server):
+        responses = exchange(server, post("/nowhere", b"{}"), HEALTH)
+        assert [status for status, _ in responses] == [404, 200]
+
+    def test_bodyless_reload_still_succeeds(self, writable_server):
+        httpd, _ = writable_server
+        bare = b"POST /reload HTTP/1.1\r\nHost: t\r\n\r\n"
+        responses = exchange(httpd, bare, HEALTH)
+        assert [status for status, _ in responses] == [200, 200]
+
+    def test_oversized_body_closes_the_connection(self, server):
+        # the bytes after the headers belong to the refused body, so the
+        # server must not read them as the next request
+        responses = exchange(server, post("/validate", length=MAX_BODY_BYTES + 1), HEALTH)
+        assert len(responses) == 1
+        status, payload = responses[0]
+        assert status == 400 and json.loads(payload) == {"error": "body too large"}
