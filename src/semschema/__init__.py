@@ -19,6 +19,7 @@ from .errors import (
     PatternError,
     RegistryError,
     SemSchemaError,
+    TargetError,
     UnknownSchemaError,
     UnsatisfiableError,
 )
@@ -50,7 +51,7 @@ from .registry import (
     write_releases,
     write_version,
 )
-from .validator import Mismatch, ValidationTarget, validate
+from .validator import Mismatch, ValidationTarget, parse_target, validate
 
 __version__ = "0.1.0"
 
@@ -78,6 +79,7 @@ __all__ = [
     "ResolvedSchema",
     "SchemaDoc",
     "SemSchemaError",
+    "TargetError",
     "TransformSet",
     "TransformStep",
     "UnknownSchemaError",
@@ -96,6 +98,7 @@ __all__ = [
     "make_id",
     "parse_id",
     "parse_json",
+    "parse_target",
     "slug_to_title",
     "title_to_slug",
     "validate",

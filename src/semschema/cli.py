@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from . import dqt, jslt, jsonmodel
-from .errors import JsltError, RegistryError, SemSchemaError
+from .errors import JsltError, SemSchemaError
 from .evolution import TransformSet, change_impact_test, diff, is_breaking, load_samples
 from .generator import GenConfig, generate_valid
-from .registry import load_repo, parse_id, write_releases, write_version
-from .validator import ValidationTarget, validate
+from .registry import load_repo, write_releases, write_version
+from .validator import ValidationTarget, parse_target, validate
 
 
 def _out(value) -> None:
@@ -27,16 +27,6 @@ def _out(value) -> None:
 
 def _diag(value) -> None:
     sys.stderr.write(jsonmodel.dumps(value) + "\n")
-
-
-def _parse_schema_ref(ref: str) -> tuple[str, int | None]:
-    """"Title" -> (Title, None); "Title@3" -> (Title, 3)."""
-    title, sep, version = ref.partition("@")
-    if not sep:
-        return title, None
-    if not version.isdigit():
-        raise SemSchemaError(f"bad version in schema reference {ref!r}")
-    return title, int(version)
 
 
 def _open_events(path: str):
@@ -67,15 +57,15 @@ def cmd_schema_load(args) -> int:
 
 def cmd_schema_show(args) -> int:
     registry = load_repo(args.repo)
-    title, version = _parse_schema_ref(args.schema)
+    target = parse_target(args.schema)
     if args.resolved:
-        resolved = registry.resolve(title, version)
+        resolved = registry.resolve(target.title, target.version)
         sys.stdout.write(
             jsonmodel.dumps(
                 {
                     "id": resolved.doc.id,
-                    "title": title,
-                    "kind": registry.kind_of(title),
+                    "title": target.title,
+                    "kind": registry.kind_of(target.title),
                     "required": list(resolved.required),
                     "overrides": list(resolved.overrides),
                     "properties": {name: p.to_json() for name, p in resolved.properties.items()},
@@ -85,7 +75,7 @@ def cmd_schema_show(args) -> int:
             + "\n"
         )
     else:
-        doc = registry.get(title, version)
+        doc = registry.get(target.title, target.version)
         sys.stdout.write(jsonmodel.dumps(doc.body(), indent=2) + "\n")
     return 0
 
@@ -109,34 +99,11 @@ def cmd_schema_tag(args) -> int:
 # -- events ---------------------------------------------------------------
 
 
-def _latest_target(registry, event) -> ValidationTarget:
-    """Force the latest version of the event's own declared schema.
-
-    Events whose declaration is missing or unknown fall back to
-    self-declared mode, which reports the problem as a mismatch instead
-    of crashing the run.
-    """
-    declared = event.get("schema") if isinstance(event, dict) else None
-    if isinstance(declared, str):
-        try:
-            _, title, _ = parse_id(declared)
-        except RegistryError:
-            return ValidationTarget.self_declared()
-        if title in registry.titles():
-            return ValidationTarget.latest(title)
-    return ValidationTarget.self_declared()
-
-
 def cmd_validate(args) -> int:
     registry = load_repo(args.repo)
-    fixed_target = None
-    if args.schema:
-        title, version = _parse_schema_ref(args.schema)
-        if version is None:
-            fixed_target = ValidationTarget.latest(title)
-        else:
-            fixed_target = ValidationTarget.explicit(title, version)
-        registry.get(title, version)  # fail fast on unknown schema
+    target = ValidationTarget.latest() if args.latest else parse_target(args.schema)
+    if target.title is not None:
+        registry.resolve(target.title, target.version)  # fail fast on unknown schema
     failures = 0
     with _open_events(args.events) as stream:
         for lineno, event, error in jsonmodel.iter_ndjson(stream):
@@ -144,12 +111,6 @@ def cmd_validate(args) -> int:
                 failures += 1
                 _diag({"line": lineno, "error": str(error)})
                 continue
-            if fixed_target is not None:
-                target = fixed_target
-            elif args.latest:
-                target = _latest_target(registry, event)
-            else:
-                target = ValidationTarget.self_declared()
             mismatches = validate(registry, event, target)
             if mismatches:
                 failures += 1
@@ -160,10 +121,10 @@ def cmd_validate(args) -> int:
 
 def cmd_generate(args) -> int:
     registry = load_repo(args.repo)
-    title, version = _parse_schema_ref(args.schema)
+    target = parse_target(args.schema)
     for offset in range(args.count):
         cfg = GenConfig(seed=args.seed + offset)
-        _out(generate_valid(registry, title, version, cfg))
+        _out(generate_valid(registry, target.title, target.version, cfg))
     return 0
 
 
@@ -186,14 +147,8 @@ def cmd_transform(args) -> int:
                 failures += 1
                 _diag({"line": lineno, "error": str(error)})
                 continue
-            declared = event.get("schema") if isinstance(event, dict) else None
-            if not isinstance(declared, str):
-                failures += 1
-                _diag({"line": lineno, "error": "event carries no schema declaration"})
-                continue
             try:
-                _, title, version = parse_id(declared)
-                transformed = transforms.apply_chain(event, title, version)
+                transformed = transforms.upgrade(event)
             except SemSchemaError as exc:
                 failures += 1
                 _diag({"line": lineno, "error": str(exc)})

@@ -46,6 +46,10 @@ class UnknownSchemaError(RegistryError):
     pass
 
 
+class TargetError(SemSchemaError, ValueError):
+    """A target outside the grammar null | "Title" | "Title@N"."""
+
+
 class GenerationError(SemSchemaError):
     pass
 

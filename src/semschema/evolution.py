@@ -22,7 +22,7 @@ from .errors import (
 )
 from .generator import GenConfig, generate_valid
 from .jsonmodel import JsonPath, parse_json
-from .registry import PropertyDef, Registry, slug_to_title
+from .registry import PropertyDef, Registry, parse_id, slug_to_title
 from .validator import ValidationTarget, validate
 
 ADD = "Add"
@@ -147,8 +147,6 @@ def is_breaking(ops: list[ChangeOp]) -> bool:
 
 # -- forward transforms --------------------------------------------------
 
-_IDENTITY_SOURCE = "."
-
 
 @dataclass(frozen=True)
 class TransformStep:
@@ -173,6 +171,7 @@ class TransformSet:
     def __init__(self, registry: Registry):
         self.registry = registry
         self._steps: dict[tuple[str, int], TransformStep] = {}
+        self._identity = jslt.compile(".")  # the program of every non-breaking step left unregistered
 
     def register(self, step: TransformStep) -> None:
         versions = self.registry.versions(step.title)
@@ -219,9 +218,21 @@ class TransformSet:
                     raise MissingTransformError(
                         f"{title!r} {v} -> {v + 1} is a breaking step with no registered transform"
                     )
-                step = TransformStep(title, v, v + 1, jslt.compile(_IDENTITY_SOURCE))
+                step = TransformStep(title, v, v + 1, self._identity)
             chain.append(step)
         return chain
+
+    def upgrade(self, event):
+        """Carry an event to the latest version of the schema it declares.
+
+        Raises UnknownSchemaError when the declared title is not
+        registered and another SemSchemaError for any other failure.
+        """
+        declared = event.get("schema") if isinstance(event, dict) else None
+        if not isinstance(declared, str):
+            raise EvolutionError("event carries no schema declaration")
+        _, title, version = parse_id(declared)
+        return self.apply_chain(event, title, version)
 
     def apply_chain(self, event, title: str, from_version: int, check_steps: bool = True):
         """Run the event through every step up to latest.

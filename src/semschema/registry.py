@@ -65,7 +65,7 @@ def parse_id(schema_id: str) -> tuple[str, str, int]:
     if not isinstance(schema_id, str) or not schema_id.startswith(prefix):
         raise RegistryError(f"not a schema id: {schema_id!r}")
     parts = schema_id[len(prefix) :].split("/")
-    if len(parts) != 3 or parts[0] not in KINDS or not parts[2].isdigit():
+    if len(parts) != 3 or parts[0] not in KINDS or not (parts[2].isascii() and parts[2].isdigit()):
         raise RegistryError(f"malformed schema id: {schema_id!r}")
     return parts[0], slug_to_title(parts[1]), int(parts[2])
 
@@ -210,9 +210,6 @@ class SchemaDoc:
     required: tuple[str, ...]
     description: str | None = None
 
-    def property_map(self) -> dict[str, PropertyDef]:
-        return dict(self.properties)
-
     def is_tombstone(self) -> bool:
         return not self.properties and self.parent is None
 
@@ -315,6 +312,8 @@ class Registry:
     def __init__(self):
         self._schemas: dict[str, dict[int, SchemaDoc]] = {}
         self._kinds: dict[str, str] = {}
+        # (title, version or None for latest) -> flattened form; emptied on every change
+        self._resolved: dict[tuple[str, int | None], ResolvedSchema] = {}
         self.releases: list[ReleaseTag] = []
 
     def clone(self) -> "Registry":
@@ -350,10 +349,6 @@ class Registry:
             raise UnknownSchemaError(f"no version {version} of {title!r} (latest is {self.latest_version(title)})")
         return doc
 
-    def get_by_id(self, schema_id: str) -> SchemaDoc:
-        _, title, version = parse_id(schema_id)
-        return self.get(title, version)
-
     def _require_title(self, title: str) -> None:
         if title not in self._schemas:
             raise UnknownSchemaError(f"unknown schema title {title!r}")
@@ -361,8 +356,22 @@ class Registry:
     # -- resolution ------------------------------------------------------
 
     def resolve(self, title: str, version: int | None = None) -> ResolvedSchema:
-        """Flatten the inheritance chain: parent properties overlaid by own."""
-        doc = self.get(title, version)
+        """Flatten the inheritance chain: parent properties overlaid by own.
+
+        Each version is flattened once per registry state.  The result is
+        shared by every caller and must not be mutated.
+        """
+        resolved = self._resolved.get((title, version))
+        if resolved is None:
+            doc = self.get(title, version)
+            exact = (title, doc.linear_version)
+            resolved = self._resolved.get(exact)
+            if resolved is None:
+                resolved = self._flatten(doc)
+            self._resolved[exact] = self._resolved[(title, version)] = resolved
+        return resolved
+
+    def _flatten(self, doc: SchemaDoc) -> ResolvedSchema:
         chain = [doc]
         seen = {(doc.title, doc.linear_version)}
         current = doc
@@ -471,6 +480,7 @@ class Registry:
             if not self._schemas[title]:
                 del self._schemas[title]
                 del self._kinds[title]
+            self._resolved.clear()
             raise
         return version
 
@@ -509,6 +519,7 @@ class Registry:
             raise RegistryError(f"{doc.title!r}: versions must be contiguous, got {doc.linear_version}")
         versions[doc.linear_version] = doc
         self._kinds[doc.title] = doc.kind
+        self._resolved.clear()
 
 
 def _iter_refs(doc: SchemaDoc):

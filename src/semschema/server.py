@@ -25,10 +25,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from . import jsonmodel
-from .errors import EvolutionError, JsonParseError, RegistryError, UnknownSchemaError
+from .errors import JsonParseError, RegistryError, SemSchemaError, UnknownSchemaError
 from .evolution import TransformSet
-from .registry import KINDS, Registry, load_repo, parse_id, slug_to_title
-from .validator import ValidationTarget, validate
+from .registry import KINDS, Registry, load_repo, slug_to_title
+from .validator import parse_target, validate
 
 _SCHEMA_PATH_RE = re.compile(r"^/schemas/([a-z]+)/([A-Za-z0-9-]+)/([0-9]+|latest)$")
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -74,23 +74,11 @@ class SchemaApp:
             return self._snapshot
 
 
-def parse_target(raw) -> ValidationTarget:
-    """null → self mode; "Title" → latest; "Title@N" → explicit."""
-    if raw is None:
-        return ValidationTarget.self_declared()
-    if not isinstance(raw, str) or not raw:
-        raise ValueError("target must be null, a title, or title@version")
-    title, sep, version = raw.partition("@")
-    if not sep:
-        return ValidationTarget.latest(title)
-    if not version.isdigit():
-        raise ValueError(f"bad target version in {raw!r}")
-    return ValidationTarget.explicit(title, int(version))
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "semschema"
+    # seconds a connection may stay silent, mid-body included, before it is closed
+    timeout = 30
 
     @property
     def app(self) -> SchemaApp:
@@ -205,23 +193,12 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, JsonParseError) as exc:
             self._fail(400, str(exc))
             return
-        snapshot = self.app.snapshot
-        registry = snapshot.registry
-        declared = event.get("schema") if isinstance(event, dict) else None
-        if not isinstance(declared, str):
-            self._fail(400, "event carries no schema declaration")
-            return
         try:
-            _, title, version = parse_id(declared)
-        except RegistryError as exc:
-            self._fail(400, str(exc))
+            transformed = self.app.snapshot.transforms.upgrade(event)
+        except UnknownSchemaError as exc:
+            self._fail(404, str(exc))
             return
-        if title not in registry.titles():
-            self._fail(404, f"unknown schema title {title!r}")
-            return
-        try:
-            transformed = snapshot.transforms.apply_chain(event, title, version)
-        except (RegistryError, EvolutionError) as exc:
+        except SemSchemaError as exc:
             self._fail(400, str(exc))
             return
         self._send_json(200, transformed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RegistryError
+from .errors import RegistryError, TargetError
 from .jsonmodel import JsonPath, dumps
 from .pattern import compile_pattern
 from .registry import CUSTOM_PROPERTY, PropertyDef, Registry, ResolvedSchema, parse_id
@@ -46,6 +46,13 @@ def _excerpt(value) -> object:
 
 @dataclass(frozen=True)
 class ValidationTarget:
+    """The schema version an event is checked against.
+
+    With no title, the title comes from the event's `schema` declaration;
+    self mode takes the declared version too, latest mode that title's
+    latest version.
+    """
+
     mode: str  # self | explicit | latest
     title: str | None = None
     version: int | None = None
@@ -59,97 +66,114 @@ class ValidationTarget:
         return ValidationTarget("explicit", title, version)
 
     @staticmethod
-    def latest(title: str) -> "ValidationTarget":
+    def latest(title: str | None = None) -> "ValidationTarget":
         return ValidationTarget("latest", title)
 
 
+def parse_target(raw) -> ValidationTarget:
+    """The target grammar: null → self mode; "Title" → latest; "Title@N" → explicit."""
+    if raw is None:
+        return ValidationTarget.self_declared()
+    if not isinstance(raw, str) or not raw:
+        raise TargetError("target must be null, a title, or title@version")
+    title, sep, version = raw.partition("@")
+    if not sep:
+        return ValidationTarget.latest(title)
+    if not (version.isascii() and version.isdigit()):
+        raise TargetError(f"bad target version in {raw!r}")
+    return ValidationTarget.explicit(title, int(version))
+
+
 def validate(registry: Registry, event, target: ValidationTarget | None = None) -> list[Mismatch]:
-    """Validate one event; an empty result means it complies."""
-    if target is None:
-        target = ValidationTarget.self_declared()
-    root = JsonPath(())
+    """Validate one event; an empty result means it complies.
+
+    A target title the registry lacks raises UnknownSchemaError; a
+    declaration naming no registered schema is a mismatch instead.
+    """
     if not isinstance(event, dict):
-        return [Mismatch(root, WRONG_TYPE, "an event object", event)]
-    if target.mode == "self":
-        declared = event.get("schema")
-        if not isinstance(declared, str):
-            return [Mismatch(root.child("schema"), BAD_SCHEMA_DECLARATION, "a schema id string", declared)]
-        try:
-            _, title, version = parse_id(declared)
-            resolved = registry.resolve(title, version)
-        except RegistryError:
-            return [Mismatch(root.child("schema"), BAD_SCHEMA_DECLARATION, "the id of a registered schema", declared)]
-    elif target.mode == "explicit":
+        return [Mismatch(JsonPath(()), WRONG_TYPE, "an event object", event)]
+    target = target or ValidationTarget.self_declared()
+    if target.title is not None:
         resolved = registry.resolve(target.title, target.version)
     else:
-        resolved = registry.resolve(target.title)
+        declared = event.get("schema")
+        if not isinstance(declared, str):
+            return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "a schema id string", declared)]
+        try:
+            _, title, version = parse_id(declared)
+            resolved = registry.resolve(title, version if target.mode == "self" else None)
+        except RegistryError:
+            return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "the id of a registered schema", declared)]
     out: list[Mismatch] = []
     allow_custom = resolved.doc.kind == "event"
-    _check_object(registry, event, resolved.properties, resolved.required, root, allow_custom, out)
+    _check_object(registry, event, resolved.properties, resolved.required, (), allow_custom, out)
     return out
 
 
-def _check_object(registry, value: dict, properties, required, path, allow_custom, out) -> None:
+# Paths travel as tuples of steps; a JsonPath is built only for a mismatch.
+
+
+def _check_object(registry, value: dict, properties, required, path: tuple, allow_custom, out) -> None:
     for name in required:
         if name not in value:
-            out.append(Mismatch(path.child(name), MISSING_REQUIRED, f"required property {name!r}"))
+            out.append(Mismatch(JsonPath(path + (name,)), MISSING_REQUIRED, f"required property {name!r}"))
     for key, item in value.items():
-        here = path.child(key)
+        here = path + (key,)
         if allow_custom and key == CUSTOM_PROPERTY:
             if isinstance(item, dict):
                 _check_custom(item, here, out)
             else:
-                out.append(Mismatch(here, CUSTOM_NONSTRING, "an object holding string leaves", item))
+                out.append(Mismatch(JsonPath(here), CUSTOM_NONSTRING, "an object holding string leaves", item))
         elif key not in properties:
-            out.append(Mismatch(here, UNKNOWN_PROPERTY, "a declared property", item))
+            out.append(Mismatch(JsonPath(here), UNKNOWN_PROPERTY, "a declared property", item))
         else:
             _check_value(registry, item, properties[key], here, out)
 
 
-def _check_value(registry, value, prop: PropertyDef, path, out) -> None:
+def _check_value(registry, value, prop: PropertyDef, path: tuple, out) -> None:
     kind = prop.kind
     if kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            out.append(Mismatch(path, WRONG_TYPE, "a number", value))
+            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "a number", value))
         return
     if kind == "string":
         if not isinstance(value, str):
-            out.append(Mismatch(path, WRONG_TYPE, "a string", value))
+            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "a string", value))
         elif prop.pattern is not None and not compile_pattern(prop.pattern).search(value):
-            out.append(Mismatch(path, PATTERN_FAILED, f"a string matching {prop.pattern}", value))
+            out.append(Mismatch(JsonPath(path), PATTERN_FAILED, f"a string matching {prop.pattern}", value))
         return
     if kind == "enum":
         if not isinstance(value, str):
-            out.append(Mismatch(path, WRONG_TYPE, "a string", value))
+            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "a string", value))
         elif value not in prop.values:
-            out.append(Mismatch(path, ENUM_VIOLATION, prop.describe(), value))
+            out.append(Mismatch(JsonPath(path), ENUM_VIOLATION, prop.describe(), value))
         return
     if kind == "array":
         if not isinstance(value, list):
-            out.append(Mismatch(path, WRONG_TYPE, "an array", value))
+            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "an array", value))
             return
         for i, element in enumerate(value):
-            _check_value(registry, element, prop.element, path.child(i), out)
+            _check_value(registry, element, prop.element, path + (i,), out)
         return
     if kind == "compound":
         if not isinstance(value, dict):
-            out.append(Mismatch(path, WRONG_TYPE, prop.describe(), value))
+            out.append(Mismatch(JsonPath(path), WRONG_TYPE, prop.describe(), value))
             return
         _check_object(registry, value, prop.child_map(), (), path, False, out)
         return
     # reference: validate against the latest version of the named schema
     if not isinstance(value, dict):
-        out.append(Mismatch(path, WRONG_TYPE, prop.describe(), value))
+        out.append(Mismatch(JsonPath(path), WRONG_TYPE, prop.describe(), value))
         return
     resolved: ResolvedSchema = registry.resolve_ref(prop.ref_title)
     _check_object(registry, value, resolved.properties, resolved.required, path, False, out)
 
 
-def _check_custom(value, path, out) -> None:
+def _check_custom(value, path: tuple, out) -> None:
     """The custom subtree is free-form except every leaf must be a string."""
     if isinstance(value, dict):
         for key, item in value.items():
-            _check_custom(item, path.child(key), out)
+            _check_custom(item, path + (key,), out)
         return
     if not isinstance(value, str):
-        out.append(Mismatch(path, CUSTOM_NONSTRING, "a string leaf (or nested object of strings)", value))
+        out.append(Mismatch(JsonPath(path), CUSTOM_NONSTRING, "a string leaf (or nested object of strings)", value))

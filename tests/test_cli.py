@@ -131,6 +131,51 @@ class TestValidate:
         assert code == 2 and "error" in err[0]
 
 
+class TestTargetGrammar:
+    @pytest.mark.parametrize("ref", ["View Item@x", "View Item@\u00b2"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["validate", "{events}", "--schema", "{ref}"],
+            ["generate", "--schema", "{ref}"],
+            ["schema", "show", "{ref}"],
+        ],
+    )
+    def test_bad_target_is_one_usage_error(self, capsys, repo_dir, tmp_path, command, ref):
+        events = tmp_path / "empty.ndjson"
+        events.write_text("")
+        argv = [part.format(events=events, ref=ref) for part in command] + ["--repo", str(repo_dir)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+    def test_latest_mode_reports_unusable_declarations(self, capsys, repo_dir, tmp_path):
+        unparseable = {"schema": "https://schema.example.com/schemas/event/View-Item/latest"}
+        unknown_title = {"schema": make_id("event", "No Such", 0)}
+        path = tmp_path / "events.ndjson"
+        path.write_text("\n".join(json.dumps(e) for e in (unparseable, unknown_title)) + "\n")
+        code, _, err = run(capsys, "validate", str(path), "--repo", str(repo_dir), "--latest")
+        assert code == 1
+        assert [(line["line"], line["path"], line["kind"]) for line in err] == [
+            (1, ".schema", "bad-schema-declaration"),
+            (2, ".schema", "bad-schema-declaration"),
+        ]
+
+    def test_latest_mode_ignores_the_declared_version(self, capsys, repo_dir, registry, tmp_path):
+        from semschema.generator import GenConfig, generate_valid
+
+        event = generate_valid(registry, "Post Item", 2, GenConfig(seed=3))
+        event["schema"] = make_id("event", "Post Item", 9)
+        path = tmp_path / "events.ndjson"
+        path.write_text(json.dumps(event) + "\n")
+        code, _, err = run(capsys, "validate", str(path), "--repo", str(repo_dir), "--latest")
+        assert (code, err) == (0, [])
+        code, _, err = run(capsys, "validate", str(path), "--repo", str(repo_dir))
+        assert code == 1 and err[0]["kind"] == "bad-schema-declaration"
+
+
 class TestGenerate:
     def test_deterministic_and_valid(self, capsys, repo_dir, registry):
         argv = ["generate", "--repo", str(repo_dir), "--schema", "View Item@0",

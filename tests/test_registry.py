@@ -49,6 +49,11 @@ class TestNaming:
         with pytest.raises(RegistryError):
             parse_id(bad)
 
+    def test_parse_id_rejects_non_ascii_digits(self):
+        # "²".isdigit() holds but int("²") raises ValueError, not RegistryError
+        with pytest.raises(RegistryError):
+            parse_id("https://schema.example.com/schemas/event/View-Item/\u00b2")
+
 
 class TestPropertyParsing:
     def test_kinds(self):
@@ -289,6 +294,69 @@ class TestReferences:
                 },
                 kind="event",
             )
+
+
+class TestResolveCache:
+    def body(self, **props):
+        return {"properties": props or {"a": {"type": "string"}}}
+
+    def two_versions(self):
+        registry = Registry()
+        registry.register_version("Thing", self.body(), kind="object")
+        registry.register_version("Thing", self.body(b={"type": "number"}))
+        return registry
+
+    def test_repeated_calls_share_one_object(self):
+        registry = self.two_versions()
+        latest = registry.resolve("Thing")
+        assert registry.resolve("Thing") is latest
+        assert registry.resolve("Thing", 1) is latest
+        assert registry.resolve("Thing", 0) is registry.resolve("Thing", 0)
+        assert registry.resolve("Thing", 0) is not latest
+
+    def test_registration_and_tombstone_refresh_latest(self):
+        registry = self.two_versions()
+        before = registry.resolve("Thing")
+        registry.register_version("Thing", self.body(c={"type": "number"}))
+        after = registry.resolve("Thing")
+        assert after is not before and set(after.properties) == {"c"}
+        registry.tombstone("Thing")
+        retired = registry.resolve("Thing")
+        assert retired is not after and retired.doc.is_tombstone()
+        assert registry.resolve("Thing", 2).properties == after.properties
+
+    def test_rejected_registration_keeps_previous_latest(self):
+        registry = self.two_versions()
+        registry.resolve("Thing")
+        with pytest.raises(RegistryError, match="required"):
+            registry.register_version("Thing", {**self.body(), "required": ["ghost"]})
+        assert registry.resolve("Thing").doc.linear_version == 1
+
+    def test_rollback_after_a_successful_resolve_forgets_it(self):
+        # the cycle check runs after the new version was already flattened
+        registry = Registry()
+        registry.register_version("A", self.body(), kind="object")
+        registry.register_version("B", {"properties": {"a": {"$ref": "A"}}}, kind="object")
+        with pytest.raises(RegistryError, match="cycle"):
+            registry.register_version("A", {"properties": {"b": {"$ref": "B"}}})
+        with pytest.raises(UnknownSchemaError):
+            registry.resolve("A", 1)
+        assert registry.resolve("A").doc.linear_version == 0
+
+    def test_scratch_clone_leaves_the_original_alone(self, repo_dir):
+        from semschema.evolution import change_impact_test
+
+        registry = load_repo(repo_dir)
+        before = registry.resolve("Provider")
+        proposal = {
+            "allOf": make_id("object", "Provider", 2),
+            "properties": {"@id": {"type": "string", "pattern": "^sdrn:mp:provider:[0-9]+$"}},
+            "required": ["@id"],
+        }
+        report = change_impact_test(registry, "Provider", proposal, [])
+        assert report.proposed_version == 3
+        assert registry.resolve("Provider") is before
+        assert registry.resolve("Provider").doc.linear_version == 2
 
 
 class TestReleases:

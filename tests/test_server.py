@@ -9,7 +9,7 @@ import pytest
 
 from semschema.generator import GenConfig, generate_valid
 from semschema.registry import load_repo, make_id, write_version
-from semschema.server import MAX_BODY_BYTES, ServerConfig, make_server, parse_target
+from semschema.server import MAX_BODY_BYTES, ServerConfig, _Handler, make_server, parse_target
 from semschema.validator import ValidationTarget
 
 
@@ -253,3 +253,26 @@ class TestKeepAlive:
         assert len(responses) == 1
         status, payload = responses[0]
         assert status == 400 and json.loads(payload) == {"error": "body too large"}
+
+    def test_stalled_body_times_out(self, server, monkeypatch):
+        assert 0 < _Handler.timeout <= 60
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
+            sock.sendall(post("/validate", b'{"event"', length=100))
+            assert sock.recv(1024) == b""  # closed without a response
+
+    def test_transform_runtime_error_is_400(self, scratch_repo, registry):
+        program = scratch_repo / "transforms" / "View-Item" / "0-to-1.jslt"
+        program.write_text('{"referrer": number(.origin), * - origin : .}\n')
+        httpd = make_server(ServerConfig(str(scratch_repo), port=0))
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            event = generate_valid(registry, "View Item", 0, GenConfig(seed=6))
+            event["origin"] = "abc"
+            responses = exchange(httpd, post("/transform", json.dumps(event).encode()), HEALTH)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert [status for status, _ in responses] == [400, 200]
+        assert "number" in json.loads(responses[0][1])["error"]
