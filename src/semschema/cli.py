@@ -10,11 +10,13 @@ blocked proposal), 2 means bad usage or broken inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 from . import dqt, jslt, jsonmodel
-from .errors import JsltError, SemSchemaError
+from .errors import SemSchemaError
 from .evolution import TransformSet, change_impact_test, diff, is_breaking, load_samples
 from .generator import GenConfig, generate_valid
 from .registry import load_repo, write_releases, write_version
@@ -29,10 +31,40 @@ def _diag(value) -> None:
     sys.stderr.write(jsonmodel.dumps(value) + "\n")
 
 
-def _open_events(path: str):
-    if path == "-":
-        return sys.stdin
-    return open(path, encoding="utf-8")
+def _open(path: str, mode: str = "r"):
+    """A UTF-8 text stream on `path`; "-" is stdin or stdout, left open on exit.
+
+    Input bytes that are not UTF-8 arrive as lone surrogates, so that
+    iter_ndjson fails only the lines holding them.
+    """
+    if path != "-":
+        return open(path, mode, encoding="utf-8", errors="surrogateescape" if mode == "r" else None)
+    if mode != "r":
+        return contextlib.nullcontext(sys.stdout)
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+    return contextlib.nullcontext(sys.stdin)
+
+
+def _each_line(path: str, handle) -> int:
+    """Run `handle` on each NDJSON value in `path`; the exit code is 1 if a line failed.
+
+    `handle` returns the line's diagnostics, empty or None when it passed.
+    A line that does not parse, or whose handler raises SemSchemaError or
+    ValueError (an output that cannot be written included), gets one
+    {"line", "error"} diagnostic, and the lines after it still run.
+    """
+    failed = False
+    with _open(path) as stream:
+        for lineno, value, error in jsonmodel.iter_ndjson(stream):
+            try:
+                problems = handle(value) if error is None else [{"error": str(error)}]
+            except (SemSchemaError, ValueError) as exc:
+                problems = [{"error": str(exc)}]
+            for problem in problems or ():
+                _diag({"line": lineno, **problem})
+            failed = failed or bool(problems)
+    return 1 if failed else 0
 
 
 # -- schema ---------------------------------------------------------------
@@ -104,19 +136,11 @@ def cmd_validate(args) -> int:
     target = ValidationTarget.latest() if args.latest else parse_target(args.schema)
     if target.title is not None:
         registry.resolve(target.title, target.version)  # fail fast on unknown schema
-    failures = 0
-    with _open_events(args.events) as stream:
-        for lineno, event, error in jsonmodel.iter_ndjson(stream):
-            if error is not None:
-                failures += 1
-                _diag({"line": lineno, "error": str(error)})
-                continue
-            mismatches = validate(registry, event, target)
-            if mismatches:
-                failures += 1
-                for mismatch in mismatches:
-                    _diag({"line": lineno, **mismatch.to_json()})
-    return 1 if failures else 0
+
+    def check(event):
+        return [mismatch.to_json() for mismatch in validate(registry, event, target)]
+
+    return _each_line(args.events, check)
 
 
 def cmd_generate(args) -> int:
@@ -140,21 +164,7 @@ def cmd_diff(args) -> int:
 def cmd_transform(args) -> int:
     registry = load_repo(args.repo)
     transforms = TransformSet.load(registry, Path(args.repo) / "transforms")
-    failures = 0
-    with _open_events(args.events) as stream:
-        for lineno, event, error in jsonmodel.iter_ndjson(stream):
-            if error is not None:
-                failures += 1
-                _diag({"line": lineno, "error": str(error)})
-                continue
-            try:
-                transformed = transforms.upgrade(event)
-            except SemSchemaError as exc:
-                failures += 1
-                _diag({"line": lineno, "error": str(exc)})
-                continue
-            _out(transformed)
-    return 1 if failures else 0
+    return _each_line(args.events, lambda event: _out(transforms.upgrade(event)))
 
 
 def cmd_impact_test(args) -> int:
@@ -178,45 +188,22 @@ def cmd_impact_test(args) -> int:
 
 def cmd_jslt_run(args) -> int:
     program = jslt.compile(Path(args.program).read_text(encoding="utf-8"))
-    failures = 0
-    with _open_events(args.input) as stream:
-        for lineno, value, error in jsonmodel.iter_ndjson(stream):
-            if error is not None:
-                failures += 1
-                _diag({"line": lineno, "error": str(error)})
-                continue
-            try:
-                _out(program.evaluate(value))
-            except JsltError as exc:
-                failures += 1
-                _diag({"line": lineno, "error": str(exc)})
-    return 1 if failures else 0
+    return _each_line(args.input, lambda value: _out(program.evaluate(value)))
 
 
 def cmd_dqt_run(args) -> int:
     modules = dqt.load_modules(args.modules)
     sampler = dqt.SamplerConfig(rate=args.rate, strategy=args.strategy, seed=args.seed)
     registry = load_repo(args.repo) if args.repo else None
-    if args.sink == "stdout":
-        sink = dqt.NdjsonSink(sys.stdout)
-        close = None
-    else:
-        handle = open(args.sink, "w", encoding="utf-8")
-        sink = dqt.NdjsonSink(handle)
-        close = handle
-    try:
-        with _open_events(args.events) as stream:
-            summary = dqt.run_stream(
-                modules,
-                dqt.events_from_ndjson(stream),
-                sampler=sampler,
-                sink=sink,
-                registry=registry,
-                window=args.window,
-            )
-    finally:
-        if close is not None:
-            close.close()
+    with _open("-" if args.sink == "stdout" else args.sink, "w") as out, _open(args.events) as stream:
+        summary = dqt.run_stream(
+            modules,
+            dqt.events_from_ndjson(stream),
+            sampler=sampler,
+            sink=dqt.NdjsonSink(out),
+            registry=registry,
+            window=args.window,
+        )
     _diag(summary.to_json())
     return 0
 

@@ -273,15 +273,14 @@ def run_stream(
     sampler: SamplerConfig | Sampler | None = None,
     sink=None,
     registry: Registry | None = None,
-    schema_compliance: bool = True,
     window: str | None = None,
 ) -> StreamSummary:
     """Evaluate every check of every module over the sampled events.
 
     `events` yields parsed JSON values (or BadLine markers, as produced
-    by events_from_ndjson).  When a registry is given and
-    schema_compliance is on, each sampled event is also validated against
-    its self-declared schema under the `schema_compliance` metric.
+    by events_from_ndjson).  When a registry is given, each sampled
+    event is also validated against its self-declared schema under the
+    `schema_compliance` metric.
     """
     if sampler is None:
         sampler = Sampler(SamplerConfig())
@@ -320,7 +319,7 @@ def run_stream(
                     bump(f"{check.name}.valid", tags)
                 else:
                     bump(f"{check.name}.invalid", tags)
-        if registry is not None and schema_compliance:
+        if registry is not None:
             mismatches = validate(registry, event)
             bump("schema_compliance.applicable", tags)
             bump("schema_compliance.valid" if not mismatches else "schema_compliance.invalid", tags)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from typing import Any, Iterable, Iterator
 
 from .errors import JsonParseError
@@ -24,32 +23,29 @@ JsonValue = Any
 _MAX_EXACT_INT = 2**53
 
 
-class DuplicateKeyWarning(UserWarning):
-    """Input JSON contained a repeated object key; the last value won."""
-
-
 def _reject_constant(name: str):
     raise ValueError(f"JSON does not allow {name}")
 
 
-def _pairs_hook(pairs):
-    obj: dict[str, JsonValue] = {}
-    for key, value in pairs:
-        if key in obj:
-            warnings.warn(f"duplicate object key {key!r}", DuplicateKeyWarning, stacklevel=4)
-        obj[key] = value
-    return obj
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number out of range: {text}")
+    return value
 
 
 def parse_json(text: str) -> JsonValue:
     """Parse JSON text into the value model.
 
+    A repeated object key keeps its first position and its last value.
+
     Raises:
-        JsonParseError: on syntax errors (with line/column) and on the
-            NaN/Infinity extensions, which are rejected.
+        JsonParseError: on syntax errors (with line/column), on the
+            NaN/Infinity extensions and on numbers beyond a double's
+            range, which are rejected.
     """
     try:
-        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_pairs_hook)
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
@@ -258,12 +254,20 @@ def set_path(value: JsonValue, path: JsonPath, new: JsonValue) -> JsonValue:
 
 
 def iter_ndjson(lines: Iterable[str]) -> Iterator[tuple[int, JsonValue | None, JsonParseError | None]]:
-    """Yield (line_number, value, error) per non-blank NDJSON line."""
+    """Yield (line_number, value, error) per non-blank NDJSON line.
+
+    Read a file with errors="surrogateescape": its bytes that are not
+    UTF-8 then arrive as lone surrogates, and only their line fails.
+    """
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
+            if not stripped.isascii():
+                stripped.encode("utf-8")
             yield lineno, parse_json(stripped), None
+        except UnicodeEncodeError as exc:
+            yield lineno, None, JsonParseError("invalid UTF-8", 1, exc.start + 1)
         except JsonParseError as exc:
             yield lineno, None, exc

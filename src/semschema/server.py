@@ -19,15 +19,14 @@ new repository, never a mix.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from . import jsonmodel
-from .errors import JsonParseError, RegistryError, SemSchemaError, UnknownSchemaError
+from .errors import RegistryError, SemSchemaError, UnknownSchemaError
 from .evolution import TransformSet
-from .registry import KINDS, Registry, load_repo, slug_to_title
+from .registry import KINDS, load_repo, slug_to_title
 from .validator import parse_target, validate
 
 _SCHEMA_PATH_RE = re.compile(r"^/schemas/([a-z]+)/([A-Za-z0-9-]+)/([0-9]+|latest)$")
@@ -42,36 +41,23 @@ class ServerConfig:
     read_only: bool = True
 
 
-class _Snapshot:
-    def __init__(self, registry: Registry, transforms: TransformSet):
-        self.registry = registry
-        self.transforms = transforms
+class SchemaServer(ThreadingHTTPServer):
+    """Serves one repository; `transforms` carries the registry snapshot."""
 
-
-class SchemaApp:
-    """Registry state shared by all request handlers."""
-
-    def __init__(self, cfg: ServerConfig):
+    def __init__(self, cfg: ServerConfig, verbose: bool = False):
         self.cfg = cfg
         self.directory = Path(cfg.directory)
-        self._lock = threading.Lock()
-        self._snapshot = self._load()
+        self.verbose = verbose
+        self.transforms = self._load()
+        super().__init__((cfg.host, cfg.port), _Handler)
 
-    def _load(self) -> _Snapshot:
-        registry = load_repo(self.directory)
-        transforms = TransformSet.load(registry, self.directory / "transforms")
-        return _Snapshot(registry, transforms)
+    def _load(self) -> TransformSet:
+        return TransformSet.load(load_repo(self.directory), self.directory / "transforms")
 
-    def reload(self) -> _Snapshot:
-        fresh = self._load()
-        with self._lock:
-            self._snapshot = fresh
-        return fresh
-
-    @property
-    def snapshot(self) -> _Snapshot:
-        with self._lock:
-            return self._snapshot
+    def reload(self) -> TransformSet:
+        # one attribute store is the atomic swap; a handler reads it once per request
+        self.transforms = transforms = self._load()
+        return transforms
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -79,13 +65,10 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "semschema"
     # seconds a connection may stay silent, mid-body included, before it is closed
     timeout = 30
-
-    @property
-    def app(self) -> SchemaApp:
-        return self.server.app  # type: ignore[attr-defined]
+    server: SchemaServer
 
     def log_message(self, format, *args):  # noqa: A002 - base class signature
-        if getattr(self.server, "verbose", False):
+        if self.server.verbose:
             super().log_message(format, *args)
 
     # -- plumbing --------------------------------------------------------
@@ -97,11 +80,27 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_json(self, status: int, value) -> None:
-        self._send(status, (jsonmodel.dumps(value, indent=2) + "\n").encode("utf-8"))
+    def _respond(self, route) -> None:
+        """Send what `route()` returns, (status, raw bytes or a JSON value).
 
-    def _fail(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+        The one map from exceptions to statuses: UnknownSchemaError is a
+        404, any other SemSchemaError or ValueError (a response that
+        cannot be encoded included) a 400, and anything else a 500, except
+        OSError, which propagates so that the stdlib closes the connection.
+        """
+        try:
+            status, value = route()
+            payload = value if isinstance(value, bytes) else _encode(value)
+        except UnknownSchemaError as exc:
+            status, payload = 404, _encode({"error": str(exc)})
+        except (SemSchemaError, ValueError) as exc:
+            status, payload = 400, _encode({"error": str(exc)})
+        except OSError:
+            raise
+        except Exception as exc:
+            self.log_error("internal error on %s %s: %r", self.command, self.path, exc)
+            status, payload = 500, _encode({"error": f"internal error: {type(exc).__name__}"})
+        self._send(status, payload)
 
     def _read_body(self):
         length = self.headers.get("Content-Length")
@@ -126,102 +125,60 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes ----------------------------------------------------------
 
     def do_GET(self):
-        if self.path == "/health":
-            snapshot = self.app.snapshot
-            self._send_json(200, {"status": "ok", "titles": len(snapshot.registry.titles())})
-            return
-        match = _SCHEMA_PATH_RE.match(self.path)
-        if match is None:
-            self._fail(404, f"no such resource: {self.path}")
-            return
-        kind, slug, version = match.groups()
-        self._get_schema(kind, slug, version)
-
-    def _get_schema(self, kind: str, slug: str, version: str) -> None:
-        registry = self.app.snapshot.registry
-        title = slug_to_title(slug)
-        if kind not in KINDS or title not in registry.titles() or registry.kind_of(title) != kind:
-            self._fail(404, f"unknown schema {kind}/{slug}")
-            return
-        number = registry.latest_version(title) if version == "latest" else int(version)
-        if number not in registry.versions(title):
-            self._fail(404, f"unknown version {number} of {title!r}")
-            return
-        file = self.app.directory / kind / slug / f"{number}.json"
-        try:
-            payload = file.read_bytes()
-        except OSError:
-            self._fail(404, f"schema file missing for {title!r} version {number}")
-            return
-        self._send(200, payload)
+        self._respond(self._get)
 
     def do_POST(self):
-        if self.path == "/validate":
-            self._post_validate()
-        elif self.path == "/transform":
-            self._post_transform()
-        elif self.path == "/reload":
-            self._post_reload()
-        else:
-            self._discard_body()
-            self._fail(404, f"no such resource: {self.path}")
+        self._respond(self._post)
 
-    def _post_validate(self) -> None:
+    def _get(self):
+        registry = self.server.transforms.registry
+        if self.path == "/health":
+            return 200, {"status": "ok", "titles": len(registry.titles())}
+        match = _SCHEMA_PATH_RE.match(self.path)
+        if match is None:
+            return 404, {"error": f"no such resource: {self.path}"}
+        return self._get_schema(registry, *match.groups())
+
+    def _get_schema(self, registry, kind: str, slug: str, version: str):
+        title = slug_to_title(slug)
+        if kind not in KINDS or title not in registry.titles() or registry.kind_of(title) != kind:
+            return 404, {"error": f"unknown schema {kind}/{slug}"}
+        number = registry.latest_version(title) if version == "latest" else int(version)
+        if number not in registry.versions(title):
+            return 404, {"error": f"unknown version {number} of {title!r}"}
         try:
+            return 200, (self.server.directory / kind / slug / f"{number}.json").read_bytes()
+        except OSError:
+            return 404, {"error": f"schema file missing for {title!r} version {number}"}
+
+    def _post(self):
+        if self.path == "/validate":
             body = self._read_body()
             if not isinstance(body, dict) or "event" not in body:
                 raise ValueError('body must be an object with an "event" field')
             target = parse_target(body.get("target"))
-        except (ValueError, JsonParseError) as exc:
-            self._fail(400, str(exc))
-            return
-        registry = self.app.snapshot.registry
-        try:
-            mismatches = validate(registry, body["event"], target)
-        except UnknownSchemaError as exc:
-            self._fail(404, str(exc))
-            return
-        except RegistryError as exc:
-            self._fail(400, str(exc))
-            return
-        result = {"valid": not mismatches, "mismatches": [m.to_json() for m in mismatches]}
-        self._send_json(200, result)
-
-    def _post_transform(self) -> None:
-        try:
-            event = self._read_body()
-        except (ValueError, JsonParseError) as exc:
-            self._fail(400, str(exc))
-            return
-        try:
-            transformed = self.app.snapshot.transforms.upgrade(event)
-        except UnknownSchemaError as exc:
-            self._fail(404, str(exc))
-            return
-        except SemSchemaError as exc:
-            self._fail(400, str(exc))
-            return
-        self._send_json(200, transformed)
-
-    def _post_reload(self) -> None:
+            mismatches = validate(self.server.transforms.registry, body["event"], target)
+            return 200, {"valid": not mismatches, "mismatches": [m.to_json() for m in mismatches]}
+        if self.path == "/transform":
+            return 200, self.server.transforms.upgrade(self._read_body())
         self._discard_body()
-        if self.app.cfg.read_only:
-            self._fail(409, "server is read-only; restart with --writable to allow /reload")
-            return
+        if self.path != "/reload":
+            return 404, {"error": f"no such resource: {self.path}"}
+        if self.server.cfg.read_only:
+            return 409, {"error": "server is read-only; restart with --writable to allow /reload"}
         try:
-            snapshot = self.app.reload()
+            transforms = self.server.reload()
         except (RegistryError, OSError) as exc:
-            self._fail(400, f"reload failed: {exc}")
-            return
-        self._send_json(200, {"reloaded": True, "titles": len(snapshot.registry.titles())})
+            return 400, {"error": f"reload failed: {exc}"}
+        return 200, {"reloaded": True, "titles": len(transforms.registry.titles())}
 
 
-def make_server(cfg: ServerConfig, verbose: bool = False) -> ThreadingHTTPServer:
-    app = SchemaApp(cfg)
-    httpd = ThreadingHTTPServer((cfg.host, cfg.port), _Handler)
-    httpd.app = app  # type: ignore[attr-defined]
-    httpd.verbose = verbose  # type: ignore[attr-defined]
-    return httpd
+def _encode(value) -> bytes:
+    return (jsonmodel.dumps(value, indent=2) + "\n").encode("utf-8")
+
+
+def make_server(cfg: ServerConfig, verbose: bool = False) -> SchemaServer:
+    return SchemaServer(cfg, verbose)
 
 
 def serve(cfg: ServerConfig, verbose: bool = True) -> None:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -320,6 +322,78 @@ class TestJsltRun:
         assert code == 1
         assert [json.loads(line) for line in captured.out.splitlines()] == [0.5]
         assert json.loads(captured.err.splitlines()[0])["line"] == 1
+
+
+    def test_unwritable_result_fails_that_line(self, capsys, tmp_path):
+        program = tmp_path / "grow.jslt"
+        program.write_text(".n * 10")
+        data = tmp_path / "in.ndjson"
+        data.write_text('{"n": 1e308}\n{"n": 2}\n')
+        code = cli.main(["jslt", "run", str(program), "--input", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert [json.loads(line) for line in captured.out.splitlines()] == [20]
+        assert [json.loads(line)["line"] for line in captured.err.splitlines()] == [1]
+
+    def test_stdin_bad_bytes_fail_that_line(self, capsys, monkeypatch, tmp_path):
+        program = tmp_path / "n.jslt"
+        program.write_text(".n")
+        stdin = io.TextIOWrapper(io.BytesIO(b'{"n": 1}\n{"n": "\xff"}\n{"n": 2}\n'), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code = cli.main(["jslt", "run", str(program)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert [json.loads(line) for line in captured.out.splitlines()] == [1, 2]
+        assert [json.loads(line)["line"] for line in captured.err.splitlines()] == [2]
+        assert not stdin.closed
+
+
+class TestBadLines:
+    """Lines 2 and 4 cannot be decoded or parsed; line 3 repeats a key."""
+
+    @pytest.fixture
+    def mixed(self, registry, tmp_path):
+        from semschema.generator import GenConfig, generate_valid
+
+        good = [
+            json.dumps(generate_valid(registry, "View Item", 0, GenConfig(seed=seed)))
+            for seed in (1, 2)
+        ]
+        repeated = '{"schema": "not a schema id", ' + good[1][1:]
+        lines = [good[0], '{"n": "\udcff\udcfe"}', repeated, '{"n": 1e400}', good[1]]
+        path = tmp_path / "mixed.ndjson"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, schemas",
+        [
+            (["validate", "{events}", "--repo", "{repo}"], []),
+            (["transform", "{events}", "--repo", "{repo}"], [make_id("event", "View Item", 2)] * 3),
+            (["jslt", "run", "{program}", "--input", "{events}"], [make_id("event", "View Item", 0)] * 3),
+        ],
+        ids=["validate", "transform", "jslt-run"],
+    )
+    def test_bad_line_fails_only_that_line(self, capsys, repo_dir, tmp_path, mixed, argv, schemas):
+        program = tmp_path / "identity.jslt"
+        program.write_text(".")
+        paths = {"events": mixed, "repo": repo_dir, "program": program}
+        code = cli.main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        out = [json.loads(line) for line in captured.out.splitlines()]
+        err = [json.loads(line) for line in captured.err.splitlines()]
+        assert code == 1
+        assert [event["schema"] for event in out] == schemas
+        assert [diag["line"] for diag in err] == [2, 4]
+        assert all(set(diag) == {"line", "error"} for diag in err)
+
+    def test_dqt_counts_bad_lines(self, capsys, checks_dir, mixed):
+        code = cli.main(["dqt", "run", "--modules", str(checks_dir), "--events", str(mixed), "--rate", "1.0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert all(json.loads(line) for line in captured.out.splitlines())
+        summary = json.loads(captured.err)
+        assert (summary["total"], summary["parse_errors"]) == (5, 2)
 
 
 class TestDqtRun:

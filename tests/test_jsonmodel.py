@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -63,6 +64,18 @@ class TestParse:
     def test_malformed(self, text):
         with pytest.raises(JsonParseError):
             parse_json(text)
+
+
+    def test_numbers_beyond_double_range_rejected(self):
+        for text in ("1e400", "-1e400", '{"n": [2.5e308]}'):
+            with pytest.raises(JsonParseError):
+                parse_json(text)
+
+    def test_repeated_key_keeps_last_value_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = parse_json('{"a": 1, "b": 2, "a": 3}')
+        assert value == {"a": 3, "b": 2} and list(value) == ["a", "b"]
 
 
 class TestDumps:
@@ -165,3 +178,9 @@ class TestNdjson:
         assert rows[0][1] == {"a": 1}
         assert rows[1][2] is not None and rows[1][1] is None
         assert rows[2][1] == [2]
+
+    def test_undecodable_line_is_its_own_error(self):
+        # a file read with errors="surrogateescape" turns a non-UTF-8 byte into a lone surrogate
+        rows = list(iter_ndjson(['{"a": 1}', '{"a": "\udcff"}', "[2]"]))
+        assert [(lineno, value) for lineno, value, _ in rows] == [(1, {"a": 1}), (2, None), (3, [2])]
+        assert isinstance(rows[1][2], JsonParseError)

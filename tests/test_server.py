@@ -276,3 +276,26 @@ class TestKeepAlive:
             httpd.server_close()
         assert [status for status, _ in responses] == [400, 200]
         assert "number" in json.loads(responses[0][1])["error"]
+
+    def test_unexpected_error_is_500(self, server, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("semschema.server.validate", broken)
+        responses = exchange(server, post("/validate", b'{"event": {}}'), HEALTH)
+        assert [status for status, _ in responses] == [500, 200]
+        assert "error" in json.loads(responses[0][1])
+
+    def test_unencodable_transform_result_is_400(self, scratch_repo, registry):
+        program = scratch_repo / "transforms" / "View-Item" / "1-to-2.jslt"
+        program.write_text('{"position": 1e308 * 10, * : .}\n')
+        httpd = make_server(ServerConfig(str(scratch_repo), port=0))
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            event = generate_valid(registry, "View Item", 1, GenConfig(seed=6))
+            responses = exchange(httpd, post("/transform", json.dumps(event).encode()), HEALTH)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert [status for status, _ in responses] == [400, 200]
