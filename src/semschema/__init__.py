@@ -5,103 +5,80 @@ generative event producer, schema evolution tooling (diffs, forward
 transform chains, change-impact tests), a JSON transformation language,
 and streaming data-quality checks, bound together by a CLI and an HTTP
 schema server.
+
+Importing the package loads no submodule: each public name below is
+imported from its module on first access (PEP 562), so a command pays
+only for the modules it uses.
 """
 
-from .errors import (
-    ChainValidationError,
-    EvolutionError,
-    GenerationError,
-    JsltCompileError,
-    JsltError,
-    JsltRuntimeError,
-    JsonParseError,
-    MissingTransformError,
-    PatternError,
-    RegistryError,
-    SemSchemaError,
-    TargetError,
-    UnknownSchemaError,
-    UnsatisfiableError,
-)
-from .evolution import (
-    ChangeOp,
-    ConsumerSample,
-    ImpactReport,
-    ImpactResult,
-    TransformSet,
-    TransformStep,
-    change_impact_test,
-    diff,
-    is_breaking,
-    load_samples,
-)
-from .generator import GenConfig, generate_from_pattern, generate_valid
-from .jsonmodel import JsonPath, dumps, iter_ndjson, json_equal, parse_json
-from .registry import (
-    PropertyDef,
-    Registry,
-    ReleaseTag,
-    ResolvedSchema,
-    SchemaDoc,
-    load_repo,
-    make_id,
-    parse_id,
-    slug_to_title,
-    title_to_slug,
-    write_releases,
-    write_version,
-)
-from .validator import Mismatch, ValidationTarget, parse_target, validate
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainValidationError",
-    "ChangeOp",
-    "ConsumerSample",
-    "EvolutionError",
-    "GenConfig",
-    "GenerationError",
-    "ImpactReport",
-    "ImpactResult",
-    "JsltCompileError",
-    "JsltError",
-    "JsltRuntimeError",
-    "JsonParseError",
-    "JsonPath",
-    "Mismatch",
-    "MissingTransformError",
-    "PatternError",
-    "PropertyDef",
-    "Registry",
-    "RegistryError",
-    "ReleaseTag",
-    "ResolvedSchema",
-    "SchemaDoc",
-    "SemSchemaError",
-    "TargetError",
-    "TransformSet",
-    "TransformStep",
-    "UnknownSchemaError",
-    "UnsatisfiableError",
-    "ValidationTarget",
-    "change_impact_test",
-    "diff",
-    "dumps",
-    "generate_from_pattern",
-    "generate_valid",
-    "is_breaking",
-    "iter_ndjson",
-    "json_equal",
-    "load_repo",
-    "load_samples",
-    "make_id",
-    "parse_id",
-    "parse_json",
-    "parse_target",
-    "slug_to_title",
-    "title_to_slug",
-    "validate",
-    "write_releases",
-    "write_version",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "errors": (
+        "ChainValidationError",
+        "EvolutionError",
+        "GenerationError",
+        "JsltCompileError",
+        "JsltError",
+        "JsltRuntimeError",
+        "JsonParseError",
+        "MissingTransformError",
+        "PatternError",
+        "RegistryError",
+        "SemSchemaError",
+        "TargetError",
+        "UnknownSchemaError",
+        "UnsatisfiableError",
+    ),
+    "evolution": (
+        "ChangeOp",
+        "ConsumerSample",
+        "ImpactReport",
+        "ImpactResult",
+        "TransformSet",
+        "TransformStep",
+        "change_impact_test",
+        "diff",
+        "is_breaking",
+        "load_samples",
+    ),
+    "generator": ("GenConfig", "generate_valid"),
+    "pattern": ("generate_from_pattern",),
+    "jsonmodel": ("JsonPath", "dumps", "iter_ndjson", "json_equal", "parse_json"),
+    "registry": (
+        "PropertyDef",
+        "Registry",
+        "ReleaseTag",
+        "ResolvedSchema",
+        "SchemaDoc",
+        "load_repo",
+        "make_id",
+        "parse_id",
+        "slug_to_title",
+        "title_to_slug",
+        "write_releases",
+        "write_version",
+    ),
+    "validator": ("Mismatch", "ValidationTarget", "parse_target", "validate"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # also what lets `from semschema import cli` fall through to the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -15,12 +15,13 @@ import io
 import sys
 from pathlib import Path
 
-from . import dqt, jslt, jsonmodel
+from . import jsonmodel
 from .errors import SemSchemaError
-from .evolution import TransformSet, change_impact_test, diff, is_breaking, load_samples
-from .generator import GenConfig, generate_valid
 from .registry import load_repo, write_releases, write_version
 from .validator import ValidationTarget, parse_target, validate
+
+# dqt, jslt, evolution and generator are imported, as modules, by the
+# commands that use them: a command loads only what it runs.
 
 
 def _out(value) -> None:
@@ -144,41 +145,49 @@ def cmd_validate(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generator
+
     registry = load_repo(args.repo)
     target = parse_target(args.schema)
     for offset in range(args.count):
-        cfg = GenConfig(seed=args.seed + offset)
-        _out(generate_valid(registry, target.title, target.version, cfg))
+        cfg = generator.GenConfig(seed=args.seed + offset)
+        _out(generator.generate_valid(registry, target.title, target.version, cfg))
     return 0
 
 
 def cmd_diff(args) -> int:
+    from . import evolution
+
     registry = load_repo(args.repo)
-    ops = diff(registry, args.title, args.version_a, args.version_b)
+    ops = evolution.diff(registry, args.title, args.version_a, args.version_b)
     for op in ops:
         _out(op.to_json())
-    _out({"breaking": is_breaking(ops)})
+    _out({"breaking": evolution.is_breaking(ops)})
     return 0
 
 
 def cmd_transform(args) -> int:
+    from . import evolution
+
     registry = load_repo(args.repo)
-    transforms = TransformSet.load(registry, Path(args.repo) / "transforms")
+    transforms = evolution.TransformSet.load(registry, Path(args.repo) / "transforms")
     return _each_line(args.events, lambda event: _out(transforms.upgrade(event)))
 
 
 def cmd_impact_test(args) -> int:
+    from . import evolution, generator
+
     registry = load_repo(args.repo)
     proposal = jsonmodel.parse_json(Path(args.proposal).read_text(encoding="utf-8"))
     if not isinstance(proposal, dict) or not isinstance(proposal.get("title"), str):
         raise SemSchemaError("proposal file must be a schema document with a title")
     title = proposal["title"]
     kind = registry.kind_of(title) if title in registry.titles() else "event"
-    samples = [s for s in load_samples(args.samples) if s.title == title]
+    samples = [s for s in evolution.load_samples(args.samples) if s.title == title]
     if not samples:
         raise SemSchemaError(f"no samples for {title!r} in {args.samples}")
-    report = change_impact_test(
-        registry, title, proposal, samples, cfg=GenConfig(seed=args.seed), kind=kind
+    report = evolution.change_impact_test(
+        registry, title, proposal, samples, cfg=generator.GenConfig(seed=args.seed), kind=kind
     )
     for result in report.results:
         _out(result.to_json())
@@ -187,11 +196,15 @@ def cmd_impact_test(args) -> int:
 
 
 def cmd_jslt_run(args) -> int:
+    from . import jslt
+
     program = jslt.compile(Path(args.program).read_text(encoding="utf-8"))
     return _each_line(args.input, lambda value: _out(program.evaluate(value)))
 
 
 def cmd_dqt_run(args) -> int:
+    from . import dqt
+
     modules = dqt.load_modules(args.modules)
     sampler = dqt.SamplerConfig(rate=args.rate, strategy=args.strategy, seed=args.seed)
     registry = load_repo(args.repo) if args.repo else None

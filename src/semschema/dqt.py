@@ -143,7 +143,9 @@ def _hash_fraction(event) -> float:
     key = event.get("@id") if isinstance(event, dict) else None
     if not isinstance(key, str):
         key = jsonmodel.dumps(event)
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    # an @id may hold an escaped lone surrogate; "surrogatepass" encodes it and
+    # leaves the bytes of every valid string as they were
+    digest = hashlib.sha256(key.encode("utf-8", "surrogatepass")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 

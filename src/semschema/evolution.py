@@ -20,7 +20,6 @@ from .errors import (
     MissingTransformError,
     UnsatisfiableError,
 )
-from .generator import GenConfig, generate_valid
 from .jsonmodel import JsonPath, parse_json
 from .registry import PropertyDef, Registry, parse_id, slug_to_title
 from .validator import ValidationTarget, validate
@@ -263,13 +262,16 @@ class TransformSet:
         Returns the number of events pushed through; raises on the first
         failure.
         """
+        from . import generator  # imported here so transform and serve never load it
+
         count = 0
         latest = self.registry.latest_version(title)
         for version in self.registry.versions(title):
             if version == latest or self.registry.get(title, version).is_tombstone():
                 continue
             for seed in range(seeds):
-                event = generate_valid(self.registry, title, version, GenConfig(seed=seed))
+                cfg = generator.GenConfig(seed=seed)
+                event = generator.generate_valid(self.registry, title, version, cfg)
                 self.apply_chain(event, title, version)
                 count += 1
         return count
@@ -325,7 +327,7 @@ def change_impact_test(
     title: str,
     proposal_body: dict,
     samples: list[ConsumerSample],
-    cfg: GenConfig | None = None,
+    cfg: generator.GenConfig | None = None,
     kind: str | None = None,
 ) -> ImpactReport:
     """Decide whether a proposed next version of `title` can ship.
@@ -336,7 +338,9 @@ def change_impact_test(
     must-stay-invalid sample that becomes embeddable means the proposal
     is too loose, which also fails.
     """
-    cfg = cfg or GenConfig()
+    from . import generator
+
+    cfg = cfg or generator.GenConfig()
     scratch = registry.clone()
     proposed_version = scratch.register_version(title, proposal_body, kind=kind)
     results = []
@@ -345,14 +349,14 @@ def change_impact_test(
             raise EvolutionError(
                 f"sample from {sample.consumer!r} targets {sample.title!r}, not {title!r}"
             )
-        sample_cfg = GenConfig(
+        sample_cfg = generator.GenConfig(
             seed=cfg.seed,
             max_array_length=cfg.max_array_length,
             max_string_length=cfg.max_string_length,
             fragment=tuple(sample.fragment),
         )
         try:
-            generate_valid(scratch, title, proposed_version, sample_cfg)
+            generator.generate_valid(scratch, title, proposed_version, sample_cfg)
             embeddable, mismatches = True, ()
         except UnsatisfiableError as exc:
             embeddable, mismatches = False, tuple(exc.mismatches)

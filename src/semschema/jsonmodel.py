@@ -68,10 +68,20 @@ def _normalize(value: JsonValue) -> JsonValue:
     return value
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def dumps(value: JsonValue, indent: int | None = None) -> str:
-    """Serialize a value; integral floats print without a decimal point."""
+    """Serialize a value; integral floats print without a decimal point.
+
+    Non-ASCII text is written as is, except a lone surrogate (which no
+    UTF-8 output can hold), written as its \\uXXXX escape.
+    """
     separators = (",", ":") if indent is None else (",", ": ")
-    return json.dumps(_normalize(value), indent=indent, separators=separators, ensure_ascii=False)
+    text = json.dumps(_normalize(value), indent=indent, separators=separators, ensure_ascii=False)
+    if text.isascii():
+        return text
+    return _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
 
 
 def json_equal(a: JsonValue, b: JsonValue) -> bool:

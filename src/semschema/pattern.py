@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import PatternError
 
@@ -30,35 +29,32 @@ _CLASS_S = frozenset(" \t\n\r\f\v")
 
 _ESCAPABLE = set("\\.*+?()[]{}|^$/:-\"' @#,&!=<>~%;_")
 
+# The AST nodes are NamedTuples, cheap to define at import. Dispatch on
+# them with isinstance: as tuples, Seq(x) == Alt(x) and Dot() is falsy.
 
-@dataclass(frozen=True)
-class Lit:
+
+class Lit(NamedTuple):
     char: str
 
 
-@dataclass(frozen=True)
-class CharClass:
+class CharClass(NamedTuple):
     chars: frozenset
     negated: bool = False
 
 
-@dataclass(frozen=True)
-class Dot:
+class Dot(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(NamedTuple):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(NamedTuple):
     branches: tuple
 
 
-@dataclass(frozen=True)
-class Repeat:
+class Repeat(NamedTuple):
     item: "Node"
     min: int
     max: int | None  # None = unbounded

@@ -26,9 +26,9 @@ object-kind schema by title and always resolve to its latest version.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import jsonmodel
 from .errors import PatternError, RegistryError, UnknownSchemaError
@@ -70,8 +70,7 @@ def parse_id(schema_id: str) -> tuple[str, str, int]:
     return parts[0], slug_to_title(parts[1]), int(parts[2])
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class PropertyDef(NamedTuple):
     kind: str  # number | string | enum | array | ref | compound
     description: str | None = None
     pattern: str | None = None
@@ -199,8 +198,7 @@ def parse_property(raw, where: str = "property") -> PropertyDef:
     raise RegistryError(f"{where}: unsupported type {kind!r}")
 
 
-@dataclass(frozen=True)
-class SchemaDoc:
+class SchemaDoc(NamedTuple):
     id: str
     title: str
     kind: str
@@ -225,16 +223,14 @@ class SchemaDoc:
         return out
 
 
-@dataclass(frozen=True)
-class ResolvedSchema:
+class ResolvedSchema(NamedTuple):
     doc: SchemaDoc
     properties: dict[str, PropertyDef]
     required: tuple[str, ...]
     overrides: tuple[str, ...]  # names redefined along the inheritance chain
 
 
-@dataclass(frozen=True)
-class ReleaseTag:
+class ReleaseTag(NamedTuple):
     major: int
     minor: int
     patch: int

@@ -7,7 +7,7 @@ document order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RegistryError, TargetError
 from .jsonmodel import JsonPath, dumps
@@ -23,8 +23,7 @@ CUSTOM_NONSTRING = "custom-nonstring"
 BAD_SCHEMA_DECLARATION = "bad-schema-declaration"
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     path: JsonPath
     kind: str
     expected: str
@@ -44,8 +43,7 @@ def _excerpt(value) -> object:
     return value
 
 
-@dataclass(frozen=True)
-class ValidationTarget:
+class ValidationTarget(NamedTuple):
     """The schema version an event is checked against.
 
     With no title, the title comes from the event's `schema` declaration;

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +350,20 @@ class TestJsltRun:
         assert [json.loads(line)["line"] for line in captured.err.splitlines()] == [2]
         assert not stdin.closed
 
+    def test_lone_surrogate_is_escaped_in_output(self, monkeypatch, tmp_path):
+        program = tmp_path / "id.jslt"
+        program.write_text(".")
+        data = tmp_path / "in.ndjson"
+        data.write_text('{"@type": "\\udcff"}\n')
+        raw = io.BytesIO()
+        # the C/POSIX locale's stdout would write U+DCFF as the raw byte 0xff
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["jslt", "run", str(program), "--input", str(data)])
+        stdout.flush()
+        assert code == 0
+        assert raw.getvalue() == b'{"@type":"\\udcff"}\n'
+
 
 class TestBadLines:
     """Lines 2 and 4 cannot be decoded or parsed; line 3 repeats a key."""
@@ -424,6 +441,14 @@ class TestDqtRun:
         assert any(m.startswith("user_id_format.") for m in metrics)
         assert not any(m.startswith("schema_compliance.") for m in metrics)
 
+    def test_lone_surrogate_id_is_sampled(self, capsys, checks_dir, tmp_path):
+        events = tmp_path / "events.ndjson"
+        events.write_text('{"@id": "\\ud800"}\n{"@id": "x"}\n')
+        code = cli.main(["dqt", "run", "--modules", str(checks_dir), "--events", str(events), "--rate", "0.5"])
+        summary = json.loads(capsys.readouterr().err)
+        assert code == 0
+        assert (summary["total"], summary["parse_errors"]) == (2, 0)
+
     def test_bad_rate_is_usage_error(self, capsys, checks_dir, tmp_path):
         events = tmp_path / "events.ndjson"
         events.write_text("")
@@ -442,3 +467,40 @@ class TestMain:
     def test_missing_events_file(self, capsys, repo_dir):
         code, _, err = run(capsys, "validate", "nope.ndjson", "--repo", str(repo_dir))
         assert code == 2 and "error" in err[0]
+
+
+class TestImportFootprint:
+    """A command loads only the modules it runs (counted, not timed)."""
+
+    PROBE = (
+        "import sys\n"
+        "from semschema import cli\n"
+        "cli.main(sys.argv[2:])\n"
+        "open(sys.argv[1], 'w').write('\\n'.join(sys.modules))\n"
+    )
+
+    def modules_after(self, tmp_path, *argv):
+        events = tmp_path / "empty.ndjson"
+        events.write_text("")
+        listing = tmp_path / "modules.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = [arg.format(events=events) for arg in argv]
+        subprocess.run([sys.executable, "-c", self.PROBE, str(listing), *argv],
+                       env=env, check=True, capture_output=True, timeout=60)
+        return set(listing.read_text().splitlines())
+
+    def test_validate(self, repo_dir, tmp_path):
+        loaded = self.modules_after(tmp_path, "validate", "{events}", "--repo", str(repo_dir))
+        assert "semschema.validator" in loaded
+        heavy = {"dataclasses"} | {f"semschema.{m}" for m in ("dqt", "jslt", "evolution", "generator", "server")}
+        assert not loaded & heavy
+
+    def test_transform(self, repo_dir, tmp_path):
+        loaded = self.modules_after(tmp_path, "transform", "{events}", "--repo", str(repo_dir))
+        assert "semschema.evolution" in loaded
+        assert not loaded & {"semschema.dqt", "semschema.generator"}
+
+    def test_dqt_run(self, checks_dir, tmp_path):
+        loaded = self.modules_after(tmp_path, "dqt", "run", "--modules", str(checks_dir), "--events", "{events}")
+        assert "semschema.dqt" in loaded
+        assert not loaded & {"semschema.evolution", "semschema.generator"}

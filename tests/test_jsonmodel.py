@@ -97,6 +97,14 @@ class TestDumps:
         with pytest.raises(ValueError):
             dumps(math.nan)
 
+    def test_lone_surrogates_are_escaped(self):
+        value = {"k\ud800": ["é \udcff", "😀"]}
+        text = dumps(value)
+        assert text == '{"k\\ud800":["é \\udcff","😀"]}'
+        assert text.encode("utf-8") and parse_json(text) == value
+        assert dumps(value, indent=2) == '{\n  "k\\ud800": [\n    "é \\udcff",\n    "😀"\n  ]\n}'
+        assert dumps("é") == '"é"'  # other text keeps ensure_ascii=False
+
     @given(json_values)
     def test_round_trip(self, value):
         assert json_equal(parse_json(dumps(value)), value)
