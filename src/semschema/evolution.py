@@ -10,8 +10,8 @@ step; non-breaking steps get an automatic identity transform.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import jslt
 from .errors import (
@@ -33,8 +33,7 @@ MUST_STAY_VALID = "must-stay-valid"
 MUST_STAY_INVALID = "must-stay-invalid"
 
 
-@dataclass(frozen=True)
-class ChangeOp:
+class ChangeOp(NamedTuple):
     kind: str
     path: tuple[str, ...]
     before: str | None = None
@@ -147,18 +146,28 @@ def is_breaking(ops: list[ChangeOp]) -> bool:
 # -- forward transforms --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransformStep:
-    title: str
+    """A registered forward transform between two adjacent versions of a title."""
+
+    __slots__ = ("title", "from_version", "to_version", "program")
+
+    def __init__(self, title: str, from_version: int, to_version: int, program: jslt.Program):
+        if to_version != from_version + 1:
+            raise EvolutionError(f"transforms cover adjacent versions only: {from_version} -> {to_version}")
+        self.title = title
+        self.from_version = from_version
+        self.to_version = to_version
+        self.program = program
+
+
+class ChainStep(NamedTuple):
+    """One step of a composed chain, with what apply_chain needs after it."""
+
     from_version: int
     to_version: int
     program: jslt.Program
-
-    def __post_init__(self):
-        if self.to_version != self.from_version + 1:
-            raise EvolutionError(
-                f"transforms cover adjacent versions only: {self.from_version} -> {self.to_version}"
-            )
+    schema_id: str | None  # written into the event's `schema`; None when the target declares none
+    target: ValidationTarget  # what the step's output is checked against
 
 
 _STEP_FILE_RE = re.compile(r"(\d+)-to-(\d+)\.jslt")
@@ -171,6 +180,10 @@ class TransformSet:
         self.registry = registry
         self._steps: dict[tuple[str, int], TransformStep] = {}
         self._identity = jslt.compile(".")  # the program of every non-breaking step left unregistered
+        # built on first use for one registry generation; emptied when it or the steps change
+        self._generation = registry.generation
+        self._chains: dict[tuple[str, int], tuple[ChainStep, ...]] = {}
+        self._breaking: dict[tuple[str, int], bool] = {}  # (title, v) -> is step v -> v+1 breaking
 
     def register(self, step: TransformStep) -> None:
         versions = self.registry.versions(step.title)
@@ -179,6 +192,7 @@ class TransformSet:
                 f"{step.title!r} has no version pair {step.from_version}/{step.to_version}"
             )
         self._steps[(step.title, step.from_version)] = step
+        self._chains.clear()
 
     @classmethod
     def load(cls, registry: Registry, directory: str | Path) -> "TransformSet":
@@ -200,26 +214,41 @@ class TransformSet:
                 out.register(TransformStep(title, int(m.group(1)), int(m.group(2)), program))
         return out
 
-    def compose_chain(self, title: str, from_version: int) -> list[TransformStep]:
+    def compose_chain(self, title: str, from_version: int) -> tuple[ChainStep, ...]:
         """The steps carrying events at from_version to the latest version.
 
         Breaking steps must have a registered transform; other steps fall
-        back to the identity program.
+        back to the identity program.  Each chain is built once per
+        registry state and set of steps; the tuple is shared by every
+        caller.
         """
-        latest = self.registry.latest_version(title)
-        if from_version not in self.registry.versions(title):
-            raise EvolutionError(f"{title!r} has no version {from_version}")
-        chain = []
-        for v in range(from_version, latest):
-            step = self._steps.get((title, v))
-            if step is None:
-                if is_breaking(diff(self.registry, title, v, v + 1)):
-                    raise MissingTransformError(
-                        f"{title!r} {v} -> {v + 1} is a breaking step with no registered transform"
-                    )
-                step = TransformStep(title, v, v + 1, self._identity)
-            chain.append(step)
+        if self._generation != self.registry.generation:
+            self._generation = self.registry.generation
+            self._chains.clear()
+            self._breaking.clear()
+        chain = self._chains.get((title, from_version))
+        if chain is None:
+            latest = self.registry.latest_version(title)
+            if from_version not in self.registry.versions(title):
+                raise EvolutionError(f"{title!r} has no version {from_version}")
+            chain = tuple(self._chain_step(title, v) for v in range(from_version, latest))
+            self._chains[(title, from_version)] = chain
         return chain
+
+    def _chain_step(self, title: str, v: int) -> ChainStep:
+        step = self._steps.get((title, v))
+        if step is not None:
+            program = step.program
+        else:
+            breaking = self._breaking.get((title, v))
+            if breaking is None:
+                breaking = self._breaking[(title, v)] = is_breaking(diff(self.registry, title, v, v + 1))
+            if breaking:
+                raise MissingTransformError(f"{title!r} {v} -> {v + 1} is a breaking step with no registered transform")
+            program = self._identity
+        target = self.registry.resolve(title, v + 1)
+        schema_id = target.doc.id if "schema" in target.properties else None
+        return ChainStep(v, v + 1, program, schema_id, ValidationTarget.explicit(title, v + 1))
 
     def upgrade(self, event):
         """Carry an event to the latest version of the schema it declares.
@@ -243,11 +272,10 @@ class TransformSet:
         """
         for index, step in enumerate(self.compose_chain(title, from_version)):
             event = step.program.evaluate(event)
-            target = self.registry.resolve(title, step.to_version)
-            if isinstance(event, dict) and "schema" in target.properties:
-                event = {**event, "schema": target.doc.id}
+            if step.schema_id is not None and isinstance(event, dict):
+                event = {**event, "schema": step.schema_id}
             if check_steps:
-                mismatches = validate(self.registry, event, ValidationTarget.explicit(title, step.to_version))
+                mismatches = validate(self.registry, event, step.target)
                 if mismatches:
                     raise ChainValidationError(
                         f"{title!r} step {step.from_version}->{step.to_version} produced an invalid event",
@@ -280,20 +308,21 @@ class TransformSet:
 # -- change impact testing ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConsumerSample:
-    consumer: str
-    title: str
-    fragment: tuple  # pairs of (dotted path or JsonPath, value)
-    polarity: str = MUST_STAY_VALID
+    """A consumer's fragment that must stay valid (or invalid) under a proposal."""
 
-    def __post_init__(self):
-        if self.polarity not in (MUST_STAY_VALID, MUST_STAY_INVALID):
-            raise EvolutionError(f"unknown sample polarity {self.polarity!r}")
+    __slots__ = ("consumer", "title", "fragment", "polarity")
+
+    def __init__(self, consumer: str, title: str, fragment: tuple, polarity: str = MUST_STAY_VALID):
+        if polarity not in (MUST_STAY_VALID, MUST_STAY_INVALID):
+            raise EvolutionError(f"unknown sample polarity {polarity!r}")
+        self.consumer = consumer
+        self.title = title
+        self.fragment = fragment  # pairs of (dotted path or JsonPath, value)
+        self.polarity = polarity
 
 
-@dataclass(frozen=True)
-class ImpactResult:
+class ImpactResult(NamedTuple):
     consumer: str
     polarity: str
     passed: bool
@@ -308,8 +337,7 @@ class ImpactResult:
         return out
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     title: str
     proposed_version: int
     results: tuple[ImpactResult, ...]

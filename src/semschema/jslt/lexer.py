@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import JsltCompileError
 
@@ -20,8 +20,7 @@ _VAR_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # punct text, keyword, or one of: string number ident var eof
     text: str
     value: object

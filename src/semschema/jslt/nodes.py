@@ -1,58 +1,54 @@
 """AST node types produced by the parser and compiled into closures.
 
-Nodes are immutable after compilation; `pos` is the (line, column) of the
-first token of the expression, used in runtime diagnostics.
+Every node is an immutable NamedTuple; `pos` (the first field of each
+expression node) is the (line, column) of its first token, used in runtime
+diagnostics.  Nodes are told apart by class, never compared with `==`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Pos = tuple[int, int]
+Node = tuple  # any of the node classes below
 
 
-@dataclass(frozen=True)
-class Node:
+class Literal(NamedTuple):
     pos: Pos
-
-
-@dataclass(frozen=True)
-class Literal(Node):
     value: object  # scalar only; composite literals parse into constructors
 
 
-@dataclass(frozen=True)
-class ContextValue(Node):
+class ContextValue(NamedTuple):
     """The current input, written as a leading dot."""
 
+    pos: Pos
 
-@dataclass(frozen=True)
-class KeyAccess(Node):
+
+class KeyAccess(NamedTuple):
+    pos: Pos
     target: Node
     key: str
 
 
-@dataclass(frozen=True)
-class IndexAccess(Node):
+class IndexAccess(NamedTuple):
+    pos: Pos
     target: Node
     index: Node
 
 
-@dataclass(frozen=True)
-class SliceAccess(Node):
+class SliceAccess(NamedTuple):
+    pos: Pos
     target: Node
     low: Optional[Node]
     high: Optional[Node]
 
 
-@dataclass(frozen=True)
-class ArrayCtor(Node):
+class ArrayCtor(NamedTuple):
+    pos: Pos
     items: tuple
 
 
-@dataclass(frozen=True)
-class Matcher:
+class Matcher(NamedTuple):
     """Object-template rest matcher: `* - excluded, ... : expr`."""
 
     excluded: tuple
@@ -60,59 +56,59 @@ class Matcher:
     pos: Pos
 
 
-@dataclass(frozen=True)
-class ObjectCtor(Node):
+class ObjectCtor(NamedTuple):
+    pos: Pos
     pairs: tuple  # of (key_expr, value_expr)
     matcher: Optional[Matcher]
 
 
-@dataclass(frozen=True)
-class ArrayComp(Node):
+class ArrayComp(NamedTuple):
+    pos: Pos
     source: Node
     body: Node
     cond: Optional[Node]
 
 
-@dataclass(frozen=True)
-class ObjectComp(Node):
+class ObjectComp(NamedTuple):
+    pos: Pos
     source: Node
     key: Node
     value: Node
     cond: Optional[Node]
 
 
-@dataclass(frozen=True)
-class If(Node):
+class If(NamedTuple):
+    pos: Pos
     cond: Node
     then: Node
     orelse: Optional[Node]
 
 
-@dataclass(frozen=True)
-class Let(Node):
+class Let(NamedTuple):
+    pos: Pos
     name: str
     value: Node
     body: Node
 
 
-@dataclass(frozen=True)
-class VarRef(Node):
+class VarRef(NamedTuple):
+    pos: Pos
     name: str
 
 
-@dataclass(frozen=True)
-class Call(Node):
+class Call(NamedTuple):
+    pos: Pos
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Binary(Node):
+class Binary(NamedTuple):
+    pos: Pos
     op: str
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
-class UnaryMinus(Node):
+class UnaryMinus(NamedTuple):
+    pos: Pos
     operand: Node

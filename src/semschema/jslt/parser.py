@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import JsltCompileError
 from .lexer import Token, tokenize
@@ -19,8 +19,7 @@ _KEYISH = {"ident", "string"}
 MAX_NESTING = 500
 
 
-@dataclass(frozen=True)
-class UserFunction:
+class UserFunction(NamedTuple):
     name: str
     params: tuple
     body: N.Node

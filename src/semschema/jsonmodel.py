@@ -41,13 +41,16 @@ def parse_json(text: str) -> JsonValue:
 
     Raises:
         JsonParseError: on syntax errors (with line/column), on the
-            NaN/Infinity extensions and on numbers beyond a double's
-            range, which are rejected.
+            NaN/Infinity extensions, on numbers beyond a double's
+            range, which are rejected, and on nesting deeper than the
+            interpreter's recursion limit.
     """
     try:
         return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise JsonParseError("nesting too deep", 1, 1) from None
     except ValueError as exc:
         raise JsonParseError(str(exc), 1, 1) from exc
 

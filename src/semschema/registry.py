@@ -310,6 +310,10 @@ class Registry:
         self._kinds: dict[str, str] = {}
         # (title, version or None for latest) -> flattened form; emptied on every change
         self._resolved: dict[tuple[str, int | None], ResolvedSchema] = {}
+        # schema id -> compiled checker (see validator); emptied with _resolved
+        self._checkers: dict[str, object] = {}
+        # bumped on every change; caches kept outside the registry compare it
+        self.generation = 0
         self.releases: list[ReleaseTag] = []
 
     def clone(self) -> "Registry":
@@ -476,7 +480,7 @@ class Registry:
             if not self._schemas[title]:
                 del self._schemas[title]
                 del self._kinds[title]
-            self._resolved.clear()
+            self._changed()
             raise
         return version
 
@@ -515,7 +519,12 @@ class Registry:
             raise RegistryError(f"{doc.title!r}: versions must be contiguous, got {doc.linear_version}")
         versions[doc.linear_version] = doc
         self._kinds[doc.title] = doc.kind
+        self._changed()
+
+    def _changed(self) -> None:
         self._resolved.clear()
+        self._checkers.clear()
+        self.generation += 1
 
 
 def _iter_refs(doc: SchemaDoc):

@@ -103,68 +103,117 @@ def validate(registry: Registry, event, target: ValidationTarget | None = None) 
         except RegistryError:
             return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "the id of a registered schema", declared)]
     out: list[Mismatch] = []
-    allow_custom = resolved.doc.kind == "event"
-    _check_object(registry, event, resolved.properties, resolved.required, (), allow_custom, out)
+    _checker(registry, resolved)(event, (), out)
     return out
 
 
-# Paths travel as tuples of steps; a JsonPath is built only for a mismatch.
+# A resolved schema compiles once per registry state into nested closures,
+# cached in the registry next to its flattened form.  An object checker
+# takes (value, path, out); a value checker takes (value, parent path,
+# key, out).  Paths travel as tuples of steps; a JsonPath is built only for
+# a mismatch.
 
 
-def _check_object(registry, value: dict, properties, required, path: tuple, allow_custom, out) -> None:
-    for name in required:
-        if name not in value:
-            out.append(Mismatch(JsonPath(path + (name,)), MISSING_REQUIRED, f"required property {name!r}"))
-    for key, item in value.items():
-        here = path + (key,)
-        if allow_custom and key == CUSTOM_PROPERTY:
-            if isinstance(item, dict):
-                _check_custom(item, here, out)
+def _checker(registry: Registry, resolved: ResolvedSchema):
+    checker = registry._checkers.get(resolved.doc.id)
+    if checker is None:
+        checker = _compile_object(
+            registry, resolved.properties, resolved.required, resolved.doc.kind == "event"
+        )
+        registry._checkers[resolved.doc.id] = checker
+    return checker
+
+
+def _compile_object(registry, properties, required, allow_custom):
+    children = {name: _compile_value(registry, prop) for name, prop in properties.items()}
+    if allow_custom:  # never a declared name, so it cannot shadow one
+        children[CUSTOM_PROPERTY] = _check_custom_root
+    missing = tuple((name, f"required property {name!r}") for name in required)
+
+    def check_object(value: dict, path: tuple, out) -> None:
+        for name, expected in missing:
+            if name not in value:
+                out.append(Mismatch(JsonPath(path + (name,)), MISSING_REQUIRED, expected))
+        for key, item in value.items():
+            child = children.get(key)
+            if child is None:
+                out.append(Mismatch(JsonPath(path + (key,)), UNKNOWN_PROPERTY, "a declared property", item))
             else:
-                out.append(Mismatch(JsonPath(here), CUSTOM_NONSTRING, "an object holding string leaves", item))
-        elif key not in properties:
-            out.append(Mismatch(JsonPath(here), UNKNOWN_PROPERTY, "a declared property", item))
-        else:
-            _check_value(registry, item, properties[key], here, out)
+                child(item, path, key, out)
+
+    return check_object
 
 
-def _check_value(registry, value, prop: PropertyDef, path: tuple, out) -> None:
+def _compile_value(registry, prop: PropertyDef):
     kind = prop.kind
     if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "a number", value))
-        return
+        return _check_number
     if kind == "string":
-        if not isinstance(value, str):
-            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "a string", value))
-        elif prop.pattern is not None and not compile_pattern(prop.pattern).search(value):
-            out.append(Mismatch(JsonPath(path), PATTERN_FAILED, f"a string matching {prop.pattern}", value))
-        return
+        if prop.pattern is None:
+            return _check_string
+        search = compile_pattern(prop.pattern).search
+        expected = f"a string matching {prop.pattern}"
+
+        def check_pattern(value, parent, key, out):
+            if not isinstance(value, str):
+                out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a string", value))
+            elif not search(value):
+                out.append(Mismatch(JsonPath(parent + (key,)), PATTERN_FAILED, expected, value))
+
+        return check_pattern
     if kind == "enum":
-        if not isinstance(value, str):
-            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "a string", value))
-        elif value not in prop.values:
-            out.append(Mismatch(JsonPath(path), ENUM_VIOLATION, prop.describe(), value))
-        return
+        values = frozenset(prop.values)
+        expected = prop.describe()
+
+        def check_enum(value, parent, key, out):
+            if not isinstance(value, str):
+                out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a string", value))
+            elif value not in values:
+                out.append(Mismatch(JsonPath(parent + (key,)), ENUM_VIOLATION, expected, value))
+
+        return check_enum
     if kind == "array":
-        if not isinstance(value, list):
-            out.append(Mismatch(JsonPath(path), WRONG_TYPE, "an array", value))
-            return
-        for i, element in enumerate(value):
-            _check_value(registry, element, prop.element, path + (i,), out)
-        return
+        element = _compile_value(registry, prop.element)
+
+        def check_array(value, parent, key, out):
+            here = parent + (key,)
+            if not isinstance(value, list):
+                out.append(Mismatch(JsonPath(here), WRONG_TYPE, "an array", value))
+                return
+            for i, item in enumerate(value):
+                element(item, here, i, out)
+
+        return check_array
     if kind == "compound":
-        if not isinstance(value, dict):
-            out.append(Mismatch(JsonPath(path), WRONG_TYPE, prop.describe(), value))
-            return
-        _check_object(registry, value, prop.child_map(), (), path, False, out)
-        return
-    # reference: validate against the latest version of the named schema
-    if not isinstance(value, dict):
-        out.append(Mismatch(JsonPath(path), WRONG_TYPE, prop.describe(), value))
-        return
-    resolved: ResolvedSchema = registry.resolve_ref(prop.ref_title)
-    _check_object(registry, value, resolved.properties, resolved.required, path, False, out)
+        inner = _compile_object(registry, prop.child_map(), (), False)
+    else:  # reference: the latest version of the named schema
+        inner = _checker(registry, registry.resolve_ref(prop.ref_title))
+    expected = prop.describe()
+
+    def check_nested(value, parent, key, out):
+        if isinstance(value, dict):
+            inner(value, parent + (key,), out)
+        else:
+            out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, expected, value))
+
+    return check_nested
+
+
+def _check_number(value, parent, key, out) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a number", value))
+
+
+def _check_string(value, parent, key, out) -> None:
+    if not isinstance(value, str):
+        out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a string", value))
+
+
+def _check_custom_root(value, parent, key, out) -> None:
+    if isinstance(value, dict):
+        _check_custom(value, parent + (key,), out)
+    else:
+        out.append(Mismatch(JsonPath(parent + (key,)), CUSTOM_NONSTRING, "an object holding string leaves", value))
 
 
 def _check_custom(value, path: tuple, out) -> None:

@@ -413,6 +413,63 @@ class TestBadLines:
         assert (summary["total"], summary["parse_errors"]) == (5, 2)
 
 
+class TestDeepLines:
+    """Line 2 nests deeper than any recursion limit; lines 1 and 3 are good."""
+
+    @staticmethod
+    def deep_line(depth):
+        return '{"custom": ' + '{"a": ' * depth + '"x"' + "}" * (depth + 1)
+
+    @pytest.fixture
+    def events(self, registry, tmp_path):
+        from semschema.generator import GenConfig, generate_valid
+
+        good = [json.dumps(generate_valid(registry, "View Item", 0, GenConfig(seed=seed))) for seed in (1, 2)]
+        path = tmp_path / "deep.ndjson"
+        path.write_text("\n".join([good[0], self.deep_line(25_000), good[1]]) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, schemas",
+        [
+            (["validate", "{events}", "--repo", "{repo}"], []),
+            (["transform", "{events}", "--repo", "{repo}"], [make_id("event", "View Item", 2)] * 2),
+            (["jslt", "run", "{program}", "--input", "{events}"], [make_id("event", "View Item", 0)] * 2),
+        ],
+        ids=["validate", "transform", "jslt-run"],
+    )
+    def test_deep_line_fails_only_that_line(self, capsys, repo_dir, tmp_path, events, argv, schemas):
+        program = tmp_path / "identity.jslt"
+        program.write_text(".")
+        paths = {"events": events, "repo": repo_dir, "program": program}
+        code = cli.main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        out = [json.loads(line) for line in captured.out.splitlines()]
+        err = [json.loads(line) for line in captured.err.splitlines()]
+        assert code == 1
+        assert [event["schema"] for event in out] == schemas
+        assert err == [{"line": 2, "error": "nesting too deep (line 1, column 1)"}]
+
+    def test_dqt_counts_the_deep_line(self, capsys, checks_dir, events):
+        code = cli.main(["dqt", "run", "--modules", str(checks_dir), "--events", str(events), "--rate", "1.0"])
+        summary = json.loads(capsys.readouterr().err)
+        assert code == 0
+        assert (summary["total"], summary["parse_errors"]) == (3, 1)
+
+    def test_validate_at_the_default_recursion_limit(self, repo_dir, registry, tmp_path):
+        # a fresh interpreter: no earlier jslt.compile has raised the limit
+        path = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=2)
+        first, second = path.read_text().splitlines()
+        path.write_text("\n".join([first, self.deep_line(3_000), second]) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "semschema.cli", "validate", str(path), "--repo", str(repo_dir)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [
+            {"line": 2, "error": "nesting too deep (line 1, column 1)"}
+        ]
+
+
 class TestDqtRun:
     def test_stream_with_repo_and_sink_file(self, capsys, repo_dir, checks_dir, registry, tmp_path):
         events = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=20)
@@ -498,7 +555,7 @@ class TestImportFootprint:
     def test_transform(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "transform", "{events}", "--repo", str(repo_dir))
         assert "semschema.evolution" in loaded
-        assert not loaded & {"semschema.dqt", "semschema.generator"}
+        assert not loaded & {"semschema.dqt", "semschema.generator", "dataclasses", "inspect"}
 
     def test_dqt_run(self, checks_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "dqt", "run", "--modules", str(checks_dir), "--events", "{events}")

@@ -1,12 +1,15 @@
 import json
+import sys
+import threading
 
 import pytest
 
-from semschema import jslt
+from semschema import evolution, jslt
 from semschema.errors import (
     ChainValidationError,
     EvolutionError,
     MissingTransformError,
+    RegistryError,
 )
 from semschema.evolution import (
     ADD,
@@ -144,7 +147,7 @@ class TestChains:
         assert step.program.evaluate({"position": 4}) == {"position": 4}
 
     def test_latest_composes_empty(self, registry, transforms):
-        assert transforms.compose_chain("View Item", 2) == []
+        assert transforms.compose_chain("View Item", 2) == ()
 
     def test_unknown_from_version_refused(self, registry, transforms):
         with pytest.raises(EvolutionError):
@@ -217,6 +220,115 @@ class TestChains:
         out = TransformSet.load(registry, tmp_path / "nope")
         with pytest.raises(MissingTransformError):
             out.compose_chain("Provider", 0)
+
+
+class TestChainCache:
+    def fresh(self, registry, repo_dir):
+        return TransformSet.load(registry, repo_dir / "transforms")
+
+    @pytest.fixture
+    def diff_calls(self, monkeypatch):
+        calls = []
+
+        def counting(registry, title, a, b):
+            calls.append((title, a, b))
+            return diff(registry, title, a, b)
+
+        monkeypatch.setattr(evolution, "diff", counting)
+        return calls
+
+    def test_repeated_calls_share_one_chain(self, transforms):
+        chain = transforms.compose_chain("View Item", 0)
+        assert transforms.compose_chain("View Item", 0) is chain
+        assert isinstance(chain, tuple)
+
+    def test_diff_runs_once_per_unregistered_step(self, registry, repo_dir, diff_calls):
+        transforms = self.fresh(registry, repo_dir)
+        for _ in range(2):
+            for title in registry.titles():
+                for version in registry.versions(title):
+                    transforms.compose_chain(title, version)
+        for seed in range(3):
+            event = generate_valid(registry, "View Item", 0, GenConfig(seed=seed))
+            transforms.upgrade(event)
+        steps = sum(len(registry.versions(title)) - 1 for title in registry.titles())
+        assert len(diff_calls) == len(set(diff_calls)) == steps - len(transforms._steps)
+
+    def test_missing_transform_fails_alike_every_time(self, registry, diff_calls):
+        empty = TransformSet(registry)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(MissingTransformError) as exc_info:
+                empty.compose_chain("Provider", 0)
+            messages.append(str(exc_info.value))
+        assert len(set(messages)) == 1 and "breaking step" in messages[0]
+        assert diff_calls == [("Provider", 0, 1)]
+
+    def test_registry_and_step_changes_are_seen(self, registry, repo_dir):
+        scratch = registry.clone()
+        transforms = self.fresh(scratch, repo_dir)
+        assert len(transforms.compose_chain("View Item", 0)) == 2
+        body = {k: v for k, v in scratch.get("View Item").body().items() if k != "id"}
+        body["properties"] = {**body["properties"], "note": {"type": "string"}}
+        scratch.register_version("View Item", body)
+        assert [s.to_version for s in transforms.compose_chain("View Item", 0)] == [1, 2, 3]
+        scratch.tombstone("View Item")
+        with pytest.raises(MissingTransformError, match="3 -> 4"):
+            transforms.compose_chain("View Item", 0)
+        transforms.register(TransformStep("View Item", 3, 4, jslt.compile("{}")))
+        chain = transforms.compose_chain("View Item", 0)
+        assert [s.to_version for s in chain] == [1, 2, 3, 4]
+        event = generate_valid(scratch, "View Item", 0, GenConfig(seed=5))
+        assert transforms.apply_chain(event, "View Item", 0) == {}
+
+    def test_registered_step_replaces_the_identity(self, registry, repo_dir):
+        transforms = self.fresh(registry, repo_dir)
+        identity = transforms.compose_chain("View Item", 0)[1].program
+        program = jslt.compile("{* : .}")
+        transforms.register(TransformStep("View Item", 1, 2, program))
+        assert [s.program for s in transforms.compose_chain("View Item", 0)][1:] == [program]
+        assert program is not identity
+
+    def test_threads_share_one_cache(self, registry, repo_dir):
+        events = [generate_valid(registry, title, 0, GenConfig(seed=seed))
+                  for title in ("View Item", "Send Message", "Search Listing") for seed in range(4)]
+        expected = [self.fresh(registry, repo_dir).upgrade(event) for event in events]
+        scratch = registry.clone()  # fresh resolve and checker caches too
+        transforms = self.fresh(scratch, repo_dir)
+        results, errors = {}, []
+
+        def worker(index):
+            try:
+                results[index] = [transforms.upgrade(event) for event in events]
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(results[i] == expected for i in range(6))
+
+    def test_rolled_back_registration_keeps_the_chain_right(self, registry, repo_dir):
+        scratch = registry.clone()
+        transforms = self.fresh(scratch, repo_dir)
+        before = transforms.compose_chain("View Item", 0)
+        with pytest.raises(RegistryError, match="required"):
+            scratch.register_version("View Item", {"properties": {}, "required": ["ghost"]})
+        after = transforms.compose_chain("View Item", 0)
+        assert [(s.from_version, s.to_version, s.schema_id) for s in after] == [
+            (s.from_version, s.to_version, s.schema_id) for s in before
+        ]
+        event = generate_valid(scratch, "View Item", 0, GenConfig(seed=2))
+        assert transforms.apply_chain(event, "View Item", 0)["schema"] == make_id("event", "View Item", 2)
 
 
 class TestImpact:

@@ -2,7 +2,8 @@ import copy
 
 import pytest
 
-from semschema.errors import UnknownSchemaError
+from semschema import validator
+from semschema.errors import RegistryError, UnknownSchemaError
 from semschema.registry import Registry, make_id
 from semschema.validator import (
     BAD_SCHEMA_DECLARATION,
@@ -268,3 +269,51 @@ class TestReporting:
         after = validate(registry, {}, ValidationTarget.explicit("Thing", 1))
         assert kinds_at(before, MISSING_REQUIRED) == [".a", ".b"]
         assert kinds_at(after, MISSING_REQUIRED) == [".b"]
+
+
+class TestCompiledCheckers:
+    def test_one_checker_per_schema_version(self, registry):
+        resolved = registry.resolve("View Item")
+        validate(registry, view_item())
+        assert validator._checker(registry, resolved) is validator._checker(registry, resolved)
+
+    def scratch(self):
+        registry = Registry()
+        registry.register_version("Thing", {"properties": {"a": {"type": "string"}}}, kind="object")
+        registry.register_version("Ev", {"properties": {"t": {"$ref": "Thing"}}}, kind="event")
+        return registry
+
+    def test_rebuilt_when_a_ref_target_gets_a_new_latest(self):
+        registry = self.scratch()
+        event, target = {"t": {"b": 1}}, ValidationTarget.explicit("Ev", 0)
+        assert kinds_at(validate(registry, event, target), UNKNOWN_PROPERTY) == [".t.b"]
+        registry.register_version("Thing", {"properties": {"b": {"type": "number"}}})
+        assert validate(registry, event, target) == []
+        registry.tombstone("Thing")
+        assert kinds_at(validate(registry, event, target), UNKNOWN_PROPERTY) == [".t.b"]
+
+    def test_rolled_back_registration_keeps_the_previous_latest(self):
+        registry = self.scratch()
+        event, target = {"t": {"b": 1}}, ValidationTarget.explicit("Ev", 0)
+        with pytest.raises(RegistryError, match="required"):
+            registry.register_version("Thing", {"properties": {"b": {"type": "number"}}, "required": ["ghost"]})
+        assert kinds_at(validate(registry, event, target), UNKNOWN_PROPERTY) == [".t.b"]
+
+    def test_impact_test_clone_leaves_the_original_checker(self, registry):
+        from semschema.evolution import ConsumerSample, change_impact_test
+
+        resolved = registry.resolve("Provider")
+        checker = validator._checker(registry, resolved)
+        legacy = {"@id": "sdrn:x:provider:abc", "@type": "Organization"}
+        before = validate(registry, legacy, ValidationTarget.latest("Provider"))
+        tightened = {
+            "allOf": make_id("object", "Provider", 2),
+            "properties": {"@id": {"type": "string", "pattern": "^sdrn:mp:provider:[0-9]+$"}},
+            "required": ["@id"],
+        }
+        report = change_impact_test(
+            registry, "Provider", tightened, [ConsumerSample("legacy", "Provider", (('."@id"', legacy["@id"]),))]
+        )
+        assert report.blocked
+        assert validator._checker(registry, registry.resolve("Provider")) is checker
+        assert validate(registry, legacy, ValidationTarget.latest("Provider")) == before
