@@ -24,9 +24,9 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import jslt, jsonmodel
 from .errors import JsltRuntimeError, SemSchemaError
@@ -41,8 +41,7 @@ class DqtError(SemSchemaError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     name: str
     description: str
     solution_url: str
@@ -50,8 +49,7 @@ class CheckDef:
     check: jslt.Program
 
 
-@dataclass(frozen=True)
-class CheckModule:
+class CheckModule(NamedTuple):
     owner: str
     checks: tuple[CheckDef, ...]
 
@@ -102,41 +100,48 @@ def load_modules(directory: str | Path) -> list[CheckModule]:
 # -- per-event evaluation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     applicable: bool
     valid: bool | None  # None when not applicable or the check errored
     error_stage: str | None = None  # "filter" | "check"
+
+
+# run_check returns one of these five; no record is built per check
+FILTER_ERROR = CheckOutcome(False, None, "filter")
+NOT_APPLICABLE = CheckOutcome(False, None)
+CHECK_ERROR = CheckOutcome(True, None, "check")
+VALID = CheckOutcome(True, True)
+INVALID = CheckOutcome(True, False)
 
 
 def run_check(check: CheckDef, event) -> CheckOutcome:
     try:
         gate = check.filter.evaluate(event)
     except JsltRuntimeError:
-        return CheckOutcome(False, None, "filter")
+        return FILTER_ERROR
     if not is_truthy(gate):
-        return CheckOutcome(False, None)
+        return NOT_APPLICABLE
     try:
         result = check.check.evaluate(event)
     except JsltRuntimeError:
-        return CheckOutcome(True, None, "check")
-    return CheckOutcome(True, bool(is_truthy(result)))
+        return CHECK_ERROR
+    return VALID if is_truthy(result) else INVALID
 
 
 # -- sampling ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SamplerConfig:
-    rate: float = 0.01
-    strategy: str = "hash"  # "hash" | "random"
-    seed: int = 0
+    __slots__ = ("rate", "strategy", "seed")
 
-    def __post_init__(self):
-        if not 0 < self.rate <= 1:
-            raise DqtError(f"sampling rate must be in (0, 1], got {self.rate}")
-        if self.strategy not in ("hash", "random"):
-            raise DqtError(f"unknown sampling strategy {self.strategy!r}")
+    def __init__(self, rate: float = 0.01, strategy: str = "hash", seed: int = 0):
+        if not 0 < rate <= 1:
+            raise DqtError(f"sampling rate must be in (0, 1], got {rate}")
+        if strategy not in ("hash", "random"):
+            raise DqtError(f"unknown sampling strategy {strategy!r}")
+        self.rate = rate
+        self.strategy = strategy  # "hash" | "random"
+        self.seed = seed
 
 
 def _hash_fraction(event) -> float:
@@ -146,7 +151,8 @@ def _hash_fraction(event) -> float:
     # an @id may hold an escaped lone surrogate; "surrogatepass" encodes it and
     # leaves the bytes of every valid string as they were
     digest = hashlib.sha256(key.encode("utf-8", "surrogatepass")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+    # the top 53 bits, which a double holds exactly, so the fraction stays below 1
+    return (int.from_bytes(digest[:8], "big") >> 11) / 2**53
 
 
 class Sampler:
@@ -163,8 +169,7 @@ class Sampler:
 # -- metrics -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricKey:
+class MetricKey(NamedTuple):
     metric: str
     tags: tuple[tuple[str, str], ...]
 
@@ -206,30 +211,38 @@ def events_from_ndjson(stream):
             yield value
 
 
-def _tag_of(event, *path) -> str:
-    value = event
-    for step in path:
-        value = value.get(step) if isinstance(value, dict) else None
+def _tag(value) -> str:
     return value if isinstance(value, str) and value else UNKNOWN_TAG
+
+
+_UNKNOWN_TAGS = (("eventType", UNKNOWN_TAG), ("trackerType", UNKNOWN_TAG), ("tenant", UNKNOWN_TAG))
 
 
 def event_tags(event) -> tuple[tuple[str, str], ...]:
     if not isinstance(event, dict):
-        return (("eventType", UNKNOWN_TAG), ("trackerType", UNKNOWN_TAG), ("tenant", UNKNOWN_TAG))
+        return _UNKNOWN_TAGS
+    tracker = event.get("tracker")
+    provider = event.get("provider")
     return (
-        ("eventType", _tag_of(event, "@type")),
-        ("trackerType", _tag_of(event, "tracker", "type")),
-        ("tenant", _tag_of(event, "provider", "@id")),
+        ("eventType", _tag(event.get("@type"))),
+        ("trackerType", _tag(tracker.get("type") if isinstance(tracker, dict) else None)),
+        ("tenant", _tag(provider.get("@id") if isinstance(provider, dict) else None)),
     )
 
 
-@dataclass
+_OUTCOMES = ("valid", "invalid", "error")
+
+
 class StreamSummary:
-    total: int = 0
-    sampled: int = 0
-    parse_errors: int = 0
-    elapsed_seconds: float = 0.0
-    counters: dict = field(default_factory=dict)  # MetricKey -> int
+    """What run_stream saw; `counters` maps MetricKey -> int, in key order."""
+
+    def __init__(self, total: int = 0, sampled: int = 0, parse_errors: int = 0,
+                 elapsed_seconds: float = 0.0, counters: dict | None = None):
+        self.total = total
+        self.sampled = sampled
+        self.parse_errors = parse_errors
+        self.elapsed_seconds = elapsed_seconds
+        self.counters = {} if counters is None else counters
 
     @property
     def events_per_second(self) -> float:
@@ -240,23 +253,24 @@ class StreamSummary:
     def count(self, metric: str, tags: tuple = ()) -> int:
         """Total over all tag combinations for one metric name, or one key."""
         if tags:
-            return self.counters.get(MetricKey(metric, tags), 0)
-        return sum(count for key, count in self.counters.items() if key.metric == metric)
+            return self.counters.get((metric, tags), 0)
+        return sum(count for key, count in self.counters.items() if key[0] == metric)
 
     def valid_percentages(self) -> dict[str, float]:
         """check name -> valid / (valid + invalid + error), across all tags."""
-        bases = {}
-        for key in self.counters:
-            name, _, outcome = key.metric.rpartition(".")
-            if name and outcome in ("valid", "invalid", "error"):
-                bases.setdefault(name, None)
-        out = {}
-        for name in sorted(bases):
-            valid = self.count(f"{name}.valid")
-            applicable = valid + self.count(f"{name}.invalid") + self.count(f"{name}.error")
-            if applicable:
-                out[name] = 100.0 * valid / applicable
-        return out
+        tallies: dict[str, list[int]] = {}  # check name -> [valid, valid + invalid + error]
+        for key, count in self.counters.items():
+            name, _, outcome = key[0].rpartition(".")
+            if name and outcome in _OUTCOMES:
+                tally = tallies.setdefault(name, [0, 0])
+                tally[1] += count
+                if outcome == "valid":
+                    tally[0] += count
+        return {
+            name: 100.0 * valid / applicable
+            for name, (valid, applicable) in sorted(tallies.items())
+            if applicable
+        }
 
     def to_json(self) -> dict:
         return {
@@ -288,46 +302,53 @@ def run_stream(
         sampler = Sampler(SamplerConfig())
     elif isinstance(sampler, SamplerConfig):
         sampler = Sampler(sampler)
-    summary = StreamSummary()
-    counters = summary.counters
+    keep = sampler.keep
+    # per check: applicable, valid, invalid, error and filter_error metric names
+    checks = [
+        (check, tuple(f"{check.name}.{outcome}" for outcome in ("applicable", *_OUTCOMES, "filter_error")))
+        for module in modules
+        for check in module.checks
+    ]
+    # counter keys are plain (metric, tags) tuples, made MetricKeys once at the end
+    counters: dict[tuple, int] = {}
+    get = counters.get
+    parse_error = ("parse_error", ())
+    total = sampled = parse_errors = 0
     started = time.perf_counter()
-
-    def bump(metric: str, tags) -> None:
-        key = MetricKey(metric, tags)
-        counters[key] = counters.get(key, 0) + 1
-
     for event in events:
-        summary.total += 1
+        total += 1
         if isinstance(event, BadLine):
-            summary.parse_errors += 1
-            bump("parse_error", ())
+            parse_errors += 1
+            counters[parse_error] = get(parse_error, 0) + 1
             continue
-        if not sampler.keep(event):
+        if not keep(event):
             continue
-        summary.sampled += 1
+        sampled += 1
         tags = event_tags(event)
-        for module in modules:
-            for check in module.checks:
-                outcome = run_check(check, event)
-                if outcome.error_stage == "filter":
-                    bump(f"{check.name}.filter_error", tags)
-                    continue
-                if not outcome.applicable:
-                    continue
-                bump(f"{check.name}.applicable", tags)
-                if outcome.error_stage == "check":
-                    bump(f"{check.name}.error", tags)
-                elif outcome.valid:
-                    bump(f"{check.name}.valid", tags)
-                else:
-                    bump(f"{check.name}.invalid", tags)
+        for check, (applicable, valid, invalid, error, filter_error) in checks:
+            outcome = run_check(check, event)
+            if outcome.applicable:
+                key = (applicable, tags)
+                counters[key] = get(key, 0) + 1
+                key = (error if outcome.error_stage else valid if outcome.valid else invalid, tags)
+            elif outcome.error_stage:
+                key = (filter_error, tags)
+            else:
+                continue
+            counters[key] = get(key, 0) + 1
         if registry is not None:
             mismatches = validate(registry, event)
-            bump("schema_compliance.applicable", tags)
-            bump("schema_compliance.valid" if not mismatches else "schema_compliance.invalid", tags)
-    summary.elapsed_seconds = time.perf_counter() - started
+            key = ("schema_compliance.applicable", tags)
+            counters[key] = get(key, 0) + 1
+            key = ("schema_compliance.invalid" if mismatches else "schema_compliance.valid", tags)
+            counters[key] = get(key, 0) + 1
+    elapsed = time.perf_counter() - started
+    summary = StreamSummary(
+        total, sampled, parse_errors, elapsed,
+        {MetricKey._make(key): counters[key] for key in sorted(counters)},
+    )
     if sink is not None:
         stamp = window or datetime.now(timezone.utc).isoformat()
-        for key in sorted(counters, key=lambda k: (k.metric, k.tags)):
-            sink.emit(key, counters[key], stamp)
+        for key, count in summary.counters.items():
+            sink.emit(key, count, stamp)
     return summary

@@ -34,6 +34,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# One decoder and one compact encoder for the process: json.loads and
+# json.dumps would build a new one per call for these settings.  Both are
+# stateless between calls, so threads can share them.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def parse_json(text: str) -> JsonValue:
     """Parse JSON text into the value model.
 
@@ -46,7 +53,9 @@ def parse_json(text: str) -> JsonValue:
             interpreter's recursion limit.
     """
     try:
-        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError:
@@ -56,18 +65,17 @@ def parse_json(text: str) -> JsonValue:
 
 
 def _normalize(value: JsonValue) -> JsonValue:
-    if isinstance(value, bool):
+    if isinstance(value, (str, int)) or value is None:  # bool is an int
         return value
+    if isinstance(value, dict):
+        return {k: _normalize(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_normalize(v) for v in value]
     if isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
             raise ValueError("cannot serialize NaN or infinity")
         if value.is_integer() and abs(value) <= _MAX_EXACT_INT:
             return int(value)
-        return value
-    if isinstance(value, list):
-        return [_normalize(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _normalize(v) for k, v in value.items()}
     return value
 
 
@@ -79,9 +87,19 @@ def dumps(value: JsonValue, indent: int | None = None) -> str:
 
     Non-ASCII text is written as is, except a lone surrogate (which no
     UTF-8 output can hold), written as its \\uXXXX escape.
+
+    Raises:
+        ValueError: on NaN or infinity, and on nesting deeper than the
+            interpreter's recursion limit allows.
     """
-    separators = (",", ":") if indent is None else (",", ": ")
-    text = json.dumps(_normalize(value), indent=indent, separators=separators, ensure_ascii=False)
+    try:
+        value = _normalize(value)
+        if indent is None:
+            text = _COMPACT.encode(value)
+        else:
+            text = json.dumps(value, indent=indent, separators=(",", ": "), ensure_ascii=False)
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
     if text.isascii():
         return text
     return _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
@@ -197,8 +215,7 @@ class JsonPath:
                 steps.append(int(text[i + 1 : j]))
                 i = j + 1
             elif c == '"':
-                decoder = json.JSONDecoder()
-                value, end = decoder.raw_decode(text, i)
+                value, end = _DECODER.raw_decode(text, i)
                 if not isinstance(value, str):
                     raise ValueError(f"bad quoted step in path: {text!r}")
                 steps.append(value)

@@ -470,6 +470,37 @@ class TestDeepLines:
         ]
 
 
+class TestDeepOutput:
+    """Line 2 parses but nests too deep to serialize; lines 1 and 3 are good."""
+
+    DEPTH = 15_000  # parses under the 20,000 limit jslt.compile sets; dumps needs two frames a level
+
+    def check(self, argv, schemas):
+        # a fresh interpreter: an uncaught RecursionError ends it at once, where
+        # rendering its 30,000-frame traceback in process takes minutes
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "semschema.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert [json.loads(line)["schema"] for line in done.stdout.splitlines()] == schemas
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [{"line": 2, "error": "nesting too deep"}]
+
+    def test_jslt_run(self, tmp_path):
+        program = tmp_path / "identity.jslt"
+        program.write_text(".")
+        data = tmp_path / "deep.ndjson"
+        deep = "[" * self.DEPTH + "1" + "]" * self.DEPTH
+        data.write_text("\n".join(['{"schema": "a"}', deep, '{"schema": "b"}']) + "\n")
+        self.check(["jslt", "run", str(program), "--input", str(data)], ["a", "b"])
+
+    def test_transform(self, repo_dir, registry, tmp_path):
+        path = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=2)
+        first, second = path.read_text().splitlines()
+        deep = '{"custom": ' + '{"a": ' * self.DEPTH + "1" + "}" * self.DEPTH + ", " + first[1:]
+        path.write_text("\n".join([first, deep, second]) + "\n")
+        self.check(["transform", str(path), "--repo", str(repo_dir)], [make_id("event", "View Item", 2)] * 2)
+
+
 class TestDqtRun:
     def test_stream_with_repo_and_sink_file(self, capsys, repo_dir, checks_dir, registry, tmp_path):
         events = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=20)
@@ -560,4 +591,4 @@ class TestImportFootprint:
     def test_dqt_run(self, checks_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "dqt", "run", "--modules", str(checks_dir), "--events", "{events}")
         assert "semschema.dqt" in loaded
-        assert not loaded & {"semschema.evolution", "semschema.generator"}
+        assert not loaded & {"semschema.evolution", "semschema.generator", "dataclasses", "inspect"}

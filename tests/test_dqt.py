@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from semschema import dqt
 from semschema.dqt import (
     UNKNOWN_TAG,
     BadLine,
+    CheckDef,
+    CheckOutcome,
     DqtError,
     InMemorySink,
     MetricKey,
@@ -29,6 +32,42 @@ def module_of(**checks):
         for name, (flt, chk) in checks.items()
     }
     return parse_module("inline", raw)
+
+
+class TestRecords:
+    def test_values_compare_and_hash(self):
+        key = MetricKey("m.valid", (("a", "1"),))
+        same = MetricKey("m.valid", (("a", "1"),))
+        assert key == same and hash(key) == hash(same) and len({key, same}) == 1
+        assert key != MetricKey("m.valid", ()) and key != MetricKey("m.invalid", key.tags)
+        check = module_of(positive=(".n", ".n > 0")).checks[0]
+        copy = CheckDef(check.name, check.description, check.solution_url, check.filter, check.check)
+        assert copy == check and hash(copy) == hash(check)
+        assert check != module_of(positive=(".n", ".n > 0")).checks[0]  # programs compare by identity
+        outcome = run_check(check, {"n": 3})
+        assert outcome == CheckOutcome(True, True) == CheckOutcome(True, True, None)
+        assert hash(outcome) == hash(CheckOutcome(True, True))
+        assert CheckOutcome(False, None, "filter") != CheckOutcome(False, None)
+
+    def test_records_are_immutable(self):
+        key = MetricKey("m", ())
+        with pytest.raises(AttributeError):
+            key.metric = "other"
+        with pytest.raises(AttributeError):
+            run_check(module_of(c=(".n", ".n")).checks[0], {}).valid = True
+
+    def test_run_check_shares_its_outcomes(self):
+        check = module_of(positive=(".n", ".n > 0")).checks[0]
+        assert run_check(check, {"n": 3}) is run_check(check, {"n": 4})
+        assert run_check(check, {}) is run_check(check, {"m": 1})
+
+    def test_summary_counters_are_sorted_metric_keys(self):
+        events = [{"n": 1, "@type": "B"}, {"n": -1, "@type": "A"}, BadLine(3, "x")]
+        summary = run_stream([module_of(positive=(".n", ".n > 0"))], events, SamplerConfig(rate=1.0))
+        keys = list(summary.counters)
+        assert all(type(key) is MetricKey for key in keys)
+        assert keys == sorted(keys, key=lambda k: (k.metric, k.tags))
+        assert summary.count("positive.valid", keys[-1].tags) == 1
 
 
 class TestParseModule:
@@ -111,6 +150,17 @@ class TestSampler:
         for strategy in ("hash", "random"):
             sampler = Sampler(SamplerConfig(rate=1.0, strategy=strategy))
             assert all(sampler.keep(e) for e in events)
+
+    def test_rate_one_keeps_the_highest_hash(self, monkeypatch):
+        class TopDigest:
+            def __init__(self, data):
+                pass
+
+            def digest(self):
+                return b"\xff" * 32
+
+        monkeypatch.setattr(dqt.hashlib, "sha256", TopDigest)
+        assert Sampler(SamplerConfig(rate=1.0)).keep({"@id": "any"})
 
     def test_hash_is_deterministic_and_seed_free(self):
         events = [{"@id": f"event-{i}"} for i in range(400)]
@@ -290,6 +340,18 @@ class TestSummary:
             MetricKey("quiet.applicable", ()): 0,
         })
         assert summary.valid_percentages() == {"m": 75.0}
+
+    def test_valid_percentages_sum_tags_and_skip_other_metrics(self):
+        summary = StreamSummary(counters={
+            MetricKey("m.valid", (("a", "1"),)): 3,
+            MetricKey("m.valid", (("a", "2"),)): 1,
+            MetricKey("m.invalid", (("a", "1"),)): 3,
+            MetricKey("m.error", ()): 1,
+            MetricKey("m.filter_error", ()): 5,
+            MetricKey("n.invalid", ()): 2,
+            MetricKey("parse_error", ()): 7,
+        })
+        assert summary.valid_percentages() == {"m": 50.0, "n": 0.0}
 
     def test_events_per_second(self):
         summary = StreamSummary(total=100, elapsed_seconds=2.0)

@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 import warnings
 
 import pytest
@@ -105,6 +108,14 @@ class TestDumps:
         assert dumps(value, indent=2) == '{\n  "k\\ud800": [\n    "é \\udcff",\n    "😀"\n  ]\n}'
         assert dumps("é") == '"é"'  # other text keeps ensure_ascii=False
 
+    def test_too_deep_is_value_error(self):
+        value = 1
+        for _ in range(sys.getrecursionlimit()):
+            value = [value]
+        for indent in (None, 2):
+            with pytest.raises(ValueError, match="nesting too deep"):
+                dumps(value, indent=indent)
+
     @given(json_values)
     def test_round_trip(self, value):
         assert json_equal(parse_json(dumps(value)), value)
@@ -192,3 +203,55 @@ class TestNdjson:
         rows = list(iter_ndjson(['{"a": 1}', '{"a": "\udcff"}', "[2]"]))
         assert [(lineno, value) for lineno, value, _ in rows] == [(1, {"a": 1}), (2, None), (3, [2])]
         assert isinstance(rows[1][2], JsonParseError)
+
+
+class TestSharedDecoder:
+    """parse_json shares one JSONDecoder between calls and threads."""
+
+    def test_threads_parse_floats_at_once(self):
+        # each float calls parse_float, Python code mid-parse, where another thread may run
+        lines = [json.dumps({"n": n, "xs": [n + i / 8 for i in range(40)], "o": {"y": n / 4}}) for n in range(6)]
+        wrong = []
+
+        def work(line):
+            expected = json.loads(line)
+            for _ in range(150):
+                if parse_json(line) != expected:
+                    wrong.append(line)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(line,)) for line in lines]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_leading_bom_fails_as_json_loads_does(self):
+        with pytest.raises(json.JSONDecodeError) as stdlib:
+            json.loads("\ufeff{}")
+        with pytest.raises(JsonParseError) as ours:
+            parse_json("\ufeff{}")
+        error = stdlib.value
+        assert str(ours.value) == f"{error.msg} (line {error.lineno}, column {error.colno})"
+        assert (ours.value.line, ours.value.col) == (1, 1)
+        assert str(ours.value).startswith("Unexpected UTF-8 BOM")
+
+    def test_iter_ndjson_builds_no_decoder(self, monkeypatch):
+        built = []
+        init = json.JSONDecoder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONDecoder, "__init__", counting_init)
+        rows = list(iter_ndjson([f'{{"n": {i}, "x": {i}.5}}' for i in range(100)]))
+        assert [value for _, value, _ in rows] == [{"n": i, "x": i + 0.5} for i in range(100)]
+        assert built == []

@@ -277,6 +277,15 @@ class TestKeepAlive:
         assert [status for status, _ in responses] == [400, 200]
         assert "number" in json.loads(responses[0][1])["error"]
 
+    def test_too_deep_transform_result_is_400(self, server, registry):
+        # parses under the 20,000 recursion limit, but its output needs two frames a level
+        event = json.dumps(generate_valid(registry, "View Item", 2, GenConfig(seed=6)))
+        depth = 15_000
+        deep = '{"custom": ' + '{"a": ' * depth + "1" + "}" * depth + ", " + event[1:]
+        responses = exchange(server, post("/transform", deep.encode()), HEALTH)
+        assert [status for status, _ in responses] == [400, 200]
+        assert json.loads(responses[0][1]) == {"error": "nesting too deep"}
+
     def test_unexpected_error_is_500(self, server, monkeypatch):
         def broken(*args):
             raise RuntimeError("boom")
