@@ -185,6 +185,11 @@ class InMemorySink:
         self.lines.append(key.to_json(count, window))
 
 
+# the text jsonmodel.dumps(key.to_json(count, window)) gives, built from
+# the parts: tag values are str and the count an int, so nothing is walked
+_METRIC_LINE = '{"metric":%s,"tags":{%s},"count":%d,"window":%s}\n'
+
+
 class NdjsonSink:
     """Writes one metric line per counter to a text stream."""
 
@@ -192,7 +197,10 @@ class NdjsonSink:
         self.stream = stream
 
     def emit(self, key: MetricKey, count: int, window: str) -> None:
-        self.stream.write(jsonmodel.dumps(key.to_json(count, window)) + "\n")
+        encode = jsonmodel.encode_string
+        tags = ",".join([encode(name) + ":" + encode(value) for name, value in key.tags])
+        line = _METRIC_LINE % (encode(key.metric), tags, count, encode(window))
+        self.stream.write(jsonmodel.escape_surrogates(line))
 
 
 class BadLine:
@@ -294,9 +302,10 @@ def run_stream(
     """Evaluate every check of every module over the sampled events.
 
     `events` yields parsed JSON values (or BadLine markers, as produced
-    by events_from_ndjson).  When a registry is given, each sampled
-    event is also validated against its self-declared schema under the
-    `schema_compliance` metric.
+    by events_from_ndjson).  An event the hash sampler cannot serialize
+    (no `@id`, and nested too deep) counts as a parse error too.  When a
+    registry is given, each sampled event is also validated against its
+    self-declared schema under the `schema_compliance` metric.
     """
     if sampler is None:
         sampler = Sampler(SamplerConfig())
@@ -321,7 +330,12 @@ def run_stream(
             parse_errors += 1
             counters[parse_error] = get(parse_error, 0) + 1
             continue
-        if not keep(event):
+        try:
+            if not keep(event):
+                continue
+        except ValueError:  # no @id, and too deep to serialize for the hash
+            parse_errors += 1
+            counters[parse_error] = get(parse_error, 0) + 1
             continue
         sampled += 1
         tags = event_tags(event)

@@ -2,9 +2,12 @@
 
 One walk over the AST checks each node (variable scope, function names
 and arity, literal `test()` patterns and `parse-time` formats) and
-returns a closure `(context, env) -> value` that evaluates it.  `env`
-maps variable names to values and carries the user-function call depth
-of the running evaluation, so one program can run in many threads.
+returns a closure `(context, env) -> value` that evaluates it.  A chain
+of key steps becomes one closure, a literal pattern or time format is
+checked and bound into its call once, and a comparison with a literal
+null becomes an identity test.  `env` maps variable names to values and
+carries the user-function call depth of the running evaluation, so one
+program can run in many threads.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ import operator
 
 from .. import jsonmodel
 from ..errors import JsltCompileError, JsltRuntimeError, PatternError
-from ..pattern import compile_pattern
 from . import nodes as N
-from .functions import BUILTINS, compile_time_format, is_truthy, to_string
+from .functions import BUILTINS, LITERAL_BINDERS, is_truthy, to_string
 
 MAX_CALL_DEPTH = 500
 _DEPTH = "#depth"  # '#' cannot start a variable name
@@ -58,19 +60,23 @@ def _iter_source(node, value):
     raise _error(node, f"cannot loop over {to_string(value)}")
 
 
-_LITERAL_CHECKS = {"test": compile_pattern, "parse-time": compile_time_format}
+def _bind_literal_arg(node: N.Call, builtin):
+    """Check a literal regex or time format and bind it into the builtin.
 
-
-def _check_literal_args(node: N.Call) -> None:
-    """Surface bad regexes and time formats at compile time when literal."""
-    check = _LITERAL_CHECKS.get(node.name)
+    A bad one is a compile error; without a literal the builtin stays as is.
+    """
+    bind = LITERAL_BINDERS.get(node.name)
     arg = node.args[1] if len(node.args) > 1 else None
-    if check is None or not isinstance(arg, N.Literal) or not isinstance(arg.value, str):
-        return
+    if bind is None or not isinstance(arg, N.Literal) or not isinstance(arg.value, str):
+        return builtin
     try:
-        check(arg.value)
+        return bind(arg.value)
     except (PatternError, ValueError) as exc:
         raise JsltCompileError(f"{node.name}: {exc}", *arg.pos) from None
+
+
+def _is_null(node) -> bool:
+    return isinstance(node, N.Literal) and node.value is None
 
 
 class _Compiler:
@@ -96,14 +102,8 @@ class _Compiler:
                 return lambda context, env: body(context, {**env, name: value(context, env)})
             case N.Call():
                 return self.call(node, scope)
-            case N.KeyAccess(key=key):
-                target = self.compile(node.target, scope)
-
-                def key_access(context, env):
-                    value = target(context, env)
-                    return value.get(key) if isinstance(value, dict) else None
-
-                return key_access
+            case N.KeyAccess():
+                return self.key_path(node, scope)
             case N.IndexAccess():
                 return self.index(node, scope)
             case N.SliceAccess():
@@ -147,6 +147,26 @@ class _Compiler:
         return self.compile(node, scope)
 
     # -- access, total over any input ------------------------------------
+
+    def key_path(self, node: N.KeyAccess, scope):
+        """One closure for a chain of key steps such as `.a.b."c"`."""
+        keys = []
+        while isinstance(node, N.KeyAccess):
+            keys.append(node.key)
+            node = node.target
+        keys = tuple(reversed(keys))
+        # a chain that starts at `.` reads the context directly
+        target = None if isinstance(node, N.ContextValue) else self.compile(node, scope)
+
+        def key_path(context, env):
+            value = context if target is None else target(context, env)
+            for key in keys:
+                if not isinstance(value, dict):
+                    return None
+                value = value.get(key)
+            return value
+
+        return key_path
 
     def index(self, node: N.IndexAccess, scope):
         target = self.compile(node.target, scope)
@@ -273,7 +293,7 @@ class _Compiler:
             want = str(low) if low == high else f"{low} to {high}"
             raise JsltCompileError(f"{name} takes {want} argument(s), got {len(node.args)}", *node.pos)
         if user is None:
-            _check_literal_args(node)
+            builtin = _bind_literal_arg(node, builtin)
         args = [self.compile(arg, scope) for arg in node.args]
 
         if user is not None:
@@ -308,6 +328,12 @@ class _Compiler:
         op = node.op
         left = self.compile(node.left, scope)
         right = self.compile(node.right, scope)
+        if op in ("==", "!=") and (_is_null(node.left) or _is_null(node.right)):
+            # json_equal(x, None) is exactly `x is None`; the literal side has no effect
+            other = right if _is_null(node.left) else left
+            if op == "==":
+                return lambda context, env: other(context, env) is None
+            return lambda context, env: other(context, env) is not None
         if op == "and":
             return lambda context, env: is_truthy(left(context, env)) and is_truthy(right(context, env))
         if op == "or":

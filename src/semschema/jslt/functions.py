@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re as _re
 from datetime import datetime, timedelta, timezone
 
@@ -26,7 +27,10 @@ def is_truthy(value: Json) -> bool:
 def to_string(value: Json) -> str:
     if isinstance(value, str):
         return value
-    return jsonmodel.dumps(value)
+    try:
+        return jsonmodel.dumps(value)
+    except ValueError as exc:  # nested too deep, or not finite
+        raise JsltRuntimeError(f"cannot stringify: {exc}") from None
 
 
 # -- parse-time format handling -----------------------------------------
@@ -41,6 +45,8 @@ _FIELD_TOKENS = {
 }
 
 _ZONE_RE = r"(?:Z|[+-]\d{2}(?::?\d{2})?)"
+_DATETIME_FIELDS = ("year", "month", "day", "hour", "minute", "second")
+_DATETIME_DEFAULTS = ("1970", "1", "1", "0", "0", "0")  # 1970-01-01 00:00:00
 
 
 class TimeFormat:
@@ -95,31 +101,28 @@ class TimeFormat:
         if len(set(fields)) != len(fields):
             raise ValueError("time format repeats a field")
         self.source = source
-        self.fields = fields
         self.regex = _re.compile("".join(parts))
+        # parse reads each datetime field from its group, or from the
+        # defaults appended after the groups when the format lacks it
+        self._fields = operator.itemgetter(
+            *(fields.index(name) if name in fields else len(fields) + i for i, name in enumerate(_DATETIME_FIELDS))
+        )
+        self._zone = fields.index("zone") if "zone" in fields else None
 
     def parse(self, text: str) -> float:
         m = self.regex.fullmatch(text)
         if m is None:
             raise ValueError(f"{text!r} does not match time format {self.source!r}")
-        values = dict(zip(self.fields, m.groups()))
+        groups = m.groups() + _DATETIME_DEFAULTS
         zone = timezone.utc
-        raw_zone = values.pop("zone", None)
+        raw_zone = None if self._zone is None else groups[self._zone]
         if raw_zone is not None and raw_zone != "Z":
             sign = 1 if raw_zone[0] == "+" else -1
             digits = raw_zone[1:].replace(":", "")
             hours, minutes = int(digits[:2]), int(digits[2:] or "0")
             zone = timezone(sign * timedelta(hours=hours, minutes=minutes))
-        parts = {name: int(text) for name, text in values.items()}
-        dt = datetime(
-            parts.get("year", 1970),
-            parts.get("month", 1),
-            parts.get("day", 1),
-            parts.get("hour", 0),
-            parts.get("minute", 0),
-            parts.get("second", 0),
-            tzinfo=zone,
-        )
+        year, month, day, hour, minute, second = self._fields(groups)
+        dt = datetime(int(year), int(month), int(day), int(hour), int(minute), int(second), tzinfo=zone)
         return dt.timestamp()
 
 
@@ -147,18 +150,24 @@ def fn_round(args):
 
 
 def fn_parse_time(args):
-    value = args[0]
-    fmt_src = args[1]
-    if value is None:
+    if args[0] is None:
         return None
-    _require_string("parse-time", "time format", fmt_src)
+    fmt_src = _require_string("parse-time", "time format", args[1])
     try:
         fmt = compile_time_format(fmt_src)
     except ValueError as exc:
         raise JsltRuntimeError(f"parse-time: {exc}") from None
+    return _parse_time(fmt, args)
+
+
+def _parse_time(fmt: TimeFormat, args):
+    value = args[0]
+    if value is None:
+        return None
     try:
         if not isinstance(value, str):
-            raise ValueError(f"not a string: {to_string(value)}")
+            # dumps, not to_string: a value it cannot write also takes the fallback
+            raise ValueError(f"not a string: {jsonmodel.dumps(value)}")
         stamp = fmt.parse(value)
     except (ValueError, OverflowError, OSError) as exc:
         if len(args) == 3:
@@ -187,6 +196,11 @@ def fn_test(args):
     except PatternError as exc:
         raise JsltRuntimeError(f"test: {exc}") from None
     return pat.search(to_string(value))
+
+
+def _test(search, args):
+    value = args[0]
+    return False if value is None else search(to_string(value))
 
 
 def fn_string(args):
@@ -259,6 +273,13 @@ def fn_uuid_validate(args):
     value = args[0]
     return isinstance(value, str) and _UUID_RE.fullmatch(value) is not None
 
+
+# name -> the implementation with its literal second argument bound; each
+# raises PatternError or ValueError for a bad pattern or time format
+LITERAL_BINDERS = {
+    "test": lambda regexp: functools.partial(_test, compile_pattern(regexp).search),
+    "parse-time": lambda fmt: functools.partial(_parse_time, compile_time_format(fmt)),
+}
 
 # name -> (min arity, max arity, implementation)
 BUILTINS = {

@@ -81,6 +81,17 @@ def _normalize(value: JsonValue) -> JsonValue:
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
+# a str in, its JSON string literal out: what _COMPACT.encode does with a
+# str, without that method's Python frame
+encode_string = json.encoder.encode_basestring
+
+
+def escape_surrogates(text: str) -> str:
+    """`text` with each lone surrogate written as its \\uXXXX escape."""
+    if text.isascii():
+        return text
+    return _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
+
 
 def dumps(value: JsonValue, indent: int | None = None) -> str:
     """Serialize a value; integral floats print without a decimal point.
@@ -100,9 +111,7 @@ def dumps(value: JsonValue, indent: int | None = None) -> str:
             text = json.dumps(value, indent=indent, separators=(",", ": "), ensure_ascii=False)
     except RecursionError:
         raise ValueError("nesting too deep") from None
-    if text.isascii():
-        return text
-    return _SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
+    return escape_surrogates(text)
 
 
 def json_equal(a: JsonValue, b: JsonValue) -> bool:

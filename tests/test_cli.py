@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def fresh_cli(argv, timeout=120):
+    """Run the CLI in a fresh interpreter.
+
+    For deep lines: an uncaught RecursionError ends it at once, where rendering
+    its traceback of tens of thousands of frames in process takes minutes.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "semschema.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def write_events(path, registry, title, version, count=3, seed=0):
     from semschema.generator import GenConfig, generate_valid
 
@@ -438,21 +449,22 @@ class TestDeepLines:
         ],
         ids=["validate", "transform", "jslt-run"],
     )
-    def test_deep_line_fails_only_that_line(self, capsys, repo_dir, tmp_path, events, argv, schemas):
+    def test_deep_line_fails_only_that_line(self, repo_dir, tmp_path, events, argv, schemas):
         program = tmp_path / "identity.jslt"
         program.write_text(".")
         paths = {"events": events, "repo": repo_dir, "program": program}
-        code = cli.main([arg.format(**paths) for arg in argv])
-        captured = capsys.readouterr()
-        out = [json.loads(line) for line in captured.out.splitlines()]
-        err = [json.loads(line) for line in captured.err.splitlines()]
+        done = fresh_cli([arg.format(**paths) for arg in argv])
+        code = done.returncode
+        out = [json.loads(line) for line in done.stdout.splitlines()]
+        err = [json.loads(line) for line in done.stderr.splitlines()]
         assert code == 1
         assert [event["schema"] for event in out] == schemas
         assert err == [{"line": 2, "error": "nesting too deep (line 1, column 1)"}]
 
-    def test_dqt_counts_the_deep_line(self, capsys, checks_dir, events):
-        code = cli.main(["dqt", "run", "--modules", str(checks_dir), "--events", str(events), "--rate", "1.0"])
-        summary = json.loads(capsys.readouterr().err)
+    def test_dqt_counts_the_deep_line(self, checks_dir, events):
+        done = fresh_cli(["dqt", "run", "--modules", checks_dir, "--events", events, "--rate", "1.0"])
+        code = done.returncode
+        summary = json.loads(done.stderr)
         assert code == 0
         assert (summary["total"], summary["parse_errors"]) == (3, 1)
 
@@ -461,9 +473,7 @@ class TestDeepLines:
         path = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=2)
         first, second = path.read_text().splitlines()
         path.write_text("\n".join([first, self.deep_line(3_000), second]) + "\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-m", "semschema.cli", "validate", str(path), "--repo", str(repo_dir)],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done = fresh_cli(["validate", path, "--repo", repo_dir], timeout=60)
         assert done.returncode == 1
         assert [json.loads(line) for line in done.stderr.splitlines()] == [
             {"line": 2, "error": "nesting too deep (line 1, column 1)"}
@@ -476,11 +486,7 @@ class TestDeepOutput:
     DEPTH = 15_000  # parses under the 20,000 limit jslt.compile sets; dumps needs two frames a level
 
     def check(self, argv, schemas):
-        # a fresh interpreter: an uncaught RecursionError ends it at once, where
-        # rendering its 30,000-frame traceback in process takes minutes
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-m", "semschema.cli", *argv],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = fresh_cli(argv)
         assert done.returncode == 1
         assert [json.loads(line)["schema"] for line in done.stdout.splitlines()] == schemas
         assert [json.loads(line) for line in done.stderr.splitlines()] == [{"line": 2, "error": "nesting too deep"}]
@@ -499,6 +505,50 @@ class TestDeepOutput:
         deep = '{"custom": ' + '{"a": ' * self.DEPTH + "1" + "}" * self.DEPTH + ", " + first[1:]
         path.write_text("\n".join([first, deep, second]) + "\n")
         self.check(["transform", str(path), "--repo", str(repo_dir)], [make_id("event", "View Item", 2)] * 2)
+
+
+class TestDeepValues:
+    """Values that parse but nest too deep for jsonmodel.dumps: line 2 of each file."""
+
+    DEPTH = 12_000  # parses under the 20,000 limit jslt.compile sets; dumps needs two frames a level
+    DEEP = "[" * DEPTH + "]" * DEPTH
+
+    def dqt(self, checks_dir, tmp_path, lines):
+        path = tmp_path / "events.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        done = fresh_cli(["dqt", "run", "--modules", checks_dir, "--events", path, "--rate", "1.0", "--window", "w"])
+        assert done.returncode == 0
+        counts = {line["metric"]: line["count"] for line in map(json.loads, done.stdout.splitlines())}
+        return json.loads(done.stderr), counts
+
+    def test_dqt_counts_an_unhashable_event_as_a_parse_error(self, checks_dir, tmp_path):
+        good = '{"@id": "%s", "published": "2020-01-01T00:00:00Z"}'
+        # no @id, so the hash sampler serializes the whole event
+        summary, counts = self.dqt(checks_dir, tmp_path, [good % 1, '{"a": %s}' % self.DEEP, good % 3])
+        assert (summary["total"], summary["sampled"], summary["parse_errors"]) == (3, 2, 1)
+        assert (counts["parse_error"], counts["published_parses.valid"]) == (1, 2)
+
+    def test_dqt_counts_an_unstringifiable_value_as_a_check_error(self, checks_dir, tmp_path):
+        line = '{"@id": "%s", "actor": {"spt:userId": %s}}'
+        lines = [line % (1, '"sdrn:a:user:1"'), line % (2, self.DEEP), line % (3, '"x"')]
+        summary, counts = self.dqt(checks_dir, tmp_path, lines)
+        assert (summary["sampled"], summary["parse_errors"]) == (3, 0)
+        assert {name: counts[f"user_id_format.{name}"] for name in ("valid", "invalid", "error")} == {
+            "valid": 1, "invalid": 1, "error": 1,
+        }
+
+    @pytest.mark.parametrize("program", ['test(.x, "1")', "string(.x)"])
+    def test_jslt_run_fails_only_that_line(self, tmp_path, program):
+        source = tmp_path / "program.jslt"
+        source.write_text(program)
+        data = tmp_path / "deep.ndjson"
+        data.write_text("\n".join(['{"x": 1}', '{"x": %s}' % self.DEEP, '{"x": 1}']) + "\n")
+        done = fresh_cli(["jslt", "run", source, "--input", data])
+        assert done.returncode == 1
+        assert len(done.stdout.splitlines()) == 2
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [
+            {"line": 2, "error": "cannot stringify: nesting too deep at 1:1"}
+        ]
 
 
 class TestDqtRun:

@@ -2,8 +2,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semschema import dqt
+from semschema import dqt, jsonmodel
 from semschema.dqt import (
     UNKNOWN_TAG,
     BadLine,
@@ -319,6 +321,19 @@ class TestRunStream:
         )
         lines = [json.loads(line) for line in out.getvalue().splitlines()]
         assert {"metric", "tags", "count", "window"} == set(lines[0])
+
+    # any code point, with lone surrogates and JSON escapes drawn often
+    any_text = st.text(
+        st.characters(codec=None, exclude_categories=()) | st.sampled_from('\ud800\udfff"\\\x00é'), max_size=8
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_text, st.dictionaries(any_text, any_text, max_size=3), st.integers(0, 2**63), any_text)
+    def test_ndjson_sink_line_equals_dumps(self, metric, tags, count, window):
+        for key in (MetricKey(metric, tuple(tags.items())), MetricKey("parse_error", ())):
+            out = io.StringIO()
+            NdjsonSink(out).emit(key, count, window)
+            assert out.getvalue() == jsonmodel.dumps(key.to_json(count, window)) + "\n"
 
 
 class TestSummary:

@@ -1,13 +1,15 @@
+import json
 import math
 import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semschema import jslt
 from semschema.errors import JsltCompileError, JsltRuntimeError
+from semschema.jsonmodel import json_equal
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max_size=10),
@@ -19,6 +21,13 @@ json_values = st.recursive(
 
 def run(source: str, value=None):
     return jslt.compile(source).evaluate(value)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def recursion_room():
+    # the first jslt.compile raises the recursion limit; hypothesis warns (an
+    # error here) when that happens inside a @given test, as when one runs alone
+    jslt.compile("null")
 
 
 class TestLiteralsAndOperators:
@@ -282,6 +291,11 @@ class TestBuiltins:
         assert run('uuid-validate("93b15a46-5a87-4cfe-9a86-efe98d63ace6")') is True
         assert run('uuid-validate("not-a-uuid")') is False
 
+    @pytest.mark.parametrize("source", ["string(.x * 1e308)", 'test(.x * 1e308, "1")', 'test(.x * 1e308, .p)'])
+    def test_unserializable_value_is_a_runtime_error(self, source):
+        with pytest.raises(JsltRuntimeError, match="cannot stringify"):
+            run(source, {"x": 10, "p": "1"})
+
     def test_dynamic_bad_pattern_fails_at_runtime(self):
         program = jslt.compile("test(.x, .p)")
         with pytest.raises(JsltRuntimeError):
@@ -321,6 +335,15 @@ class TestParseTime:
 
     def test_quoted_literals(self):
         assert run("parse-time(\"1970y\", \"yyyy'y'\")") == 0
+
+    def test_fallback_on_an_unwritable_value(self):
+        assert run(f"parse-time(.x * 1e308, {self.FMT}, -1)", {"x": 10}) == -1
+        with pytest.raises(JsltRuntimeError, match="parse-time: cannot serialize"):
+            run(f"parse-time(.x * 1e308, {self.FMT})", {"x": 10})
+
+    def test_fallback_is_evaluated_before_the_call(self):
+        with pytest.raises(JsltRuntimeError, match="division by zero"):
+            run(f'parse-time("1970-01-01T00:00:00Z", {self.FMT}, 1 / 0)')
 
 
 class TestCompileErrors:
@@ -458,3 +481,69 @@ class TestPrograms:
     @given(st.lists(json_values, max_size=4))
     def test_comprehension_identity_on_arrays(self, value):
         assert run("[for (.) .]", value) == value
+
+
+def outcome(source: str, value):
+    """A program's result, or the text of its runtime error."""
+    try:
+        return "ok", jslt.compile(source).evaluate(value)
+    except JsltRuntimeError as exc:
+        return "error", str(exc)
+
+
+KEYS = ("a", "b", "spt:id")
+keyed_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=2) | st.dictionaries(st.sampled_from(KEYS), children, max_size=3),
+    max_leaves=12,
+)
+stamps = st.builds(
+    "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}{}".format,
+    st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+    st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+    st.sampled_from(["Z", "+00:00", "+01:00", "-0530", "+14", "-23:59", "+24:00", ""]),
+)
+
+
+class TestCompiledForms:
+    """The fused and bound forms agree with the step-by-step, dynamic ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keyed_values, st.lists(st.sampled_from(KEYS), min_size=1, max_size=4))
+    def test_key_chain_equals_steps(self, value, keys):
+        steps = [json.dumps(key) for key in keys]
+        chain = "".join("." + step for step in steps)
+        # each let binds one step, so no two steps share a closure
+        stepwise = " ".join(f"let s{i} = $s{i - 1}.{step}" for i, step in enumerate(steps[1:], 1))
+        expected = run(f"let s0 = .{steps[0]} {stepwise} $s{len(steps) - 1}", value)
+        walked = value
+        for key in keys:
+            walked = walked.get(key) if isinstance(walked, dict) else None
+        assert expected == walked
+        assert run(chain, value) == expected
+        assert run(f"let v = . $v{chain}", value) == expected
+        assert run(f"[.][0]{chain}", value) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values)
+    def test_null_comparisons_equal_json_equal(self, value):
+        equal = json_equal(value, None)
+        # [null][0] is null but no literal, so it compiles to json_equal
+        for source in (". == null", "null == .", ". == [null][0]"):
+            assert run(source, value) is equal
+        for source in (". != null", "null != .", "[null][0] != ."):
+            assert run(source, value) is not equal
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=12) | json_values, st.sampled_from(["^sdrn:[^:]+:user:", "a", "^$", "[0-9]+", "x|y"]))
+    def test_literal_pattern_equals_computed(self, value, pattern):
+        literal = json.dumps(pattern)
+        assert outcome(f"test(., {literal})", value) == outcome(f'test(., "" + {literal})', value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stamps | st.text(max_size=25) | json_values, st.sampled_from(["", ", null", ", -1"]))
+    def test_literal_time_format_equals_computed(self, value, fallback):
+        fmt = "\"yyyy-MM-dd'T'HH:mm:ssX\""
+        assert outcome(f"parse-time(., {fmt}{fallback})", value) == outcome(
+            f'parse-time(., "" + {fmt}{fallback})', value
+        )
