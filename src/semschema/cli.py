@@ -17,11 +17,12 @@ from pathlib import Path
 
 from . import jsonmodel
 from .errors import SemSchemaError
-from .registry import load_repo, write_releases, write_version
-from .validator import ValidationTarget, parse_target, validate
 
-# dqt, jslt, evolution and generator are imported, as modules, by the
-# commands that use them: a command loads only what it runs.
+# Every other module is imported by the commands that use it, so that a
+# command loads only what it runs; registry and validator are called
+# through their module attributes.  A command loads its repository first:
+# compiled from source, registry.py is the largest module, and compiling
+# it before the others keeps the command's peak memory down.
 
 
 def _out(value) -> None:
@@ -68,11 +69,17 @@ def _each_line(path: str, handle) -> int:
     return 1 if failed else 0
 
 
+def _load_repo(directory):
+    from . import registry
+
+    return registry.load_repo(directory)
+
+
 # -- schema ---------------------------------------------------------------
 
 
 def cmd_schema_load(args) -> int:
-    registry = load_repo(args.directory)
+    registry = _load_repo(args.directory)
     for title in sorted(registry.titles()):
         _out(
             {
@@ -89,7 +96,9 @@ def cmd_schema_load(args) -> int:
 
 
 def cmd_schema_show(args) -> int:
-    registry = load_repo(args.repo)
+    registry = _load_repo(args.repo)
+    from .validator import parse_target
+
     target = parse_target(args.schema)
     if args.resolved:
         resolved = registry.resolve(target.title, target.version)
@@ -114,7 +123,9 @@ def cmd_schema_show(args) -> int:
 
 
 def cmd_schema_tombstone(args) -> int:
-    registry = load_repo(args.repo)
+    registry = _load_repo(args.repo)
+    from .registry import write_version
+
     version = registry.tombstone(args.title)
     path = write_version(args.repo, registry.get(args.title, version))
     _out({"title": args.title, "version": version, "file": str(path)})
@@ -122,7 +133,9 @@ def cmd_schema_tombstone(args) -> int:
 
 
 def cmd_schema_tag(args) -> int:
-    registry = load_repo(args.repo)
+    registry = _load_repo(args.repo)
+    from .registry import write_releases
+
     tag = registry.tag_release(breaking_since_last=args.breaking, major_override=args.major)
     path = write_releases(args.repo, registry.releases)
     _out({"release": tag.version_string, "file": str(path)})
@@ -133,21 +146,24 @@ def cmd_schema_tag(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    registry = load_repo(args.repo)
-    target = ValidationTarget.latest() if args.latest else parse_target(args.schema)
+    registry = _load_repo(args.repo)
+    from . import validator
+
+    target = validator.ValidationTarget.latest() if args.latest else validator.parse_target(args.schema)
     if target.title is not None:
         registry.resolve(target.title, target.version)  # fail fast on unknown schema
 
     def check(event):
-        return [mismatch.to_json() for mismatch in validate(registry, event, target)]
+        return [mismatch.to_json() for mismatch in validator.validate(registry, event, target)]
 
     return _each_line(args.events, check)
 
 
 def cmd_generate(args) -> int:
+    registry = _load_repo(args.repo)
     from . import generator
+    from .validator import parse_target
 
-    registry = load_repo(args.repo)
     target = parse_target(args.schema)
     for offset in range(args.count):
         cfg = generator.GenConfig(seed=args.seed + offset)
@@ -156,9 +172,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    registry = _load_repo(args.repo)
     from . import evolution
 
-    registry = load_repo(args.repo)
     ops = evolution.diff(registry, args.title, args.version_a, args.version_b)
     for op in ops:
         _out(op.to_json())
@@ -167,17 +183,17 @@ def cmd_diff(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    registry = _load_repo(args.repo)
     from . import evolution
 
-    registry = load_repo(args.repo)
     transforms = evolution.TransformSet.load(registry, Path(args.repo) / "transforms")
     return _each_line(args.events, lambda event: _out(transforms.upgrade(event)))
 
 
 def cmd_impact_test(args) -> int:
+    registry = _load_repo(args.repo)
     from . import evolution, generator
 
-    registry = load_repo(args.repo)
     proposal = jsonmodel.parse_json(Path(args.proposal).read_text(encoding="utf-8"))
     if not isinstance(proposal, dict) or not isinstance(proposal.get("title"), str):
         raise SemSchemaError("proposal file must be a schema document with a title")
@@ -207,7 +223,7 @@ def cmd_dqt_run(args) -> int:
 
     modules = dqt.load_modules(args.modules)
     sampler = dqt.SamplerConfig(rate=args.rate, strategy=args.strategy, seed=args.seed)
-    registry = load_repo(args.repo) if args.repo else None
+    registry = _load_repo(args.repo) if args.repo else None
     with _open("-" if args.sink == "stdout" else args.sink, "w") as out, _open(args.events) as stream:
         summary = dqt.run_stream(
             modules,
@@ -234,103 +250,124 @@ def cmd_serve(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("schema", "validate", "generate", "diff", "transform", "impact-test", "jslt", "dqt", "serve")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, or of every command when it names none.
+
+    Either way its usage errors name every command.
+    """
     parser = argparse.ArgumentParser(prog="semschema", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}" if only else None
+    )
+    wanted = (command,) if only else COMMANDS
 
-    schema = sub.add_parser("schema", help="inspect and update a schema repository")
-    schema_sub = schema.add_subparsers(dest="schema_command", required=True)
+    if "schema" in wanted:
+        schema = sub.add_parser("schema", help="inspect and update a schema repository")
+        schema_sub = schema.add_subparsers(dest="schema_command", required=True)
 
-    load = schema_sub.add_parser("load", help="load a repository and list its schemas")
-    load.add_argument("directory")
-    load.set_defaults(handler=cmd_schema_load)
+        load = schema_sub.add_parser("load", help="load a repository and list its schemas")
+        load.add_argument("directory")
+        load.set_defaults(handler=cmd_schema_load)
 
-    show = schema_sub.add_parser("show", help="print one schema version")
-    show.add_argument("schema", metavar="title[@version]")
-    show.add_argument("--repo", required=True)
-    show.add_argument("--resolved", action="store_true", help="print the inherited view")
-    show.set_defaults(handler=cmd_schema_show)
+        show = schema_sub.add_parser("show", help="print one schema version")
+        show.add_argument("schema", metavar="title[@version]")
+        show.add_argument("--repo", required=True)
+        show.add_argument("--resolved", action="store_true", help="print the inherited view")
+        show.set_defaults(handler=cmd_schema_show)
 
-    tombstone = schema_sub.add_parser("tombstone", help="retire a schema")
-    tombstone.add_argument("title")
-    tombstone.add_argument("--repo", required=True)
-    tombstone.set_defaults(handler=cmd_schema_tombstone)
+        tombstone = schema_sub.add_parser("tombstone", help="retire a schema")
+        tombstone.add_argument("title")
+        tombstone.add_argument("--repo", required=True)
+        tombstone.set_defaults(handler=cmd_schema_tombstone)
 
-    tag = schema_sub.add_parser("tag", help="cut a release tag")
-    tag.add_argument("--repo", required=True)
-    tag.add_argument("--breaking", action="store_true", help="breaking change since last tag")
-    tag.add_argument("--major", action="store_true", help="major platform revision")
-    tag.set_defaults(handler=cmd_schema_tag)
+        tag = schema_sub.add_parser("tag", help="cut a release tag")
+        tag.add_argument("--repo", required=True)
+        tag.add_argument("--breaking", action="store_true", help="breaking change since last tag")
+        tag.add_argument("--major", action="store_true", help="major platform revision")
+        tag.set_defaults(handler=cmd_schema_tag)
 
-    val = sub.add_parser("validate", help="validate NDJSON events")
-    val.add_argument("events", metavar="events.ndjson")
-    val.add_argument("--repo", required=True)
-    target = val.add_mutually_exclusive_group()
-    target.add_argument("--schema", metavar="title[@version]", help="validate against this schema")
-    target.add_argument("--latest", action="store_true", help="force each event's schema to latest")
-    target.add_argument("--self", action="store_true", dest="self_mode",
-                        help="use each event's declared schema (default)")
-    val.set_defaults(handler=cmd_validate)
+    if "validate" in wanted:
+        val = sub.add_parser("validate", help="validate NDJSON events")
+        val.add_argument("events", metavar="events.ndjson")
+        val.add_argument("--repo", required=True)
+        target = val.add_mutually_exclusive_group()
+        target.add_argument("--schema", metavar="title[@version]", help="validate against this schema")
+        target.add_argument("--latest", action="store_true", help="force each event's schema to latest")
+        target.add_argument("--self", action="store_true", dest="self_mode",
+                            help="use each event's declared schema (default)")
+        val.set_defaults(handler=cmd_validate)
 
-    gen = sub.add_parser("generate", help="generate random valid events")
-    gen.add_argument("--repo", required=True)
-    gen.add_argument("--schema", metavar="title[@version]", required=True)
-    gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.set_defaults(handler=cmd_generate)
+    if "generate" in wanted:
+        gen = sub.add_parser("generate", help="generate random valid events")
+        gen.add_argument("--repo", required=True)
+        gen.add_argument("--schema", metavar="title[@version]", required=True)
+        gen.add_argument("--count", type=int, default=1)
+        gen.add_argument("--seed", type=int, default=0)
+        gen.set_defaults(handler=cmd_generate)
 
-    dif = sub.add_parser("diff", help="list change operations between two versions")
-    dif.add_argument("title")
-    dif.add_argument("version_a", type=int)
-    dif.add_argument("version_b", type=int)
-    dif.add_argument("--repo", required=True)
-    dif.set_defaults(handler=cmd_diff)
+    if "diff" in wanted:
+        dif = sub.add_parser("diff", help="list change operations between two versions")
+        dif.add_argument("title")
+        dif.add_argument("version_a", type=int)
+        dif.add_argument("version_b", type=int)
+        dif.add_argument("--repo", required=True)
+        dif.set_defaults(handler=cmd_diff)
 
-    tra = sub.add_parser("transform", help="bring NDJSON events to the latest schema version")
-    tra.add_argument("events", metavar="events.ndjson")
-    tra.add_argument("--repo", required=True)
-    tra.add_argument("--to-latest", action="store_true", help="accepted for clarity; the default")
-    tra.set_defaults(handler=cmd_transform)
+    if "transform" in wanted:
+        tra = sub.add_parser("transform", help="bring NDJSON events to the latest schema version")
+        tra.add_argument("events", metavar="events.ndjson")
+        tra.add_argument("--repo", required=True)
+        tra.add_argument("--to-latest", action="store_true", help="accepted for clarity; the default")
+        tra.set_defaults(handler=cmd_transform)
 
-    imp = sub.add_parser("impact-test", help="test a schema proposal against consumer samples")
-    imp.add_argument("--repo", required=True)
-    imp.add_argument("--proposal", required=True, help="proposed schema document (JSON)")
-    imp.add_argument("--samples", required=True, help="directory of consumer sample files")
-    imp.add_argument("--seed", type=int, default=0)
-    imp.set_defaults(handler=cmd_impact_test)
+    if "impact-test" in wanted:
+        imp = sub.add_parser("impact-test", help="test a schema proposal against consumer samples")
+        imp.add_argument("--repo", required=True)
+        imp.add_argument("--proposal", required=True, help="proposed schema document (JSON)")
+        imp.add_argument("--samples", required=True, help="directory of consumer sample files")
+        imp.add_argument("--seed", type=int, default=0)
+        imp.set_defaults(handler=cmd_impact_test)
 
-    jsl = sub.add_parser("jslt", help="run transformation programs")
-    jslt_sub = jsl.add_subparsers(dest="jslt_command", required=True)
-    run = jslt_sub.add_parser("run", help="apply a program to NDJSON input")
-    run.add_argument("program", metavar="program-file")
-    run.add_argument("--input", default="-", help="NDJSON file or - for stdin")
-    run.set_defaults(handler=cmd_jslt_run)
+    if "jslt" in wanted:
+        jsl = sub.add_parser("jslt", help="run transformation programs")
+        jslt_sub = jsl.add_subparsers(dest="jslt_command", required=True)
+        run = jslt_sub.add_parser("run", help="apply a program to NDJSON input")
+        run.add_argument("program", metavar="program-file")
+        run.add_argument("--input", default="-", help="NDJSON file or - for stdin")
+        run.set_defaults(handler=cmd_jslt_run)
 
-    dq = sub.add_parser("dqt", help="streaming data-quality checks")
-    dqt_sub = dq.add_subparsers(dest="dqt_command", required=True)
-    dqrun = dqt_sub.add_parser("run", help="run check modules over an event stream")
-    dqrun.add_argument("--modules", required=True, help="directory of check module files")
-    dqrun.add_argument("--rate", type=float, default=0.01)
-    dqrun.add_argument("--strategy", choices=("hash", "random"), default="hash")
-    dqrun.add_argument("--seed", type=int, default=0)
-    dqrun.add_argument("--events", default="-", help="NDJSON file or - for stdin")
-    dqrun.add_argument("--sink", default="stdout", help="metric output file or stdout")
-    dqrun.add_argument("--repo", help="also validate sampled events against this repository")
-    dqrun.add_argument("--window", help="window label stamped on metric lines")
-    dqrun.set_defaults(handler=cmd_dqt_run)
+    if "dqt" in wanted:
+        dq = sub.add_parser("dqt", help="streaming data-quality checks")
+        dqt_sub = dq.add_subparsers(dest="dqt_command", required=True)
+        dqrun = dqt_sub.add_parser("run", help="run check modules over an event stream")
+        dqrun.add_argument("--modules", required=True, help="directory of check module files")
+        dqrun.add_argument("--rate", type=float, default=0.01)
+        dqrun.add_argument("--strategy", choices=("hash", "random"), default="hash")
+        dqrun.add_argument("--seed", type=int, default=0)
+        dqrun.add_argument("--events", default="-", help="NDJSON file or - for stdin")
+        dqrun.add_argument("--sink", default="stdout", help="metric output file or stdout")
+        dqrun.add_argument("--repo", help="also validate sampled events against this repository")
+        dqrun.add_argument("--window", help="window label stamped on metric lines")
+        dqrun.set_defaults(handler=cmd_dqt_run)
 
-    srv = sub.add_parser("serve", help="serve the schema repository over HTTP")
-    srv.add_argument("--repo", required=True)
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=8080)
-    srv.add_argument("--writable", action="store_true", help="allow POST /reload")
-    srv.set_defaults(handler=cmd_serve)
+    if "serve" in wanted:
+        srv = sub.add_parser("serve", help="serve the schema repository over HTTP")
+        srv.add_argument("--repo", required=True)
+        srv.add_argument("--host", default="127.0.0.1")
+        srv.add_argument("--port", type=int, default=8080)
+        srv.add_argument("--writable", action="store_true", help="allow POST /reload")
+        srv.set_defaults(handler=cmd_serve)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except SemSchemaError as exc:

@@ -26,13 +26,14 @@ import random
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import jslt, jsonmodel
 from .errors import JsltRuntimeError, SemSchemaError
 from .jslt.functions import is_truthy
-from .registry import Registry
-from .validator import validate
+
+if TYPE_CHECKING:
+    from .registry import Registry
 
 UNKNOWN_TAG = "unknown"
 
@@ -312,6 +313,8 @@ def run_stream(
     elif isinstance(sampler, SamplerConfig):
         sampler = Sampler(sampler)
     keep = sampler.keep
+    if registry is not None:
+        from . import validator  # a stream that validates nothing never loads it
     # per check: applicable, valid, invalid, error and filter_error metric names
     checks = [
         (check, tuple(f"{check.name}.{outcome}" for outcome in ("applicable", *_OUTCOMES, "filter_error")))
@@ -351,7 +354,7 @@ def run_stream(
                 continue
             counters[key] = get(key, 0) + 1
         if registry is not None:
-            mismatches = validate(registry, event)
+            mismatches = validator.validate(registry, event)
             key = ("schema_compliance.applicable", tags)
             counters[key] = get(key, 0) + 1
             key = ("schema_compliance.invalid" if mismatches else "schema_compliance.valid", tags)

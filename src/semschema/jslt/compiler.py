@@ -39,15 +39,23 @@ def _error(node, message: str) -> JsltRuntimeError:
     return JsltRuntimeError(message, *node.pos)
 
 
+def _stringify(node, value) -> str:
+    """to_string, where a value it cannot write is a runtime error at `node`."""
+    try:
+        return to_string(value)
+    except JsltRuntimeError as exc:
+        raise _error(node, str(exc)) from None
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_index(node, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _error(node, f"index must be a number, got {to_string(value)}")
+        raise _error(node, f"index must be a number, got {_stringify(node, value)}")
     if not jsonmodel.is_integral(value):
-        raise _error(node, f"index must be a whole number, got {to_string(value)}")
+        raise _error(node, f"index must be a whole number, got {_stringify(node, value)}")
     return int(value)
 
 
@@ -57,7 +65,7 @@ def _iter_source(node, value):
         return [{"key": k, "value": v} for k, v in value.items()]
     if value is None or isinstance(value, list):
         return value
-    raise _error(node, f"cannot loop over {to_string(value)}")
+    raise _error(node, f"cannot loop over {_stringify(node, value)}")
 
 
 def _bind_literal_arg(node: N.Call, builtin):
@@ -132,7 +140,7 @@ class _Compiler:
                     if value is None:
                         return None
                     if not _is_number(value):
-                        raise _error(node, f"cannot negate {to_string(value)}")
+                        raise _error(node, f"cannot negate {_stringify(node, value)}")
                     return -value
 
                 return negate
@@ -186,7 +194,7 @@ class _Compiler:
                 if i < 0:
                     i += len(value)
                 return value[i] if 0 <= i < len(value) else None
-            raise _error(node, f"cannot index into {to_string(value)}")
+            raise _error(node, f"cannot index into {_stringify(node, value)}")
 
         return index_access
 
@@ -200,7 +208,7 @@ class _Compiler:
             if value is None:
                 return None
             if not isinstance(value, (list, str)):
-                raise _error(node, f"cannot slice {to_string(value)}")
+                raise _error(node, f"cannot slice {_stringify(node, value)}")
             start = low(context, env)
             stop = high(context, env)
             start = None if start is None else _as_index(node, start)
@@ -225,7 +233,7 @@ class _Compiler:
             for key_node, key_fn, value_fn in pairs:
                 key = key_fn(context, env)
                 if not isinstance(key, str):
-                    raise _error(key_node, f"object key must be a string, got {to_string(key)}")
+                    raise _error(key_node, f"object key must be a string, got {_stringify(key_node, key)}")
                 claimed.add(key)
                 value = value_fn(context, env)
                 if value is not None:
@@ -270,7 +278,7 @@ class _Compiler:
                     continue
                 key = key_fn(item, env)
                 if not isinstance(key, str):
-                    raise _error(node.key, f"object key must be a string, got {to_string(key)}")
+                    raise _error(node.key, f"object key must be a string, got {_stringify(node.key, key)}")
                 value = value_fn(item, env)
                 if value is not None:
                     result[key] = value
@@ -349,7 +357,7 @@ class _Compiler:
                 a = left(context, env)
                 b = right(context, env)
                 if not ((_is_number(a) and _is_number(b)) or (isinstance(a, str) and isinstance(b, str))):
-                    raise _error(node, f"cannot order {to_string(a)} and {to_string(b)}")
+                    raise _error(node, f"cannot order {_stringify(node, a)} and {_stringify(node, b)}")
                 return compare(a, b)
 
             return order
@@ -361,7 +369,7 @@ class _Compiler:
                 if a is None or b is None:
                     return None
                 if isinstance(a, str) or isinstance(b, str):
-                    return to_string(a) + to_string(b)
+                    return _stringify(node, a) + _stringify(node, b)
                 if _is_number(a) and _is_number(b):
                     return a + b
                 if isinstance(a, list) and isinstance(b, list):
@@ -369,7 +377,7 @@ class _Compiler:
                 if isinstance(a, dict) and isinstance(b, dict):
                     # left side wins on shared keys
                     return {**b, **a}
-                raise _error(node, f"cannot add {to_string(a)} and {to_string(b)}")
+                raise _error(node, f"cannot add {_stringify(node, a)} and {_stringify(node, b)}")
 
             return plus
         apply = _ARITHMETIC[op]
@@ -380,7 +388,7 @@ class _Compiler:
             if a is None or b is None:
                 return None
             if not _is_number(a) or not _is_number(b):
-                raise _error(node, f"cannot apply {op!r} to {to_string(a)} and {to_string(b)}")
+                raise _error(node, f"cannot apply {op!r} to {_stringify(node, a)} and {_stringify(node, b)}")
             if op == "/" and b == 0:
                 raise _error(node, "division by zero")
             return apply(a, b)

@@ -55,7 +55,13 @@ def parse_json(text: str) -> JsonValue:
     try:
         if text.startswith("\ufeff"):  # as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _DECODER.decode(text)
+        # one C scan for text that is a single value and nothing else;
+        # decode gives every other case, whitespace and errors, its usual form
+        try:
+            value, end = _DECODER.scan_once(text, 0)
+        except StopIteration:
+            end = -1
+        return value if end == len(text) else _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError:

@@ -26,7 +26,6 @@ object-kind schema by title and always resolve to its latest version.
 from __future__ import annotations
 
 import re
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
@@ -407,7 +406,9 @@ class Registry:
 
     # -- consistency checks ----------------------------------------------
 
-    def _check_doc(self, doc: SchemaDoc) -> None:
+    def _check_doc(self, doc: SchemaDoc, acyclic: set[str] | None = None) -> None:
+        # `acyclic` holds titles whose $ref graph was walked without a cycle;
+        # load_repo shares one set across its documents, so it walks each title once
         if doc.parent is not None:
             parent_kind, parent_title, parent_version = parse_id(doc.parent)
             if parent_kind != doc.kind or self._kinds.get(parent_title) not in (None, doc.kind):
@@ -421,12 +422,12 @@ class Registry:
             if self._kinds[ref] != "object":
                 raise RegistryError(f"{doc.id}: {path}: references must target object schemas")
         self.resolve(doc.title, doc.linear_version)  # required-list and cycle checks
-        self._check_ref_acyclic(doc.title)
+        self._check_ref_acyclic(doc.title, set() if acyclic is None else acyclic)
 
-    def _check_ref_acyclic(self, start: str) -> None:
-        # edges at title granularity, across all stored versions
+    def _check_ref_acyclic(self, start: str, done: set[str]) -> None:
+        # edges at title granularity, across all stored versions; every
+        # title walked without meeting a cycle is added to `done`
         visiting: set[str] = set()
-        done: set[str] = set()
 
         def visit(title: str) -> None:
             if title in done:
@@ -493,6 +494,8 @@ class Registry:
     def tag_release(
         self, breaking_since_last: bool = False, major_override: bool = False, now: datetime | None = None
     ) -> ReleaseTag:
+        from datetime import datetime, timezone  # only tagging needs the clock
+
         if not self._schemas:
             raise RegistryError("cannot tag an empty registry")
         major, minor, patch = (0, 0, 0)
@@ -590,9 +593,10 @@ def load_repo(directory: str | Path) -> Registry:
             registry._store(doc)
         except RegistryError as exc:
             raise RegistryError(f"{file}: {exc}") from None
+    acyclic: set[str] = set()
     for file, doc in docs:
         try:
-            registry._check_doc(doc)
+            registry._check_doc(doc, acyclic)
         except RegistryError as exc:
             raise RegistryError(f"{file}: {exc}") from None
     releases_file = root / "releases.json"

@@ -92,26 +92,41 @@ def validate(registry: Registry, event, target: ValidationTarget | None = None) 
         return [Mismatch(JsonPath(()), WRONG_TYPE, "an event object", event)]
     target = target or ValidationTarget.self_declared()
     if target.title is not None:
-        resolved = registry.resolve(target.title, target.version)
+        checker = _checker(registry, registry.resolve(target.title, target.version))
     else:
         declared = event.get("schema")
         if not isinstance(declared, str):
             return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "a schema id string", declared)]
-        try:
-            _, title, version = parse_id(declared)
-            resolved = registry.resolve(title, version if target.mode == "self" else None)
-        except RegistryError:
-            return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "the id of a registered schema", declared)]
+        # checkers are keyed by schema id, so a canonical self declaration
+        # finds its own; any other declaration is parsed and resolved
+        checker = registry._checkers.get(declared) if target.mode == "self" else None
+        if checker is None:
+            try:
+                _, title, version = parse_id(declared)
+                resolved = registry.resolve(title, version if target.mode == "self" else None)
+            except RegistryError:
+                return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "the id of a registered schema", declared)]
+            checker = _checker(registry, resolved)
     out: list[Mismatch] = []
-    _checker(registry, resolved)(event, (), out)
+    checker(event, (), out)
     return out
 
 
 # A resolved schema compiles once per registry state into nested closures,
 # cached in the registry next to its flattened form.  An object checker
 # takes (value, path, out); a value checker takes (value, parent path,
-# key, out).  Paths travel as tuples of steps; a JsonPath is built only for
-# a mismatch.
+# key, out).  A path travels as links: () is the root and (parent, key) one
+# step below parent, so a level costs one pair whatever its depth; a
+# JsonPath is built only for a mismatch.
+
+
+def _path(link: tuple) -> JsonPath:
+    steps = []
+    while link:
+        link, key = link
+        steps.append(key)
+    steps.reverse()
+    return JsonPath(steps)
 
 
 def _checker(registry: Registry, resolved: ResolvedSchema):
@@ -133,11 +148,11 @@ def _compile_object(registry, properties, required, allow_custom):
     def check_object(value: dict, path: tuple, out) -> None:
         for name, expected in missing:
             if name not in value:
-                out.append(Mismatch(JsonPath(path + (name,)), MISSING_REQUIRED, expected))
+                out.append(Mismatch(_path((path, name)), MISSING_REQUIRED, expected))
         for key, item in value.items():
             child = children.get(key)
             if child is None:
-                out.append(Mismatch(JsonPath(path + (key,)), UNKNOWN_PROPERTY, "a declared property", item))
+                out.append(Mismatch(_path((path, key)), UNKNOWN_PROPERTY, "a declared property", item))
             else:
                 child(item, path, key, out)
 
@@ -156,9 +171,9 @@ def _compile_value(registry, prop: PropertyDef):
 
         def check_pattern(value, parent, key, out):
             if not isinstance(value, str):
-                out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a string", value))
+                out.append(Mismatch(_path((parent, key)), WRONG_TYPE, "a string", value))
             elif not search(value):
-                out.append(Mismatch(JsonPath(parent + (key,)), PATTERN_FAILED, expected, value))
+                out.append(Mismatch(_path((parent, key)), PATTERN_FAILED, expected, value))
 
         return check_pattern
     if kind == "enum":
@@ -167,18 +182,18 @@ def _compile_value(registry, prop: PropertyDef):
 
         def check_enum(value, parent, key, out):
             if not isinstance(value, str):
-                out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a string", value))
+                out.append(Mismatch(_path((parent, key)), WRONG_TYPE, "a string", value))
             elif value not in values:
-                out.append(Mismatch(JsonPath(parent + (key,)), ENUM_VIOLATION, expected, value))
+                out.append(Mismatch(_path((parent, key)), ENUM_VIOLATION, expected, value))
 
         return check_enum
     if kind == "array":
         element = _compile_value(registry, prop.element)
 
         def check_array(value, parent, key, out):
-            here = parent + (key,)
+            here = (parent, key)
             if not isinstance(value, list):
-                out.append(Mismatch(JsonPath(here), WRONG_TYPE, "an array", value))
+                out.append(Mismatch(_path(here), WRONG_TYPE, "an array", value))
                 return
             for i, item in enumerate(value):
                 element(item, here, i, out)
@@ -192,35 +207,35 @@ def _compile_value(registry, prop: PropertyDef):
 
     def check_nested(value, parent, key, out):
         if isinstance(value, dict):
-            inner(value, parent + (key,), out)
+            inner(value, (parent, key), out)
         else:
-            out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, expected, value))
+            out.append(Mismatch(_path((parent, key)), WRONG_TYPE, expected, value))
 
     return check_nested
 
 
 def _check_number(value, parent, key, out) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a number", value))
+        out.append(Mismatch(_path((parent, key)), WRONG_TYPE, "a number", value))
 
 
 def _check_string(value, parent, key, out) -> None:
     if not isinstance(value, str):
-        out.append(Mismatch(JsonPath(parent + (key,)), WRONG_TYPE, "a string", value))
+        out.append(Mismatch(_path((parent, key)), WRONG_TYPE, "a string", value))
 
 
 def _check_custom_root(value, parent, key, out) -> None:
     if isinstance(value, dict):
-        _check_custom(value, parent + (key,), out)
+        _check_custom(value, (parent, key), out)
     else:
-        out.append(Mismatch(JsonPath(parent + (key,)), CUSTOM_NONSTRING, "an object holding string leaves", value))
+        out.append(Mismatch(_path((parent, key)), CUSTOM_NONSTRING, "an object holding string leaves", value))
 
 
 def _check_custom(value, path: tuple, out) -> None:
     """The custom subtree is free-form except every leaf must be a string."""
     if isinstance(value, dict):
         for key, item in value.items():
-            _check_custom(item, path + (key,), out)
+            _check_custom(item, (path, key), out)
         return
     if not isinstance(value, str):
-        out.append(Mismatch(JsonPath(path), CUSTOM_NONSTRING, "a string leaf (or nested object of strings)", value))
+        out.append(Mismatch(_path(path), CUSTOM_NONSTRING, "a string leaf (or nested object of strings)", value))

@@ -550,6 +550,18 @@ class TestDeepValues:
             {"line": 2, "error": "cannot stringify: nesting too deep at 1:1"}
         ]
 
+    @pytest.mark.parametrize("program, at", [("string(.x * 10)", "1:11"), ('"a" + .x', "1:5"), ("{.x: 1}", "1:2")])
+    def test_unwritable_operand_error_has_a_position(self, tmp_path, program, at):
+        source = tmp_path / "program.jslt"
+        source.write_text(program)
+        data = tmp_path / "deep.ndjson"
+        data.write_text('{"x": %s}\n' % self.DEEP)
+        done = fresh_cli(["jslt", "run", source, "--input", data])
+        assert done.returncode == 1
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [
+            {"line": 1, "error": f"cannot stringify: nesting too deep at {at}"}
+        ]
+
 
 class TestDqtRun:
     def test_stream_with_repo_and_sink_file(self, capsys, repo_dir, checks_dir, registry, tmp_path):
@@ -607,6 +619,42 @@ class TestMain:
         assert code == 2 and "error" in err[0]
 
 
+class TestParser:
+    """Built for the named command alone, the parser prints and exits as
+    the parser of every command does."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exit_info.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"], [], ["nosuch"], ["-h", "validate"], ["--repo", "r", "validate"],
+            ["schema", "--help"], ["schema"], ["schema", "nosuch"],
+            ["schema", "load", "--help"], ["schema", "load"],
+            ["schema", "show", "--help"], ["schema", "show", "Vehicle"],
+            ["schema", "tombstone", "--help"], ["schema", "tombstone", "Vehicle", "--repo", "r", "--bogus"],
+            ["schema", "tag", "--help"], ["schema", "tag"],
+            ["validate", "--help"], ["validate", "e.ndjson", "--repo", "r", "--latest", "--schema", "X"],
+            ["generate", "--help"], ["generate", "--repo", "r", "--schema", "X", "--count", "many"],
+            ["diff", "--help"], ["diff", "Vehicle", "1"],
+            ["transform", "--help"], ["transform", "e.ndjson", "--repo", "r", "extra"],
+            ["impact-test", "--help"], ["impact-test", "--repo", "r"],
+            ["jslt", "--help"], ["jslt"], ["jslt", "run", "--help"], ["jslt", "run"],
+            ["dqt", "--help"], ["dqt"], ["dqt", "run", "--help"], ["dqt", "run", "--modules", "m", "--strategy", "all"],
+            ["serve", "--help"], ["serve", "--repo", "r", "--port", "http"],
+        ],
+    )
+    def test_same_output_and_exit_code_as_the_full_parser(self, capsys, argv):
+        full = self.outcome(capsys, lambda argv: cli.build_parser().parse_args(argv), argv)
+        assert self.outcome(capsys, cli.main, argv) == full
+        assert full[0] in (0, 2)
+
+
 class TestImportFootprint:
     """A command loads only the modules it runs (counted, not timed)."""
 
@@ -630,7 +678,7 @@ class TestImportFootprint:
     def test_validate(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "validate", "{events}", "--repo", str(repo_dir))
         assert "semschema.validator" in loaded
-        heavy = {"dataclasses"} | {f"semschema.{m}" for m in ("dqt", "jslt", "evolution", "generator", "server")}
+        heavy = {"dataclasses", "datetime"} | {f"semschema.{m}" for m in ("dqt", "jslt", "evolution", "generator", "server")}
         assert not loaded & heavy
 
     def test_transform(self, repo_dir, tmp_path):
@@ -641,4 +689,5 @@ class TestImportFootprint:
     def test_dqt_run(self, checks_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "dqt", "run", "--modules", str(checks_dir), "--events", "{events}")
         assert "semschema.dqt" in loaded
-        assert not loaded & {"semschema.evolution", "semschema.generator", "dataclasses", "inspect"}
+        assert not loaded & {"semschema.evolution", "semschema.generator", "dataclasses", "inspect",
+                             "semschema.registry", "semschema.validator"}

@@ -5,9 +5,10 @@ import threading
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semschema import jsonmodel
 from semschema.errors import JsonParseError
 from semschema.jsonmodel import (
     JsonPath,
@@ -255,3 +256,56 @@ class TestSharedDecoder:
         rows = list(iter_ndjson([f'{{"n": {i}, "x": {i}.5}}' for i in range(100)]))
         assert [value for _, value, _ in rows] == [{"n": i, "x": i + 0.5} for i in range(100)]
         assert built == []
+
+
+def decode_outcome(text):
+    """parse_json as one `JSONDecoder.decode` call with the module's hooks:
+    ("value", repr of the value) or ("error", message, line, column)."""
+    try:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return "value", repr(jsonmodel._DECODER.decode(text))
+    except json.JSONDecodeError as exc:
+        error = JsonParseError(exc.msg, exc.lineno, exc.colno)
+    except RecursionError:
+        error = JsonParseError("nesting too deep", 1, 1)
+    except ValueError as exc:
+        error = JsonParseError(str(exc), 1, 1)
+    return "error", str(error), error.line, error.col
+
+
+def parse_outcome(text):
+    try:
+        return "value", repr(parse_json(text))
+    except JsonParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+
+
+class TestParseAgainstDecode:
+    """parse_json scans a lone value in one C call; every other text must
+    fail or parse exactly as the full decode does."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a":1} x', '{"a":1}{"b":2}', "[1,]", '""', "", "]", "\ufeff{}", "\ufeff 1",
+            "NaN", "[NaN]", "-Infinity", "1e400", '{"a": 1e400}', " {}", "[1] ", "\n\t[1]\r\n ", " ",
+            "3", '"s"', "null", "true", "-0", "2.50", '"\\ud800"', '{"a":1,"a":2}', '{"a" 1}',
+            '"open', "[1, 2", "{", "-", "01", "1.", '{"a":[1,{"b":null}]}', "[]\n", "{}{}",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert parse_outcome(text) == decode_outcome(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        value=json_values,
+        indent=st.sampled_from([None, 1]),
+        lead=st.sampled_from(["", " ", "\n"]),
+        cut=st.integers(0, 2**16),
+        junk=st.sampled_from(["", " ", "\n", "x", "]", "}", ",", "{}", " 1", '"', "\\", "NaN"]),
+    )
+    def test_truncated_or_extended_text(self, value, indent, lead, cut, junk):
+        text = lead + json.dumps(value, indent=indent, ensure_ascii=False)
+        for candidate in (text + junk, text[: cut % (len(text) + 1)] + junk):
+            assert parse_outcome(candidate) == decode_outcome(candidate)

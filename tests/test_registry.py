@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -431,6 +433,39 @@ class TestRepoIO:
         releases.write_text(json.dumps(raw))
         with pytest.raises(RegistryError, match="increase"):
             load_repo(scratch_repo)
+
+    @staticmethod
+    def write_object(root, title, version, properties):
+        doc = {"id": make_id("object", title, version), "title": title, "properties": properties}
+        folder = root / "object" / title_to_slug(title)
+        folder.mkdir(parents=True, exist_ok=True)
+        (folder / f"{version}.json").write_text(json.dumps(doc))
+
+    def test_first_reference_cycle_is_reported(self, tmp_path):
+        # A@1 closes the cycle A -> B -> A; C -> D -> C comes later in load order
+        self.write_object(tmp_path, "A", 0, {"a": {"type": "string"}})
+        self.write_object(tmp_path, "A", 1, {"b": {"$ref": "B"}})
+        self.write_object(tmp_path, "B", 0, {"a": {"$ref": "A"}})
+        self.write_object(tmp_path, "C", 0, {"d": {"$ref": "D"}})
+        self.write_object(tmp_path, "D", 0, {"c": {"$ref": "C"}})
+        with pytest.raises(RegistryError) as first:
+            load_repo(tmp_path)
+        assert str(first.value) == f"{tmp_path / 'object' / 'A' / '0.json'}: reference cycle through 'A'"
+        (tmp_path / "object" / "A" / "1.json").unlink()
+        with pytest.raises(RegistryError) as second:
+            load_repo(tmp_path)
+        assert str(second.value) == f"{tmp_path / 'object' / 'C' / '0.json'}: reference cycle through 'C'"
+
+    def test_each_title_is_walked_once(self, monkeypatch, repo_dir):
+        from semschema import registry as module
+
+        calls = []
+        iter_refs = module._iter_refs
+        monkeypatch.setattr(module, "_iter_refs", lambda doc: calls.append(doc.id) or iter_refs(doc))
+        loaded = load_repo(repo_dir)
+        docs = sum(len(loaded.versions(title)) for title in loaded.titles())
+        # once for the document's own references, once in the cycle walk
+        assert len(calls) == 2 * docs
 
     def test_clone_isolation(self, registry):
         copy = registry.clone()

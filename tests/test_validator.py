@@ -1,10 +1,21 @@
 import copy
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_checker_oracle import bodies, registries
 
 from semschema import validator
 from semschema.errors import RegistryError, UnknownSchemaError
-from semschema.registry import Registry, make_id
+from semschema.generator import GenConfig, generate_valid
+from semschema.jsonmodel import JsonPath
+from semschema.registry import Registry, make_id, parse_id
 from semschema.validator import (
     BAD_SCHEMA_DECLARATION,
     CUSTOM_NONSTRING,
@@ -317,3 +328,149 @@ class TestCompiledCheckers:
         assert report.blocked
         assert validator._checker(registry, registry.resolve("Provider")) is checker
         assert validate(registry, legacy, ValidationTarget.latest("Provider")) == before
+
+
+# -- self mode: the declared id leads straight to its checker ---------------
+
+
+def resolved_path(registry, event):
+    """Self mode with no lookup by declared id: parse_id, resolve, then the compiled checker."""
+    declared = event.get("schema")
+    if not isinstance(declared, str):
+        return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "a schema id string", declared)]
+    try:
+        _, title, version = parse_id(declared)
+        resolved = registry.resolve(title, version)
+    except RegistryError:
+        return [Mismatch(JsonPath(("schema",)), BAD_SCHEMA_DECLARATION, "the id of a registered schema", declared)]
+    out = []
+    validator._checker(registry, resolved)(event, (), out)
+    return out
+
+
+def declarations(registry):
+    """The canonical id of every stored version, forms that only parse_id
+    reads (version 007, the other kind's segment), and unusable ones."""
+    out = [None, 3, [], ["x"], {}, {"a": 1}, make_id("event", "Nope", 0)]
+    for title in registry.titles():
+        kind = registry.kind_of(title)
+        other = "object" if kind == "event" else "event"
+        for version in registry.versions(title):
+            canonical = make_id(kind, title, version)
+            out += [canonical, canonical.rpartition("/")[0] + f"/00{version}", make_id(other, title, version)]
+        out.append(make_id(kind, title, registry.latest_version(title) + 1))
+    return out
+
+
+def assert_dispatch_matches(registry, events):
+    for event in events:
+        for declared in declarations(registry):
+            declaring = {**event, "schema": declared}
+            # the first call may compile the checker; the second finds it by the declared id
+            first = [m.to_json() for m in validate(registry, declaring)]
+            expected = [m.to_json() for m in resolved_path(registry, declaring)]
+            assert first == expected
+            assert [m.to_json() for m in validate(registry, declaring)] == expected
+
+
+class TestDispatchByDeclaredId:
+    OBJECT = {"@id": "ad-1", "@type": "ClassifiedAd", "vertical": "cars"}
+
+    def test_every_declaration_against_the_fixture_repo(self, registry):
+        assert_dispatch_matches(registry.clone(), [view_item(), self.OBJECT, {}, {"custom": {"a": 1}}])
+
+    def test_unhashable_declarations_are_bad_declarations(self, registry):
+        for declared in ([], {}, [make_id("event", "View Item", 2)]):
+            mismatches = validate(registry, view_item(schema=declared))
+            assert [(str(m.path), m.kind) for m in mismatches] == [(".schema", BAD_SCHEMA_DECLARATION)]
+
+    def test_next_call_sees_a_registration_and_a_tombstone(self, registry):
+        registry = registry.clone()
+        event = view_item()
+        assert validate(registry, event) == []
+        body = registry.get("ClassifiedAd").body()
+        del body["id"], body["title"]
+        body["properties"]["extra"] = {"type": "number"}
+        body["required"] = body.get("required", []) + ["extra"]
+        registry.register_version("ClassifiedAd", body)
+        after = validate(registry, event)
+        assert kinds_at(after, MISSING_REQUIRED) == [".object.extra"]
+        assert after == resolved_path(registry, event)
+        registry.tombstone("ClassifiedAd")
+        retired = validate(registry, event)
+        assert kinds_at(retired, UNKNOWN_PROPERTY) == [str(JsonPath(("object", key))) for key in event["object"]]
+        assert retired == resolved_path(registry, event)
+
+
+@settings(max_examples=40, deadline=None)
+@given(registry=registries(), seed=st.integers(0, 2**32), data=st.data())
+def test_dispatch_by_declared_id_matches_the_resolved_path(registry, seed, data):
+    """On random registries, before and after one registration or tombstone."""
+    events = [{}, {"custom": {"a": 1}}]
+    for title in registry.titles():
+        for version in registry.versions(title):
+            if not registry.get(title, version).is_tombstone():  # an empty body reads as one
+                events.append(generate_valid(registry, title, version, GenConfig(seed=seed)))
+    assert_dispatch_matches(registry, events)
+    title = data.draw(st.sampled_from(registry.titles()))
+    refs = [t for t in registry.titles() if t != title and registry.kind_of(t) == "object"]
+    try:
+        if data.draw(st.booleans()):
+            registry.register_version(title, data.draw(bodies(refs)))
+        else:
+            registry.tombstone(title)
+    except RegistryError:
+        pass  # refused or rolled back; the state before it stands
+    assert_dispatch_matches(registry, events)
+
+
+# -- depth: a level costs the same however deep it is ------------------------
+
+
+class TestDepth:
+    """Run in a fresh interpreter with room for 8,000 levels: a RecursionError
+    that escapes into pytest stalls the run instead of failing it."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import json, sys, time
+        sys.setrecursionlimit(30_000)
+        from semschema.registry import Registry, make_id
+        from semschema.validator import validate
+
+        registry = Registry()
+        registry.register_version("Ev", {"properties": {"schema": {"type": "string"}}}, kind="event")
+
+        def event(depth, leaf):
+            for _ in range(depth):
+                leaf = {"a": leaf}
+            return {"schema": make_id("event", "Ev", 0), "custom": leaf}
+
+        shallow, deep = event(2_000, "x"), event(8_000, "x")
+        best = {2_000: [], 8_000: []}
+        for _ in range(3):  # interleaved, so host speed drifts alike for both
+            for depth, value in ((2_000, shallow), (8_000, deep)):
+                started = time.perf_counter()
+                assert validate(registry, value) == []
+                best[depth].append(time.perf_counter() - started)
+        (mismatch,) = validate(registry, event(3_000, 1))
+        print(json.dumps({"ratio": min(best[8_000]) / min(best[2_000]), "kind": mismatch.kind,
+                          "path": str(mismatch.path), "steps": list(mismatch.path.steps)}))
+        """
+    )
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(validator.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        return json.loads(done.stdout)
+
+    def test_time_grows_linearly_with_depth(self, result):
+        # linear is about 4x; copying the path at every level is about 13x
+        assert result["ratio"] < 8
+
+    def test_deep_leaf_reports_its_full_path(self, result):
+        assert result["kind"] == CUSTOM_NONSTRING
+        assert result["steps"] == ["custom"] + ["a"] * 3_000
+        assert result["path"] == ".custom" + ".a" * 3_000
