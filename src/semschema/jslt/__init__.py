@@ -6,16 +6,15 @@ key, or a key on a non-object, gives null rather than an error.
 
     compile('{"id": .user.id, * - secret : .}')
 
-`compile` checks a program and turns it into Python closures in one
-pass over its syntax tree (see `compiler`).  The compiled Program is
-reusable and safe to share across threads.
+`compile` checks a program and turns it into Python closures as it
+parses, with no syntax tree in between (see `parser` and `compiler`).
+The compiled Program is reusable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .compiler import compile_program
 from .parser import parse
 
 __all__ = ["Program", "compile"]
@@ -42,5 +41,4 @@ class Program:
 def compile(source: str) -> Program:
     """Parse and check a program, raising JsltCompileError on bad input."""
     _ensure_recursion_room()
-    body, functions = parse(source)
-    return Program(source, compile_program(body, functions))
+    return Program(source, parse(source))

@@ -14,7 +14,8 @@ _PUNCT = ["==", "!=", "<=", ">=", ".", "[", "]", "{", "}", "(", ")", ",", ":", "
 
 # hyphens join identifier words (parse-time, is-object); `a-1` stays `a - 1`
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+# ASCII digits only, as in JSON; str.isdigit and \d also take "²" and "٣"
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _VAR_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
 
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
@@ -57,11 +58,11 @@ def tokenize(source: str) -> list[Token]:
             continue
         tok_line, tok_col = line, col()
         if ch == '"':
-            text, value, end_pos, nl = _scan_string(source, pos, line, col())
+            text, value, end_pos = _scan_string(source, pos, line, col())
             tokens.append(Token("string", text, value, tok_line, tok_col))
             pos = end_pos
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             m = _NUMBER_RE.match(source, pos)
             text = m.group(0)
             value = int(text) if text.isdigit() else float(text)
@@ -93,7 +94,7 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, str, int, int]:
+def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, str, int]:
     start = pos
     pos += 1
     out: list[str] = []
@@ -104,7 +105,7 @@ def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, str, 
         ch = source[pos]
         if ch == '"':
             pos += 1
-            return source[start:pos], "".join(out), pos, 0
+            return source[start:pos], "".join(out), pos
         if ch == "\n":
             raise JsltCompileError("newline inside string literal", line, col)
         if ch == "\\":

@@ -1,29 +1,56 @@
-"""Recursive-descent parser: tokens to AST, plus the user-function table."""
+"""Recursive-descent parser that builds a program's closures as it parses.
+
+Each production is reduced straight to a closure by a builder in
+`compiler`; no syntax tree is kept.  What a builder needs beyond its
+children's closures, the parser tracks as it goes: the variables in
+scope, the user functions, which closures are literals or chains of key
+steps, and the position of each closure's node.
+
+A syntax error is raised where it is found.  A semantic error (an
+undefined variable, an unknown function, a wrong argument count, a bad
+literal pattern or time format) is held until the parse ends, so a
+syntax error anywhere is reported first.  Of the held errors, the first
+found in a `def` body wins, then the first in the top-level lets and
+body, in source order, except that a call's own error replaces any
+found in its arguments.
+"""
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..errors import JsltCompileError
+from . import compiler as build
 from .lexer import Token, tokenize
-from . import nodes as N
 
 _COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
-# tokens usable as a bare object key after a dot (keywords allowed: `.for`)
 # Keys after '.' are bare identifiers or quoted strings. Keyword-named
 # keys must use the quoted form; a bare keyword key would swallow the
 # following comprehension filter or else branch.
 _KEYISH = {"ident", "string"}
 
+_CONSTANTS = {"true": True, "false": False, "null": None}
+
 MAX_NESTING = 500
 
 
-class UserFunction(NamedTuple):
-    name: str
-    params: tuple
-    body: N.Node
-    pos: N.Pos
+def _def_params(tokens: list[Token]) -> dict[str, tuple]:
+    """The parameters of each `def name(params)` header.
+
+    Read from the tokens ahead of the parse, so that a call may come before
+    the def it calls.  A header this misreads is a syntax error of the parse.
+    """
+    functions = {}
+    for i, tok in enumerate(tokens):
+        if tok.kind == "def" and tokens[i + 1].kind == "ident" and tokens[i + 2].kind == "(":
+            params = []
+            j = i + 3
+            while tokens[j].kind == "ident":
+                params.append(tokens[j].text)
+                if tokens[j + 1].kind != ",":
+                    break
+                j += 2
+            functions[tokens[i + 1].text] = tuple(params)
+    return functions
 
 
 class Parser:
@@ -31,6 +58,14 @@ class Parser:
         self.tokens = tokenize(source)
         self.pos = 0
         self.depth = 0
+        self.functions = _def_params(self.tokens)
+        self.bodies: dict = {}  # user function name -> closure of its body
+        self.scope = frozenset()  # variables visible at this point
+        self.error = None  # first held error of the def body or top level being parsed
+        self.def_error = None  # first held error of any def body
+        self.node_pos: dict = {}  # closure -> its node's (line, column)
+        self.literals: dict = {}  # literal closure -> its value
+        self.paths: dict = {}  # key path or `.` closure -> (keys, target closure or None for `.`)
 
     # -- token plumbing --------------------------------------------------
 
@@ -54,28 +89,37 @@ class Parser:
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
+    # -- building --------------------------------------------------------
+
+    def node(self, tok: Token, fn):
+        """Record `tok` as the position of `fn`'s node."""
+        self.node_pos[fn] = (tok.line, tok.col)
+        return fn
+
+    def wrap_lets(self, lets: list, body):
+        for tok, name, value in reversed(lets):
+            body = self.node(tok, build.let(name, value, body))
+        return body
+
     # -- program ---------------------------------------------------------
 
-    def parse_program(self) -> tuple[N.Node, dict[str, UserFunction]]:
-        functions: dict[str, UserFunction] = {}
-        lets: list[tuple[str, N.Node, N.Pos]] = []
+    def parse_program(self):
+        lets = []
         while self.at("def") or self.at("let"):
             if self.at("def"):
-                fn = self.parse_def()
-                if fn.name in functions:
-                    raise JsltCompileError(f"function {fn.name!r} defined twice", *fn.pos)
-                functions[fn.name] = fn
+                self.parse_def()
             else:
                 lets.append(self.parse_let())
         body = self.parse_expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise JsltCompileError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
-        for name, value, pos in reversed(lets):
-            body = N.Let(pos, name, value, body)
-        return body, functions
+        error = self.error if self.def_error is None else self.def_error
+        if error is not None:
+            raise error
+        return self.wrap_lets(lets, body)
 
-    def parse_def(self) -> UserFunction:
+    def parse_def(self) -> None:
         tok = self.expect("def")
         name = self.expect("ident")
         self.expect("(")
@@ -88,28 +132,39 @@ class Parser:
         self.expect(")")
         if len(set(params)) != len(params):
             raise JsltCompileError(f"duplicate parameter in {name.text!r}", name.line, name.col)
+        outer = self.scope, self.error
+        # function bodies see only their parameters, not top-level lets
+        self.scope, self.error = frozenset(params), None
         body = self.parse_branch()
-        return UserFunction(name.text, tuple(params), body, (tok.line, tok.col))
+        if self.def_error is None:
+            self.def_error = self.error
+        self.scope, self.error = outer
+        if name.text in self.bodies:
+            raise JsltCompileError(f"function {name.text!r} defined twice", tok.line, tok.col)
+        self.bodies[name.text] = body
 
-    def parse_let(self) -> tuple[str, N.Node, N.Pos]:
+    def parse_let(self) -> tuple:
+        """One binding, in scope from here on; the caller wraps it around its body."""
         tok = self.expect("let")
-        name = self.expect("ident")
+        name = self.expect("ident").text
         self.expect("=")
-        return name.text, self.parse_expr(), (tok.line, tok.col)
+        value = self.parse_expr()
+        self.scope |= {name}
+        return tok, name, value
 
-    def parse_branch(self) -> N.Node:
+    def parse_branch(self):
         """An expression optionally preceded by let bindings."""
+        scope = self.scope
         lets = []
         while self.at("let"):
             lets.append(self.parse_let())
         body = self.parse_expr()
-        for name, value, pos in reversed(lets):
-            body = N.Let(pos, name, value, body)
-        return body
+        self.scope = scope
+        return self.wrap_lets(lets, body)
 
     # -- expressions, by precedence --------------------------------------
 
-    def parse_expr(self) -> N.Node:
+    def parse_expr(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
             tok = self.peek()
@@ -119,60 +174,72 @@ class Parser:
         finally:
             self.depth -= 1
 
-    def parse_or(self) -> N.Node:
+    def parse_or(self):
         left = self.parse_and()
         while self.at("or"):
-            tok = self.next()
-            left = N.Binary((tok.line, tok.col), "or", left, self.parse_and())
+            left = self.binary(self.next(), left, self.parse_and())
         return left
 
-    def parse_and(self) -> N.Node:
+    def parse_and(self):
         left = self.parse_comparison()
         while self.at("and"):
-            tok = self.next()
-            left = N.Binary((tok.line, tok.col), "and", left, self.parse_comparison())
+            left = self.binary(self.next(), left, self.parse_comparison())
         return left
 
-    def parse_comparison(self) -> N.Node:
+    def parse_comparison(self):
         left = self.parse_additive()
         if self.peek().kind in _COMPARISON_OPS:
-            tok = self.next()
-            left = N.Binary((tok.line, tok.col), tok.kind, left, self.parse_additive())
+            left = self.binary(self.next(), left, self.parse_additive())
             again = self.peek()
             if again.kind in _COMPARISON_OPS:
                 raise JsltCompileError("comparisons cannot be chained", again.line, again.col)
         return left
 
-    def parse_additive(self) -> N.Node:
+    def parse_additive(self):
         left = self.parse_multiplicative()
         while self.peek().kind in ("+", "-"):
-            tok = self.next()
-            left = N.Binary((tok.line, tok.col), tok.kind, left, self.parse_multiplicative())
+            left = self.binary(self.next(), left, self.parse_multiplicative())
         return left
 
-    def parse_multiplicative(self) -> N.Node:
+    def parse_multiplicative(self):
         left = self.parse_unary()
         while self.peek().kind in ("*", "/"):
-            tok = self.next()
-            left = N.Binary((tok.line, tok.col), tok.kind, left, self.parse_unary())
+            left = self.binary(self.next(), left, self.parse_unary())
         return left
 
-    def parse_unary(self) -> N.Node:
+    def binary(self, tok: Token, left, right):
+        op = tok.kind
+        if op in ("==", "!=") and (self.is_null(left) or self.is_null(right)):
+            return self.node(tok, build.null_test(op, right if self.is_null(left) else left))
+        return self.node(tok, build.binary((tok.line, tok.col), op, left, right))
+
+    def is_null(self, fn) -> bool:
+        return fn in self.literals and self.literals[fn] is None
+
+    def parse_unary(self):
         if self.at("-"):
             tok = self.next()
-            return N.UnaryMinus((tok.line, tok.col), self.parse_unary())
+            return self.node(tok, build.negate((tok.line, tok.col), self.parse_unary()))
         return self.parse_postfix()
 
-    def parse_postfix(self) -> N.Node:
-        node = self.parse_primary()
+    def parse_postfix(self):
+        fn = self.parse_primary()
         while True:
             if self.at("."):
                 dot = self.next()
-                node = N.KeyAccess((dot.line, dot.col), node, self.parse_key())
+                fn = self.key_step(dot, fn, self.parse_key())
             elif self.at("["):
-                node = self.parse_bracket(node)
+                fn = self.parse_bracket(fn)
             else:
-                return node
+                return fn
+
+    def key_step(self, dot: Token, target, key: str):
+        """`target.key`: one key path with the steps of `target`'s chain, if it is one."""
+        keys, start = self.paths.get(target, ((), target))
+        keys += (key,)
+        fn = self.node(dot, build.key_path(keys, start))
+        self.paths[fn] = keys, start
+        return fn
 
     def parse_key(self) -> str:
         tok = self.peek()
@@ -181,59 +248,56 @@ class Parser:
         self.next()
         return tok.value if tok.kind == "string" else tok.text
 
-    def parse_bracket(self, target: N.Node) -> N.Node:
+    def parse_bracket(self, target):
         tok = self.expect("[")
         pos = (tok.line, tok.col)
-        if self.at(":"):
-            self.next()
-            high = None if self.at("]") else self.parse_expr()
-            self.expect("]")
-            return N.SliceAccess(pos, target, None, high)
-        first = self.parse_expr()
-        if self.at(":"):
-            self.next()
-            high = None if self.at("]") else self.parse_expr()
-            self.expect("]")
-            return N.SliceAccess(pos, target, first, high)
+        low = None
+        if not self.at(":"):
+            low = self.parse_expr()
+            if not self.at(":"):
+                self.expect("]")
+                return self.node(tok, build.index_access(pos, target, low))
+        self.next()
+        high = None if self.at("]") else self.parse_expr()
         self.expect("]")
-        return N.IndexAccess(pos, target, first)
+        return self.node(tok, build.slice_access(pos, target, low, high))
 
-    def parse_primary(self) -> N.Node:
+    def parse_primary(self):
         tok = self.peek()
-        pos = (tok.line, tok.col)
         kind = tok.kind
-        if kind == "number" or kind == "string":
+        if kind == "number" or kind == "string" or kind in _CONSTANTS:
             self.next()
-            return N.Literal(pos, tok.value)
-        if kind == "true":
-            self.next()
-            return N.Literal(pos, True)
-        if kind == "false":
-            self.next()
-            return N.Literal(pos, False)
-        if kind == "null":
-            self.next()
-            return N.Literal(pos, None)
+            value = _CONSTANTS.get(kind, tok.value)
+            fn = self.node(tok, build.literal(value))
+            self.literals[fn] = value
+            return fn
         if kind == ".":
             self.next()
-            node: N.Node = N.ContextValue(pos)
+            fn = self.node(tok, build.context())
+            self.paths[fn] = (), None
             if self.peek().kind in _KEYISH:
-                node = N.KeyAccess(pos, node, self.parse_key())
-            return node
+                fn = self.key_step(tok, fn, self.parse_key())
+            return fn
         if kind == "var":
             self.next()
-            return N.VarRef(pos, tok.value)
+            if tok.value not in self.scope and self.error is None:
+                self.error = JsltCompileError(f"undefined variable ${tok.value}", tok.line, tok.col)
+            return self.node(tok, build.variable(tok.value))
         if kind == "if":
-            return self.parse_if()
+            self.next()
+            cond = self.parse_parenthesised()
+            then = self.parse_branch()
+            orelse = None
+            if self.at("else"):
+                self.next()
+                orelse = self.parse_branch()
+            return self.node(tok, build.conditional(cond, then, orelse))
         if kind == "[":
             return self.parse_array()
         if kind == "{":
             return self.parse_object()
         if kind == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+            return self.parse_parenthesised()
         if kind == "ident":
             if self.peek(1).kind == "(":
                 return self.parse_call()
@@ -242,95 +306,96 @@ class Parser:
             )
         raise JsltCompileError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
 
-    def parse_call(self) -> N.Node:
-        name = self.next()
+    def parse_parenthesised(self):
         self.expect("(")
-        args: list[N.Node] = []
+        inner = self.parse_expr()
+        self.expect(")")
+        return inner
+
+    def parse_call(self):
+        name = self.next()
+        held = self.error
+        self.expect("(")
+        args = []
         if not self.at(")"):
             args.append(self.parse_expr())
             while self.at(","):
                 self.next()
                 args.append(self.parse_expr())
         self.expect(")")
-        return N.Call((name.line, name.col), name.text, tuple(args))
+        second = args[1] if len(args) > 1 else None
+        literal_arg = None
+        if isinstance(self.literals.get(second), str):
+            literal_arg = self.literals[second], self.node_pos[second]
+        pos = (name.line, name.col)
+        try:
+            fn = build.call(pos, name.text, args, self.functions, self.bodies, literal_arg)
+        except JsltCompileError as exc:
+            # the call's own error comes before any error in its arguments
+            self.error = exc if held is None else held
+            fn = build.literal(None)  # a stand-in, never run: the parse ends in the held error
+        return self.node(name, fn)
 
-    def parse_if(self) -> N.Node:
-        tok = self.expect("if")
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        then = self.parse_branch()
-        orelse = None
-        if self.at("else"):
-            self.next()
-            orelse = self.parse_branch()
-        return N.If((tok.line, tok.col), cond, then, orelse)
-
-    def parse_array(self) -> N.Node:
+    def parse_array(self):
         tok = self.expect("[")
-        pos = (tok.line, tok.col)
         if self.at("for"):
             self.next()
-            self.expect("(")
-            source = self.parse_expr()
-            self.expect(")")
+            source = self.parse_parenthesised()
             body = self.parse_expr()
             cond = self.parse_comp_cond()
             self.expect("]")
-            return N.ArrayComp(pos, source, body, cond)
-        items: list[N.Node] = []
+            return self.node(tok, build.array_comp((tok.line, tok.col), source, body, cond))
+        items = []
         if not self.at("]"):
             items.append(self.parse_expr())
             while self.at(","):
                 self.next()
                 items.append(self.parse_expr())
         self.expect("]")
-        return N.ArrayCtor(pos, tuple(items))
+        return self.node(tok, build.array_ctor(items))
 
-    def parse_object(self) -> N.Node:
+    def parse_object(self):
         tok = self.expect("{")
-        pos = (tok.line, tok.col)
         if self.at("for"):
             self.next()
-            self.expect("(")
-            source = self.parse_expr()
-            self.expect(")")
+            source = self.parse_parenthesised()
             key = self.parse_expr()
             self.expect(":")
             value = self.parse_expr()
             cond = self.parse_comp_cond()
             self.expect("}")
-            return N.ObjectComp(pos, source, key, value, cond)
+            fn = build.object_comp((tok.line, tok.col), source, self.node_pos[key], key, value, cond)
+            return self.node(tok, fn)
+        scope = self.scope
         lets = []
         while self.at("let"):
             lets.append(self.parse_let())
             if self.at(","):
                 self.next()
-        pairs: list[tuple[N.Node, N.Node]] = []
-        matcher = None
+        pairs = []
+        excluded, rest = (), None
         if not self.at("}"):
             while True:
                 if self.at("*"):
-                    matcher = self.parse_matcher()
+                    excluded, rest = self.parse_matcher()
                     if self.at(","):
                         comma = self.peek()
                         raise JsltCompileError("the '*' matcher must be the last entry", comma.line, comma.col)
                     break
                 key = self.parse_expr()
                 self.expect(":")
-                pairs.append((key, self.parse_expr()))
+                pairs.append((self.node_pos[key], key, self.parse_expr()))
                 if self.at(","):
                     self.next()
                 else:
                     break
         self.expect("}")
-        node: N.Node = N.ObjectCtor(pos, tuple(pairs), matcher)
-        for name, value, let_pos in reversed(lets):
-            node = N.Let(let_pos, name, value, node)
-        return node
+        self.scope = scope
+        return self.wrap_lets(lets, self.node(tok, build.object_ctor(pairs, excluded, rest)))
 
-    def parse_matcher(self) -> N.Matcher:
-        star = self.expect("*")
+    def parse_matcher(self) -> tuple:
+        """`* - excluded, ... : value`, as the excluded keys and the value's closure."""
+        self.expect("*")
         excluded: list[str] = []
         if self.at("-"):
             self.next()
@@ -339,18 +404,15 @@ class Parser:
                 self.next()
                 excluded.append(self.parse_key())
         self.expect(":")
-        value = self.parse_expr()
-        return N.Matcher(tuple(excluded), value, (star.line, star.col))
+        return tuple(excluded), self.parse_expr()
 
-    def parse_comp_cond(self) -> N.Node | None:
+    def parse_comp_cond(self):
         if not self.at("if"):
             return None
         self.next()
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        return cond
+        return self.parse_parenthesised()
 
 
-def parse(source: str) -> tuple[N.Node, dict[str, UserFunction]]:
+def parse(source: str):
+    """Check a program and return the closure that evaluates it."""
     return Parser(source).parse_program()

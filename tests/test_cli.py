@@ -326,6 +326,15 @@ class TestJsltRun:
         code, out, _ = run(capsys, "jslt", "run", str(program), "--input", str(data))
         assert (code, out) == (0, [{"n": 2}, {"n": 6}])
 
+    def test_non_ascii_digit_is_a_usage_error(self, capsys, tmp_path):
+        program = tmp_path / "digit.jslt"
+        program.write_text(".n + ²", encoding="utf-8")
+        data = tmp_path / "in.ndjson"
+        data.write_text('{"n": 1}\n')
+        code, out, err = run(capsys, "jslt", "run", str(program), "--input", str(data))
+        assert (code, out) == (2, [])
+        assert err == [{"error": "unexpected character '²' at 1:6"}]
+
     def test_runtime_error_marks_the_line(self, capsys, tmp_path):
         program = tmp_path / "div.jslt"
         program.write_text("1 / .n")

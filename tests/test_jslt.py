@@ -372,6 +372,9 @@ class TestCompileErrors:
             ('{for (.) . : $c if ($d)}', "undefined variable $c"),
             ("def f(x) $y f($z)", "undefined variable $y"),
             ("def f(x) g($x) def g(y) $x g(1)", "undefined variable $x"),
+            # numbers take ASCII digits only, as in JSON
+            ("²", "unexpected character"),
+            ("٣", "unexpected character"),
         ],
     )
     def test_messages(self, source, fragment):
@@ -388,6 +391,44 @@ class TestCompileErrors:
         with pytest.raises(JsltCompileError) as err:
             jslt.compile("1 +\n  bogus")
         assert err.value.line == 2
+
+
+class TestErrorOrder:
+    """Which of several compile errors is reported, and where."""
+
+    @pytest.mark.parametrize(
+        "source, message, line, col",
+        [
+            # a syntax error anywhere beats any earlier semantic error
+            ("[$a, 1", "expected ']', found 'end of input'", 1, 7),
+            # a call's own error beats any error inside its arguments
+            ('test($a, "(")', "test: unclosed group in pattern '(' at offset 1", 1, 10),
+            ('test(.x, ("("))', "test: unclosed group in pattern '(' at offset 1", 1, 11),
+            ("round($a, $b)", "round takes 1 argument(s), got 2", 1, 1),
+            # errors in def bodies beat those in top-level lets and the body
+            ("let x = $a def f() $b f()", "undefined variable $b", 1, 20),
+            # a call to a later def is checked against its arity
+            ("def f() g(1, 2) def g(y) $x f()", "g takes 1 argument(s), got 2", 1, 9),
+            ("²", "unexpected character '²'", 1, 1),
+            ("1 + ٣", "unexpected character '٣'", 1, 5),
+        ],
+    )
+    def test_first_error(self, source, message, line, col):
+        with pytest.raises(JsltCompileError) as err:
+            jslt.compile(source)
+        assert str(err.value) == f"{message} at {line}:{col}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            # a let may call a later def, which also shadows a builtin of the same name
+            ("let x = f(1) def f(a) $a $x", 1),
+            ('let x = test(1, "(") def test(a, b) $b $x', "("),
+        ],
+    )
+    def test_let_calls_a_later_def(self, source, expected):
+        assert run(source) == expected
 
 
 class TestRuntimeErrorPositions:

@@ -1,12 +1,17 @@
 import json
+import os
 import shutil
 import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import semschema
 from semschema.generator import GenConfig, generate_valid
 from semschema.registry import load_repo, make_id, write_version
 from semschema.server import MAX_BODY_BYTES, ServerConfig, _Handler, make_server, parse_target
@@ -308,3 +313,42 @@ class TestKeepAlive:
             httpd.shutdown()
             httpd.server_close()
         assert [status for status, _ in responses] == [400, 200]
+
+
+# Serves the repository named by argv[2] and sends the (path, body) pairs
+# read from stdin on one keep-alive connection; prints [status, payload] each.
+_EXCHANGE_SCRIPT = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+from test_server import exchange, post
+from semschema.server import ServerConfig, make_server
+httpd = make_server(ServerConfig(sys.argv[2], port=0))
+threading.Thread(target=httpd.serve_forever, daemon=True).start()
+requests = [post(path, body.encode()) for path, body in json.load(sys.stdin)]
+print(json.dumps([[status, payload.decode()] for status, payload in exchange(httpd, *requests)]))
+"""
+
+
+class TestDeepBody:
+    """A body nested far past the recursion limit fails alone.
+
+    Run in a fresh interpreter, as an uncaught RecursionError there ends
+    one process instead of rendering tens of thousands of frames here.
+    """
+
+    @pytest.mark.parametrize("route", ["/validate", "/transform"])
+    def test_too_deep_body_is_400_and_the_next_request_is_answered(self, repo_dir, registry, route):
+        event = json.dumps(generate_valid(registry, "View Item", 0, GenConfig(seed=6)))
+        deep = "[" * 50_000 + "]" * 50_000
+        if route == "/validate":
+            event, deep = '{"event": %s}' % event, '{"event": %s}' % deep
+        env = dict(os.environ, PYTHONPATH=str(Path(semschema.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", _EXCHANGE_SCRIPT, str(Path(__file__).parent), str(repo_dir)],
+            input=json.dumps([[route, event], [route, deep], [route, event]]),
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        before, refused, after = json.loads(done.stdout)
+        assert refused[0] == 400 and "nesting too deep" in json.loads(refused[1])["error"]
+        assert before[0] == 200 and after == before
