@@ -165,14 +165,18 @@ class Parser:
     # -- expressions, by precedence --------------------------------------
 
     def parse_expr(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            tok = self.peek()
-            raise JsltCompileError(f"expression nesting exceeds {MAX_NESTING}", tok.line, tok.col)
+        self.deeper()
         try:
             return self.parse_or()
         finally:
             self.depth -= 1
+
+    def deeper(self) -> None:
+        """Count one more level of nesting; the caller counts it down again."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise JsltCompileError(f"expression nesting exceeds {MAX_NESTING}", tok.line, tok.col)
 
     def parse_or(self):
         left = self.parse_and()
@@ -217,10 +221,14 @@ class Parser:
         return fn in self.literals and self.literals[fn] is None
 
     def parse_unary(self):
-        if self.at("-"):
-            tok = self.next()
+        if not self.at("-"):
+            return self.parse_postfix()
+        tok = self.next()
+        self.deeper()  # each sign nests, as a parenthesis does
+        try:
             return self.node(tok, build.negate((tok.line, tok.col), self.parse_unary()))
-        return self.parse_postfix()
+        finally:
+            self.depth -= 1
 
     def parse_postfix(self):
         fn = self.parse_primary()

@@ -19,9 +19,9 @@ new repository, never a mix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import NamedTuple
 
 from . import jsonmodel
 from .errors import RegistryError, SemSchemaError, UnknownSchemaError
@@ -33,8 +33,7 @@ _SCHEMA_PATH_RE = re.compile(r"^/schemas/([a-z]+)/([A-Za-z0-9-]+)/([0-9]+|latest
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class ServerConfig:
+class ServerConfig(NamedTuple):
     directory: str
     host: str = "127.0.0.1"
     port: int = 8080
@@ -65,6 +64,9 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "semschema"
     # seconds a connection may stay silent, mid-body included, before it is closed
     timeout = 30
+    # headers and body go out in two writes; the body must not wait for the
+    # client's delayed ACK of the headers (RFC 896; RFC 1122 section 4.2.3.2)
+    disable_nagle_algorithm = True
     server: SchemaServer
 
     def log_message(self, format, *args):  # noqa: A002 - base class signature

@@ -335,6 +335,16 @@ class TestJsltRun:
         assert (code, out) == (2, [])
         assert err == [{"error": "unexpected character '²' at 1:6"}]
 
+    def test_long_minus_chain_is_a_usage_error(self, tmp_path):
+        # in a fresh interpreter: a RecursionError escaping into pytest stalls it
+        program = tmp_path / "minus.jslt"
+        program.write_text("-" * 19_990 + "1")
+        data = tmp_path / "in.ndjson"
+        data.write_text('{"n": 1}\n')
+        done = fresh_cli(["jslt", "run", program, "--input", data])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert json.loads(done.stderr) == {"error": "expression nesting exceeds 500 at 1:501"}
+
     def test_runtime_error_marks_the_line(self, capsys, tmp_path):
         program = tmp_path / "div.jslt"
         program.write_text("1 / .n")
@@ -670,6 +680,9 @@ class TestImportFootprint:
     PROBE = (
         "import sys\n"
         "from semschema import cli\n"
+        "if sys.argv[2] == 'serve':  # serve blocks: build its server, then close it\n"
+        "    from semschema import server\n"
+        "    server.serve = lambda cfg: server.make_server(cfg).server_close()\n"
         "cli.main(sys.argv[2:])\n"
         "open(sys.argv[1], 'w').write('\\n'.join(sys.modules))\n"
     )
@@ -700,3 +713,8 @@ class TestImportFootprint:
         assert "semschema.dqt" in loaded
         assert not loaded & {"semschema.evolution", "semschema.generator", "dataclasses", "inspect",
                              "semschema.registry", "semschema.validator"}
+
+    def test_serve(self, repo_dir, tmp_path):
+        loaded = self.modules_after(tmp_path, "serve", "--repo", str(repo_dir), "--port", "0")
+        assert "semschema.server" in loaded
+        assert not loaded & {"semschema.dqt", "semschema.generator", "dataclasses", "inspect"}

@@ -387,6 +387,13 @@ class TestCompileErrors:
         with pytest.raises(JsltCompileError):
             jslt.compile(source)
 
+    def test_each_minus_sign_counts_as_nesting(self):
+        # the top-level expression is one level, so 499 signs fit under the cap of 500
+        assert run("-" * 499 + "1") == -1
+        with pytest.raises(JsltCompileError, match="expression nesting exceeds 500") as err:
+            jslt.compile("-" * 500 + "1")
+        assert (err.value.line, err.value.col) == (1, 501)
+
     def test_error_position_reported(self):
         with pytest.raises(JsltCompileError) as err:
             jslt.compile("1 +\n  bogus")

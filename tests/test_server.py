@@ -1,3 +1,4 @@
+import http.client
 import json
 import os
 import shutil
@@ -5,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -194,6 +196,110 @@ class TestReload:
         assert status == 200
         assert json.loads(payload)["id"] == make_id("object", "Vehicle", 3)
 
+    @pytest.mark.parametrize("edit", ["same_size_schema_edit", "removed_transform"])
+    def test_changes_are_picked_up(self, writable_server, registry, edit):
+        httpd, scratch = writable_server
+        before = httpd.transforms
+        if edit == "same_size_schema_edit":
+            # an in-place edit that keeps the size and modification time
+            file = scratch / "event" / "View-Item" / "2.json"
+            stat = file.stat()
+            text = file.read_text()
+            file.write_text(text.replace("looked at", "LOOKED AT"))
+            os.utime(file, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert file.stat().st_size == stat.st_size
+        else:
+            (scratch / "transforms" / "View-Item" / "0-to-1.jslt").unlink()
+        status, body = request_json(httpd, "POST", "/reload", {})
+        assert (status, body) == (200, {"reloaded": True, "titles": 14})
+        after = httpd.transforms
+        assert after is not before
+        if edit == "same_size_schema_edit":
+            assert after.registry.get("View Item", 2).description == "An actor LOOKED AT a classified ad."
+        else:
+            event = generate_valid(registry, "View Item", 0, GenConfig(seed=6))
+            status, body = request_json(httpd, "POST", "/transform", event)
+            assert status == 400 and "no registered transform" in body["error"]
+
+    def test_bad_file_is_400_and_the_old_snapshot_keeps_serving(self, writable_server, registry):
+        httpd, scratch = writable_server
+        before = httpd.transforms
+        file = scratch / "object" / "Vehicle" / "1.json"
+        text = file.read_text()
+        file.write_text(text[:-10])
+        status, body = request_json(httpd, "POST", "/reload", {})
+        assert status == 400 and body["error"].startswith(f"reload failed: {file}")
+        assert httpd.transforms is before
+        event = generate_valid(registry, "View Item", 2, GenConfig(seed=4))
+        assert request_json(httpd, "POST", "/validate", {"event": event}) == (200, {"valid": True, "mismatches": []})
+        file.write_text(text)
+        assert request_json(httpd, "POST", "/reload", {}) == (200, {"reloaded": True, "titles": 14})
+
+    def test_too_deeply_nested_transform_is_400(self, writable_server):
+        httpd, scratch = writable_server
+        (scratch / "transforms" / "View-Item" / "0-to-1.jslt").write_text("-" * 19_990 + "1")
+        status, body = request_json(httpd, "POST", "/reload", {})
+        assert status == 400 and body["error"].endswith("expression nesting exceeds 500 at 1:501")
+
+    def test_reload_during_requests_serves_the_old_or_the_new_repository(self, writable_server, registry, tmp_path):
+        httpd, scratch = writable_server
+        event = generate_valid(registry, "View Item", 2, GenConfig(seed=4))
+        check = json.dumps({"event": event, "target": "View Item"}).encode()
+        old = {"valid": True, "mismatches": []}
+        # View Item 3 requires a property the event lacks; one rename makes it appear
+        body = registry.get("View Item", 2).body()
+        body.update(id=make_id("event", "View Item", 3), required=["object", "color"])
+        body["properties"]["color"] = {"type": "string"}
+        staged = tmp_path / "3.json"
+        staged.write_text(json.dumps(body))
+        renamed, rebuilt = threading.Event(), threading.Event()
+        answers = {name: [] for name in ("reload", "validate0", "validate1")}
+
+        def connection(name):
+            # each connection goes on until a reload sent after the rename has
+            # answered, then sends a few more; a request sent after that answer
+            # must see the new repository
+            path, payload, more = ("/reload", b"", 5) if name == "reload" else ("/validate", check, 10)
+            conn = http.client.HTTPConnection("127.0.0.1", httpd.server_address[1], timeout=10)
+            try:
+                for i in range(2_000):
+                    if name == "validate0" and i == 10:
+                        os.replace(staged, scratch / "event" / "View-Item" / "3.json")
+                        renamed.set()
+                    after_rename, after_rebuild = renamed.is_set(), rebuilt.is_set()
+                    conn.request("POST", path, body=payload)
+                    response = conn.getresponse()
+                    answers[name].append((response.status, json.loads(response.read())))
+                    if path == "/reload" and after_rename:
+                        rebuilt.set()
+                    more -= after_rebuild
+                    if not more:
+                        return
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=connection, args=(name,)) for name in answers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert rebuilt.is_set()
+        status, new = request_json(httpd, "POST", "/validate", json.loads(check))
+        assert status == 200 and new["valid"] is False
+        for name in ("validate0", "validate1"):
+            verdicts = [answer for _, answer in answers[name]]
+            # old answers, then new ones: never a mix, and never back; those sent after a rebuild are new
+            assert set(map(json.dumps, verdicts)) <= {json.dumps(old), json.dumps(new)}
+            assert sorted(verdicts, key=lambda a: a == new) == verdicts and verdicts[-10:] == [new] * 10
+        reloads = answers["reload"]
+        assert reloads and all(answer == (200, {"reloaded": True, "titles": 14}) for answer in reloads)
+
 
 def exchange(httpd, *requests):
     """Send raw requests in turn on one keep-alive connection.
@@ -258,6 +364,21 @@ class TestKeepAlive:
         assert len(responses) == 1
         status, payload = responses[0]
         assert status == 400 and json.loads(payload) == {"error": "body too large"}
+
+    def test_requests_do_not_wait_for_delayed_acks(self, server, registry):
+        # with Nagle's algorithm on, each body, written after its headers, waited
+        # about 40 ms for the client's delayed ACK: these 20 requests took over 800 ms
+        event = generate_valid(registry, "Post Item", 2, GenConfig(seed=6))
+        event["custom"] = {"blob": "x" * 70_000}  # answered with more than the 64 KB loopback MSS
+        small = [HEALTH, post("/validate", json.dumps({"event": event}).encode()),
+                 b"GET /schemas/event/View-Item/1 HTTP/1.1\r\nHost: t\r\n\r\n"]
+        requests = [post("/transform", json.dumps(event).encode())] + small * 6 + [HEALTH]
+        started = time.perf_counter()
+        responses = exchange(server, *requests)
+        elapsed = time.perf_counter() - started
+        assert [status for status, _ in responses] == [200] * 20
+        assert len(responses[0][1]) > 65_536
+        assert elapsed < 0.4
 
     def test_stalled_body_times_out(self, server, monkeypatch):
         assert 0 < _Handler.timeout <= 60
