@@ -14,11 +14,15 @@ Serves the schema repository read-only by default:
 Handlers work against an immutable registry snapshot; /reload swaps the
 snapshot atomically, so concurrent requests see either the old or the
 new repository, never a mix.
+
+`_Handler.parse_request` reads the request head in one pass (RFC 9112
+sections 3 and 5), without `email.parser`.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import NamedTuple
@@ -31,6 +35,12 @@ from .validator import parse_target, validate
 
 _SCHEMA_PATH_RE = re.compile(r"^/schemas/([a-z]+)/([A-Za-z0-9-]+)/([0-9]+|latest)$")
 MAX_BODY_BYTES = 8 * 1024 * 1024
+# a longer request-head line, or more header fields, is refused with 431
+MAX_LINE_BYTES = 65_536
+MAX_HEADERS = 100
+# a field name is an RFC 9110 token; a version is HTTP/<major>.<minor>
+_TOKEN_RE = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+_VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 class ServerConfig(NamedTuple):
@@ -47,6 +57,7 @@ class SchemaServer(ThreadingHTTPServer):
         self.cfg = cfg
         self.directory = Path(cfg.directory)
         self.verbose = verbose
+        self._reloading = threading.Lock()
         self.transforms = self._load()
         super().__init__((cfg.host, cfg.port), _Handler)
 
@@ -54,24 +65,107 @@ class SchemaServer(ThreadingHTTPServer):
         return TransformSet.load(load_repo(self.directory), self.directory / "transforms")
 
     def reload(self) -> TransformSet:
-        # one attribute store is the atomic swap; a handler reads it once per request
-        self.transforms = transforms = self._load()
+        # one attribute store is the atomic swap; a handler reads it once per
+        # request.  Reloads take turns, so one that starts later stores later.
+        with self._reloading:
+            self.transforms = transforms = self._load()
         return transforms
+
+
+class Headers(dict):
+    """Request header fields by lower-case name; the first of each name is kept."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "semschema"
-    # seconds a connection may stay silent, mid-body included, before it is closed
+    # seconds a connection may stay silent, mid-head or mid-body included,
+    # before it is closed
     timeout = 30
     # headers and body go out in two writes; the body must not wait for the
     # client's delayed ACK of the headers (RFC 896; RFC 1122 section 4.2.3.2)
     disable_nagle_algorithm = True
     server: SchemaServer
+    headers: Headers
 
     def log_message(self, format, *args):  # noqa: A002 - base class signature
         if self.server.verbose:
             super().log_message(format, *args)
+
+    # -- request head ----------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Read the request line and header fields; on failure send an error, return False.
+
+        The request line is taken as `BaseHTTPRequestHandler.parse_request`
+        takes it, except that an error in its version gets a status line, and
+        a two-word (HTTP/0.9) GET is answered without reading a header block.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            self.request_version = version = words[-1]
+            match = _VERSION_RE.fullmatch(version)
+            if match is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            number = int(match[1]), int(match[2])
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+        self.command = command
+        # a leading "//" would read as a network path (gh-87389)
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.headers = fields = Headers()
+        if len(words) == 2:
+            return True
+        # each field line is `name ":" OWS value OWS` with a token name, so
+        # obs-fold, whitespace before the colon and a line with no colon are
+        # refused, as are two different Content-Lengths (RFC 9112 5.1, 5.2, 6.3)
+        readline, count = self.rfile.readline, 0
+        while (line := readline(MAX_LINE_BYTES + 1)) not in (b"\r\n", b"\n", b""):
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(431, "Line too long")
+                return False
+            count += 1
+            if count > MAX_HEADERS:
+                self.send_error(431, "Too many headers")
+                return False
+            name, colon, value = line.partition(b":")
+            if not colon or _TOKEN_RE.fullmatch(name) is None:
+                self.send_error(400, "Bad header line")
+                return False
+            name = name.decode("ascii").lower()
+            value = value.strip(b" \t\r\n").decode("iso-8859-1")
+            if fields.setdefault(name, value) != value and name == "content-length":
+                self.send_error(400, "Conflicting Content-Length")
+                return False
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if fields.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
 
     # -- plumbing --------------------------------------------------------
 
