@@ -303,10 +303,9 @@ def run_stream(
     """Evaluate every check of every module over the sampled events.
 
     `events` yields parsed JSON values (or BadLine markers, as produced
-    by events_from_ndjson).  An event the hash sampler cannot serialize
-    (no `@id`, and nested too deep) counts as a parse error too.  When a
-    registry is given, each sampled event is also validated against its
-    self-declared schema under the `schema_compliance` metric.
+    by events_from_ndjson).  When a registry is given, each sampled
+    event is also validated against its self-declared schema under the
+    `schema_compliance` metric.
     """
     if sampler is None:
         sampler = Sampler(SamplerConfig())
@@ -333,12 +332,7 @@ def run_stream(
             parse_errors += 1
             counters[parse_error] = get(parse_error, 0) + 1
             continue
-        try:
-            if not keep(event):
-                continue
-        except ValueError:  # no @id, and too deep to serialize for the hash
-            parse_errors += 1
-            counters[parse_error] = get(parse_error, 0) + 1
+        if not keep(event):
             continue
         sampled += 1
         tags = event_tags(event)

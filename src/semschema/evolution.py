@@ -377,12 +377,7 @@ def change_impact_test(
             raise EvolutionError(
                 f"sample from {sample.consumer!r} targets {sample.title!r}, not {title!r}"
             )
-        sample_cfg = generator.GenConfig(
-            seed=cfg.seed,
-            max_array_length=cfg.max_array_length,
-            max_string_length=cfg.max_string_length,
-            fragment=tuple(sample.fragment),
-        )
+        sample_cfg = cfg._replace(fragment=tuple(sample.fragment))
         try:
             generator.generate_valid(scratch, title, proposed_version, sample_cfg)
             embeddable, mismatches = True, ()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 import string as _string
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GenerationError, UnsatisfiableError
 from .jsonmodel import JsonPath, set_path
@@ -25,8 +25,7 @@ __all__ = ["GenConfig", "generate_valid", "generate_from_pattern"]
 _STRING_ALPHABET = _string.ascii_letters + _string.digits + " "
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     seed: int = 0
     max_array_length: int = 3
     max_string_length: int = 24

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 
+from ..errors import JsltRuntimeError
 from .parser import parse
 
 __all__ = ["Program", "compile"]
@@ -35,7 +36,11 @@ class Program:
         self._run = run
 
     def evaluate(self, value):
-        return self._run(value, {})
+        """The program's result for `value`; a runtime failure is a JsltRuntimeError."""
+        try:
+            return self._run(value, {})
+        except RecursionError:  # a value built deeper than the frames left
+            raise JsltRuntimeError("nesting too deep") from None
 
 
 def compile(source: str) -> Program:

@@ -22,6 +22,12 @@ JsonValue = Any
 
 _MAX_EXACT_INT = 2**53
 
+# parse_json refuses deeper text (RFC 8259 section 9), so that whatever reads
+# a parsed value fits within the interpreter's default recursion limit
+MAX_DEPTH = 400
+# a string literal (left open, it runs to the end of the text) or a bracket
+_NESTING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
+
 
 def _reject_constant(name: str):
     raise ValueError(f"JSON does not allow {name}")
@@ -32,6 +38,19 @@ def _finite_float(text: str) -> float:
     if math.isinf(value):
         raise ValueError(f"number out of range: {text}")
     return value
+
+
+def _check_depth(text: str) -> None:
+    """Raise JSONDecodeError at the first bracket that opens level MAX_DEPTH + 1."""
+    depth = 0
+    for match in _NESTING.finditer(text):
+        char = text[match.start()]
+        if char in "[{":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise json.JSONDecodeError(f"nesting deeper than {MAX_DEPTH} levels", text, match.start())
+        elif char != '"':
+            depth -= 1
 
 
 # One decoder and one compact encoder for the process: json.loads and
@@ -49,12 +68,16 @@ def parse_json(text: str) -> JsonValue:
     Raises:
         JsonParseError: on syntax errors (with line/column), on the
             NaN/Infinity extensions, on numbers beyond a double's
-            range, which are rejected, and on nesting deeper than the
-            interpreter's recursion limit.
+            range, which are rejected, and on nesting deeper than
+            MAX_DEPTH levels, reported at the first bracket past it.
     """
     try:
         if text.startswith("\ufeff"):  # as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        # a complete value nests at most half its length deep, and no deeper
+        # than it has opening brackets
+        if len(text) > 2 * MAX_DEPTH and text.count("[") + text.count("{") > MAX_DEPTH:
+            _check_depth(text)
         # one C scan for text that is a single value and nothing else;
         # decode gives every other case, whitespace and errors, its usual form
         try:
@@ -64,8 +87,6 @@ def parse_json(text: str) -> JsonValue:
         return value if end == len(text) else _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise JsonParseError(exc.msg, exc.lineno, exc.colno) from exc
-    except RecursionError:
-        raise JsonParseError("nesting too deep", 1, 1) from None
     except ValueError as exc:
         raise JsonParseError(str(exc), 1, 1) from exc
 

@@ -1,4 +1,4 @@
-"""Shared regular-expression dialect for matching and string generation.
+r"""Shared regular-expression dialect for matching and string generation.
 
 One dialect serves three consumers: the jslt `test()` builtin, schema
 property patterns in the validator, and random string generation in the
@@ -7,9 +7,11 @@ character classes (with ranges and negation), `.`, anchors at the ends,
 `* + ? {m,n}` quantifiers, alternation, and grouping. Back-references,
 lookaround, named groups, and inline flags are rejected explicitly.
 
-Matching is delegated to the stdlib `re` engine, which agrees with the
-dialect on this subset; generation walks the parsed AST with a seeded RNG,
-so every generated string is guaranteed to match.
+Matching is delegated to the stdlib `re` engine, which accepts more than
+ECMA-262 does (ROADMAP item 3): `^[a-z]+$` matches "abc\n", and `^\d+$`
+"٣٣" and `^\w+$` "é", as `$` matches before a final newline and `\d` and
+`\w` are Unicode classes on str. Generation walks the parsed AST with a
+seeded RNG and ASCII classes, so every generated string matches.
 """
 
 from __future__ import annotations

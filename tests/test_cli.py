@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from semschema import cli
+from semschema.jsonmodel import MAX_DEPTH
 from semschema.registry import make_id
 
 
@@ -443,12 +444,30 @@ class TestBadLines:
         assert (summary["total"], summary["parse_errors"]) == (5, 2)
 
 
+def too_deep(column):
+    return f"nesting deeper than {MAX_DEPTH} levels (line 1, column {column})"
+
+
+def fresh_dqt(modules, tmp_path, lines):
+    """`dqt run` at rate 1.0 in a fresh interpreter: (summary, {metric: count})."""
+    path = tmp_path / "events.ndjson"
+    path.write_text("\n".join(lines) + "\n")
+    done = fresh_cli(["dqt", "run", "--modules", modules, "--events", path, "--rate", "1.0", "--window", "w"])
+    assert done.returncode == 0, done.stderr
+    counts = {line["metric"]: line["count"] for line in map(json.loads, done.stdout.splitlines())}
+    return json.loads(done.stderr), counts
+
+
 class TestDeepLines:
-    """Line 2 nests deeper than any recursion limit; lines 1 and 3 are good."""
+    """Line 2 nests one level past MAX_DEPTH; lines 1 and 3 are good."""
 
     @staticmethod
     def deep_line(depth):
-        return '{"custom": ' + '{"a": ' * depth + '"x"' + "}" * (depth + 1)
+        """An event `depth` levels deep: `custom` nests depth - 1 objects."""
+        return '{"custom": ' + '{"a": ' * (depth - 1) + '"x"' + "}" * depth
+
+    # the opening brace of level MAX_DEPTH + 1
+    COLUMN = len('{"custom": ' + '{"a": ' * (MAX_DEPTH - 1)) + 1
 
     @pytest.fixture
     def events(self, registry, tmp_path):
@@ -456,7 +475,7 @@ class TestDeepLines:
 
         good = [json.dumps(generate_valid(registry, "View Item", 0, GenConfig(seed=seed))) for seed in (1, 2)]
         path = tmp_path / "deep.ndjson"
-        path.write_text("\n".join([good[0], self.deep_line(25_000), good[1]]) + "\n")
+        path.write_text("\n".join([good[0], self.deep_line(MAX_DEPTH + 1), good[1]]) + "\n")
         return path
 
     @pytest.mark.parametrize(
@@ -478,7 +497,7 @@ class TestDeepLines:
         err = [json.loads(line) for line in done.stderr.splitlines()]
         assert code == 1
         assert [event["schema"] for event in out] == schemas
-        assert err == [{"line": 2, "error": "nesting too deep (line 1, column 1)"}]
+        assert err == [{"line": 2, "error": too_deep(self.COLUMN)}]
 
     def test_dqt_counts_the_deep_line(self, checks_dir, events):
         done = fresh_cli(["dqt", "run", "--modules", checks_dir, "--events", events, "--rate", "1.0"])
@@ -488,98 +507,149 @@ class TestDeepLines:
         assert (summary["total"], summary["parse_errors"]) == (3, 1)
 
     def test_validate_at_the_default_recursion_limit(self, repo_dir, registry, tmp_path):
-        # a fresh interpreter: no earlier jslt.compile has raised the limit
+        # a fresh interpreter: validate never imports jslt, which raises the limit
         path = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=2)
         first, second = path.read_text().splitlines()
-        path.write_text("\n".join([first, self.deep_line(3_000), second]) + "\n")
+        found = "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1)
+        at_bound = first[:-1] + ', "extra": %s}' % found
+        path.write_text("\n".join([first, at_bound, self.deep_line(MAX_DEPTH + 1), second]) + "\n")
         done = fresh_cli(["validate", path, "--repo", repo_dir], timeout=60)
         assert done.returncode == 1
         assert [json.loads(line) for line in done.stderr.splitlines()] == [
-            {"line": 2, "error": "nesting too deep (line 1, column 1)"}
+            {"line": 2, "path": ".extra", "kind": "unknown-property", "expected": "a declared property",
+             "found": found[:117] + "..."},
+            {"line": 3, "error": too_deep(self.COLUMN)},
         ]
 
 
 class TestDeepOutput:
-    """Line 2 parses but nests too deep to serialize; lines 1 and 3 are good."""
-
-    DEPTH = 15_000  # parses under the 20,000 limit jslt.compile sets; dumps needs two frames a level
+    """Line 2 nests exactly MAX_DEPTH levels and gets its full result; lines 1 and 3 are good."""
 
     def check(self, argv, schemas):
         done = fresh_cli(argv)
-        assert done.returncode == 1
-        assert [json.loads(line)["schema"] for line in done.stdout.splitlines()] == schemas
-        assert [json.loads(line) for line in done.stderr.splitlines()] == [{"line": 2, "error": "nesting too deep"}]
+        assert (done.returncode, done.stderr) == (0, "")
+        out = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [value["schema"] for value in out] == schemas
+        return out[1]
 
     def test_jslt_run(self, tmp_path):
         program = tmp_path / "identity.jslt"
         program.write_text(".")
         data = tmp_path / "deep.ndjson"
-        deep = "[" * self.DEPTH + "1" + "]" * self.DEPTH
+        deep = '{"schema": "d", "x": ' + "[" * (MAX_DEPTH - 1) + "1" + "]" * (MAX_DEPTH - 1) + "}"
         data.write_text("\n".join(['{"schema": "a"}', deep, '{"schema": "b"}']) + "\n")
-        self.check(["jslt", "run", str(program), "--input", str(data)], ["a", "b"])
+        assert self.check(["jslt", "run", str(program), "--input", str(data)], ["a", "d", "b"]) == json.loads(deep)
 
     def test_transform(self, repo_dir, registry, tmp_path):
         path = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=2)
         first, second = path.read_text().splitlines()
-        deep = '{"custom": ' + '{"a": ' * self.DEPTH + "1" + "}" * self.DEPTH + ", " + first[1:]
+        deep = TestDeepLines.deep_line(MAX_DEPTH)[:-1] + ", " + first[1:]
         path.write_text("\n".join([first, deep, second]) + "\n")
-        self.check(["transform", str(path), "--repo", str(repo_dir)], [make_id("event", "View Item", 2)] * 2)
+        schema = make_id("event", "View Item", 2)
+        assert self.check(["transform", str(path), "--repo", str(repo_dir)], [schema] * 3) == json.loads(deep)
+
+    def test_dqt_run(self, checks_dir, tmp_path):
+        # no @id, so the hash sampler serializes the whole event
+        good = '{"@id": "%s", "published": "2020-01-01T00:00:00Z"}'
+        deep = '{"published": "2020-01-01T00:00:00Z", "a": %s}' % ("[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1))
+        summary, counts = fresh_dqt(checks_dir, tmp_path, [good % 1, deep, good % 3])
+        assert (summary["total"], summary["sampled"], summary["parse_errors"]) == (3, 3, 0)
+        assert counts["published_parses.valid"] == 3
 
 
 class TestDeepValues:
-    """Values that parse but nest too deep for jsonmodel.dumps: line 2 of each file."""
+    """Values that JSLT writes as text: nested up to the bound and past it, or not finite."""
 
-    DEPTH = 12_000  # parses under the 20,000 limit jslt.compile sets; dumps needs two frames a level
-    DEEP = "[" * DEPTH + "]" * DEPTH
-
-    def dqt(self, checks_dir, tmp_path, lines):
-        path = tmp_path / "events.ndjson"
-        path.write_text("\n".join(lines) + "\n")
-        done = fresh_cli(["dqt", "run", "--modules", checks_dir, "--events", path, "--rate", "1.0", "--window", "w"])
-        assert done.returncode == 0
-        counts = {line["metric"]: line["count"] for line in map(json.loads, done.stdout.splitlines())}
-        return json.loads(done.stderr), counts
-
-    def test_dqt_counts_an_unhashable_event_as_a_parse_error(self, checks_dir, tmp_path):
-        good = '{"@id": "%s", "published": "2020-01-01T00:00:00Z"}'
-        # no @id, so the hash sampler serializes the whole event
-        summary, counts = self.dqt(checks_dir, tmp_path, [good % 1, '{"a": %s}' % self.DEEP, good % 3])
-        assert (summary["total"], summary["sampled"], summary["parse_errors"]) == (3, 2, 1)
-        assert (counts["parse_error"], counts["published_parses.valid"]) == (1, 2)
-
-    def test_dqt_counts_an_unstringifiable_value_as_a_check_error(self, checks_dir, tmp_path):
-        line = '{"@id": "%s", "actor": {"spt:userId": %s}}'
-        lines = [line % (1, '"sdrn:a:user:1"'), line % (2, self.DEEP), line % (3, '"x"')]
-        summary, counts = self.dqt(checks_dir, tmp_path, lines)
-        assert (summary["sampled"], summary["parse_errors"]) == (3, 0)
-        assert {name: counts[f"user_id_format.{name}"] for name in ("valid", "invalid", "error")} == {
-            "valid": 1, "invalid": 1, "error": 1,
-        }
+    @staticmethod
+    def nested(depth):
+        return "[" * depth + "]" * depth
 
     @pytest.mark.parametrize("program", ['test(.x, "1")', "string(.x)"])
     def test_jslt_run_fails_only_that_line(self, tmp_path, program):
+        # line 2 is MAX_DEPTH deep and stringifies; line 3 is one level deeper
         source = tmp_path / "program.jslt"
         source.write_text(program)
         data = tmp_path / "deep.ndjson"
-        data.write_text("\n".join(['{"x": 1}', '{"x": %s}' % self.DEEP, '{"x": 1}']) + "\n")
+        lines = ['{"x": %s}' % x for x in ("1", self.nested(MAX_DEPTH - 1), self.nested(MAX_DEPTH), "1")]
+        data.write_text("\n".join(lines) + "\n")
         done = fresh_cli(["jslt", "run", source, "--input", data])
         assert done.returncode == 1
-        assert len(done.stdout.splitlines()) == 2
+        out = [json.loads(line) for line in done.stdout.splitlines()]
+        assert out[1] == (self.nested(MAX_DEPTH - 1) if program == "string(.x)" else False)
+        assert len(out) == 3
         assert [json.loads(line) for line in done.stderr.splitlines()] == [
-            {"line": 2, "error": "cannot stringify: nesting too deep at 1:1"}
+            {"line": 3, "error": too_deep(len('{"x": ') + MAX_DEPTH)}
         ]
 
-    @pytest.mark.parametrize("program, at", [("string(.x * 10)", "1:11"), ('"a" + .x', "1:5"), ("{.x: 1}", "1:2")])
+    def test_dqt_counts_an_unstringifiable_value_as_a_check_error(self, tmp_path):
+        # .n * 10 overflows to infinity on line 2, which test() cannot write as text
+        modules = tmp_path / "checks"
+        modules.mkdir()
+        (modules / "grow.json").write_text(json.dumps({"grown": {"filter": ".n", "check": 'test(.n * 10, "^1")'}}))
+        lines = ['{"@id": "%d", "n": %s}' % pair for pair in enumerate(["1", "1e308", "2"])]
+        summary, counts = fresh_dqt(modules, tmp_path, lines)
+        assert (summary["sampled"], summary["parse_errors"]) == (3, 0)
+        assert {name: counts[f"grown.{name}"] for name in ("valid", "invalid", "error")} == {
+            "valid": 1, "invalid": 1, "error": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "program, at", [("string(.x * 10)", "1:1"), ('"a" + .x * 10', "1:5"), ("{.x * 10: 1}", "1:5")]
+    )
     def test_unwritable_operand_error_has_a_position(self, tmp_path, program, at):
         source = tmp_path / "program.jslt"
         source.write_text(program)
-        data = tmp_path / "deep.ndjson"
-        data.write_text('{"x": %s}\n' % self.DEEP)
+        data = tmp_path / "big.ndjson"
+        data.write_text('{"x": 1e308}\n')
         done = fresh_cli(["jslt", "run", source, "--input", data])
         assert done.returncode == 1
         assert [json.loads(line) for line in done.stderr.splitlines()] == [
-            {"line": 1, "error": f"cannot stringify: nesting too deep at {at}"}
+            {"line": 1, "error": f"cannot stringify: cannot serialize NaN or infinity at {at}"}
         ]
+
+
+class TestEvaluationDepth:
+    """A JSLT evaluation that outgrows the recursion limit fails its line alone.
+
+    `w` wraps its value in 50 arrays per call, so `.n` = 450 builds a value
+    22,500 levels deep, which `==` cannot compare within the frames left.
+    """
+
+    W = "def w(n, v) if ($n == 0) $v else w($n - 1, %s) " % ("[" * 50 + "$v" + "]" * 50)
+
+    def test_jslt_run(self, tmp_path):
+        program = tmp_path / "w.jslt"
+        program.write_text(self.W + "w(.n, .) == w(.n, .)")
+        data = tmp_path / "in.ndjson"
+        data.write_text('{"n": 1}\n{"n": 450}\n{"n": 2}\n')
+        done = fresh_cli(["jslt", "run", program, "--input", data])
+        assert (done.returncode, done.stdout) == (1, "true\ntrue\n")
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [{"line": 2, "error": "nesting too deep"}]
+
+    def test_transform(self, scratch_repo, registry, tmp_path):
+        n = "number(.custom.n)"
+        (scratch_repo / "transforms" / "View-Item" / "0-to-1.jslt").write_text(
+            self.W + '{"referrer": if (w(%s, .) == w(%s, .)) .origin, * - origin : .}' % (n, n)
+        )
+        path = write_events(tmp_path / "events.ndjson", registry, "View Item", 0, count=3)
+        events = path.read_text().splitlines()
+        lines = [event[:-1] + ', "custom": {"n": "%s"}}' % n for event, n in zip(events, (1, 450, 2))]
+        path.write_text("\n".join(lines) + "\n")
+        done = fresh_cli(["transform", path, "--repo", scratch_repo])
+        assert done.returncode == 1
+        assert [json.loads(line)["custom"] for line in done.stdout.splitlines()] == [{"n": "1"}, {"n": "2"}]
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [{"line": 2, "error": "nesting too deep"}]
+
+    def test_dqt_run(self, tmp_path):
+        modules = tmp_path / "checks"
+        modules.mkdir()
+        check = self.W + "w(.n, .) == w(.n, .)"
+        (modules / "w.json").write_text(json.dumps({"w": {"filter": ".n", "check": check}}))
+        lines = ['{"@id": "%d", "n": %d}' % (i, n) for i, n in enumerate((1, 450, 2))]
+        _, counts = fresh_dqt(modules, tmp_path, lines)
+        assert {name: counts.get(f"w.{name}") for name in ("applicable", "valid", "invalid", "error")} == {
+            "applicable": 3, "valid": 2, "invalid": None, "error": 1,
+        }
 
 
 class TestDqtRun:
@@ -702,6 +772,11 @@ class TestImportFootprint:
         assert "semschema.validator" in loaded
         heavy = {"dataclasses", "datetime"} | {f"semschema.{m}" for m in ("dqt", "jslt", "evolution", "generator", "server")}
         assert not loaded & heavy
+
+    def test_generate(self, repo_dir, tmp_path):
+        loaded = self.modules_after(tmp_path, "generate", "--repo", str(repo_dir), "--schema", "View Item")
+        assert "semschema.generator" in loaded
+        assert not loaded & {"semschema.dqt", "semschema.jslt", "semschema.evolution", "dataclasses", "inspect"}
 
     def test_transform(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "transform", "{events}", "--repo", str(repo_dir))

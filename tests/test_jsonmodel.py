@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from semschema import jsonmodel
 from semschema.errors import JsonParseError
 from semschema.jsonmodel import (
+    MAX_DEPTH,
     JsonPath,
     dumps,
     get_path,
@@ -267,8 +269,6 @@ def decode_outcome(text):
         return "value", repr(jsonmodel._DECODER.decode(text))
     except json.JSONDecodeError as exc:
         error = JsonParseError(exc.msg, exc.lineno, exc.colno)
-    except RecursionError:
-        error = JsonParseError("nesting too deep", 1, 1)
     except ValueError as exc:
         error = JsonParseError(str(exc), 1, 1)
     return "error", str(error), error.line, error.col
@@ -309,3 +309,121 @@ class TestParseAgainstDecode:
         text = lead + json.dumps(value, indent=indent, ensure_ascii=False)
         for candidate in (text + junk, text[: cut % (len(text) + 1)] + junk):
             assert parse_outcome(candidate) == decode_outcome(candidate)
+
+
+# -- the depth bound --------------------------------------------------------
+
+_SCALAR_END = re.compile(r"[^,\]}\s]*")
+
+
+def first_too_deep(text):
+    """The index of the first bracket that opens level MAX_DEPTH + 1 in a
+    valid JSON text, or None: a recursive descent, one call per level."""
+
+    def skip(i):
+        while text[i] in " \n":
+            i += 1
+        return i
+
+    def value(i, depth):  # (index after the value, index found or None)
+        i = skip(i)
+        if text[i] == '"':
+            return json.decoder.scanstring(text, i + 1)[1], None
+        if text[i] not in "[{":
+            return _SCALAR_END.match(text, i).end(), None
+        if depth == MAX_DEPTH:
+            return None, i
+        close = "]" if text[i] == "[" else "}"
+        i = skip(i + 1)
+        while text[i] != close:
+            if close == "}":
+                i = skip(json.decoder.scanstring(text, i + 1)[1]) + 1  # the key and its colon
+            i, found = value(i, depth + 1)
+            if found is not None:
+                return None, found
+            i = skip(i)
+            if text[i] == ",":
+                i = skip(i + 1)
+        return i + 1, None
+
+    return value(0, 0)[1]
+
+
+# strings full of what the scan must not count: brackets, quotes, backslashes
+_NOISE = st.text(alphabet='[]{}"\\ x', max_size=4)
+
+
+@st.composite
+def nested_texts(draw):
+    """JSON text whose spine nests a few levels either side of MAX_DEPTH.
+
+    A bit of `kinds` picks an array or an object per level; a few levels
+    also hold sibling strings, before or after the spine.
+    """
+    depth = draw(st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2))
+    kinds = draw(st.integers(0, 2**depth - 1))
+    noisy = draw(st.dictionaries(st.integers(0, depth - 1), st.lists(_NOISE, min_size=1, max_size=2), max_size=6))
+    value = draw(st.none() | st.integers() | _NOISE)
+    for level in range(depth):
+        siblings = noisy.get(level, [])
+        at = draw(st.integers(0, len(siblings))) if siblings else 0
+        if kinds >> level & 1:
+            value = [*siblings[:at], value, *siblings[at:]]
+        else:
+            items = [(f"{noise}{i}", noise) for i, noise in enumerate(siblings)]
+            items.insert(at, ("c" + draw(_NOISE) if siblings else "c", value))
+            value = dict(items)
+    separator = draw(st.sampled_from([",", ", ", ",\n"]))
+    return json.dumps(value, separators=(separator, ": "))
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("opener", ["[", '{"k": '])
+    def test_at_the_bound_parses_and_one_more_level_does_not(self, opener):
+        closer = "]" if opener == "[" else "}"
+        at_bound = opener * MAX_DEPTH + "1" + closer * MAX_DEPTH
+        assert parse_json(at_bound) == json.loads(at_bound)
+        with pytest.raises(JsonParseError) as err:
+            parse_json("[" + at_bound + "]")
+        column = 2 + len(opener) * (MAX_DEPTH - 1)  # the last opener of at_bound
+        assert str(err.value) == f"nesting deeper than {MAX_DEPTH} levels (line 1, column {column})"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '["' + "[" * 1000 + '"]',  # brackets in a string
+            '["\\"' + "[" * 1000 + '"]',  # after an escaped quote, still in the string
+            "[" + ",".join(["[{}]"] * 1000) + "]",  # many brackets, two levels
+        ],
+    )
+    def test_brackets_that_do_not_nest_are_not_counted(self, text):
+        assert parse_json(text) == json.loads(text)
+
+    def test_an_escaped_backslash_ends_its_string(self):
+        prefix = '["\\\\", '  # the string holds one backslash; its closing quote is not escaped
+        with pytest.raises(JsonParseError) as err:
+            parse_json(prefix + "[" * MAX_DEPTH + "]" * MAX_DEPTH + "]")
+        assert (err.value.line, err.value.col) == (1, len(prefix) + MAX_DEPTH)
+
+    def test_a_million_levels_are_refused_at_the_first_past_the_bound(self):
+        with pytest.raises(JsonParseError) as err:
+            parse_json("[" * 1_000_000 + "]" * 1_000_000)
+        assert (err.value.line, err.value.col) == (1, MAX_DEPTH + 1)
+
+    def test_the_position_counts_lines(self):
+        text = "[\n" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1)
+        with pytest.raises(JsonParseError) as err:
+            parse_json(text)
+        assert (err.value.line, err.value.col) == (MAX_DEPTH + 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_texts())
+    def test_scan_matches_a_recursive_reference(self, text):
+        found = first_too_deep(text)
+        if found is None:
+            assert parse_json(text) == json.loads(text)
+            return
+        with pytest.raises(JsonParseError) as err:
+            parse_json(text)
+        line, column = text.count("\n", 0, found) + 1, found - text.rfind("\n", 0, found)
+        assert str(err.value) == f"nesting deeper than {MAX_DEPTH} levels (line {line}, column {column})"

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import semschema
 from semschema.generator import GenConfig, generate_valid
+from semschema.jsonmodel import MAX_DEPTH
 from semschema.registry import load_repo, make_id, write_version
 from semschema.server import (
     MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, ServerConfig, _Handler, make_server, parse_target,
@@ -451,13 +452,15 @@ class TestKeepAlive:
         assert "number" in json.loads(responses[0][1])["error"]
 
     def test_too_deep_transform_result_is_400(self, server, registry):
-        # parses under the 20,000 recursion limit, but its output needs two frames a level
+        # one level past the bound: refused at parse, with the position of its first bracket past it
         event = json.dumps(generate_valid(registry, "View Item", 2, GenConfig(seed=6)))
-        depth = 15_000
-        deep = '{"custom": ' + '{"a": ' * depth + "1" + "}" * depth + ", " + event[1:]
+        deep = '{"custom": ' + '{"a": ' * MAX_DEPTH + "1" + "}" * MAX_DEPTH + ", " + event[1:]
         responses = exchange(server, post("/transform", deep.encode()), HEALTH)
         assert [status for status, _ in responses] == [400, 200]
-        assert json.loads(responses[0][1]) == {"error": "nesting too deep"}
+        column = len('{"custom": ' + '{"a": ' * (MAX_DEPTH - 1)) + 1
+        assert json.loads(responses[0][1]) == {
+            "error": f"nesting deeper than {MAX_DEPTH} levels (line 1, column {column})"
+        }
 
     def test_unexpected_error_is_500(self, server, monkeypatch):
         def broken(*args):
@@ -650,25 +653,44 @@ print(json.dumps([[status, payload.decode()] for status, payload in exchange(htt
 
 
 class TestDeepBody:
-    """A body nested far past the recursion limit fails alone.
+    """A body nested one level past MAX_DEPTH fails alone; one at the bound gets its answer.
 
-    Run in a fresh interpreter, as an uncaught RecursionError there ends
-    one process instead of rendering tens of thousands of frames here.
+    Run in a fresh interpreter, as a RecursionError that escaped into pytest
+    would stall the run instead of failing it.
     """
+
+    @staticmethod
+    def fresh_exchange(repo_dir, requests):
+        env = dict(os.environ, PYTHONPATH=str(Path(semschema.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", _EXCHANGE_SCRIPT, str(Path(__file__).parent), str(repo_dir)],
+            input=json.dumps(requests), env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return [(status, json.loads(payload)) for status, payload in json.loads(done.stdout)]
 
     @pytest.mark.parametrize("route", ["/validate", "/transform"])
     def test_too_deep_body_is_400_and_the_next_request_is_answered(self, repo_dir, registry, route):
         event = json.dumps(generate_valid(registry, "View Item", 0, GenConfig(seed=6)))
-        deep = "[" * 50_000 + "]" * 50_000
+        deep, column = "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1), MAX_DEPTH + 1
         if route == "/validate":
-            event, deep = '{"event": %s}' % event, '{"event": %s}' % deep
-        env = dict(os.environ, PYTHONPATH=str(Path(semschema.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", _EXCHANGE_SCRIPT, str(Path(__file__).parent), str(repo_dir)],
-            input=json.dumps([[route, event], [route, deep], [route, event]]),
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        before, refused, after = json.loads(done.stdout)
-        assert refused[0] == 400 and "nesting too deep" in json.loads(refused[1])["error"]
+            event, deep = '{"event": %s}' % event, '{"event": %s}' % deep[1:-1]
+            column = len('{"event": ') + MAX_DEPTH
+        before, refused, after = self.fresh_exchange(repo_dir, [[route, event], [route, deep], [route, event]])
+        assert refused == (400, {"error": f"nesting deeper than {MAX_DEPTH} levels (line 1, column {column})"})
         assert before[0] == 200 and after == before
+
+    def test_body_at_the_bound_gets_its_result(self, repo_dir, registry):
+        event = generate_valid(registry, "View Item", 2, GenConfig(seed=6))
+        text = json.dumps(event)
+        # the body's object, the event and MAX_DEPTH - 2 arrays
+        found = "[" * (MAX_DEPTH - 2) + "]" * (MAX_DEPTH - 2)
+        validate_body = '{"event": %s, "extra": %s}}' % (text[:-1], found)
+        # the event and MAX_DEPTH - 1 objects under `custom`
+        transform_body = '{"custom": ' + '{"a": ' * (MAX_DEPTH - 1) + '"x"' + "}" * (MAX_DEPTH - 1) + ", " + text[1:]
+        requests = [["/validate", validate_body], ["/transform", transform_body]]
+        validated, transformed = self.fresh_exchange(repo_dir, requests)
+        mismatch = {"path": ".extra", "kind": "unknown-property", "expected": "a declared property",
+                    "found": found[:117] + "..."}
+        assert validated == (200, {"valid": False, "mismatches": [mismatch]})
+        assert transformed == (200, json.loads(transform_body))
