@@ -39,7 +39,6 @@ _EXPORTS = {
         "ImpactReport",
         "ImpactResult",
         "TransformSet",
-        "TransformStep",
         "change_impact_test",
         "diff",
         "is_breaking",

@@ -41,8 +41,6 @@ class ChangeOp(NamedTuple):
     old_name: str | None = None  # Rename only
     new_name: str | None = None
     required_after: bool = False  # Add of a required property is breaking
-    before_def: PropertyDef | None = None
-    after_def: PropertyDef | None = None
 
     def to_json(self) -> dict:
         out: dict = {"op": self.kind, "path": ".".join(self.path)}
@@ -101,7 +99,6 @@ def _diff_level(old_props, new_props, old_required, new_required, path) -> list[
                 MODIFY, path + (name,),
                 before=_describe(old_def, was_required if top else None),
                 after=_describe(new_def, is_required if top else None),
-                before_def=old_def, after_def=new_def,
             )
         )
     added = [(name, new_props[name]) for name in new_props if name not in old_props]
@@ -118,14 +115,12 @@ def _diff_level(old_props, new_props, old_required, new_required, path) -> list[
             claimed.add(match)
             ops.append(
                 ChangeOp(RENAME, path + (old_name,), old_name=old_name, new_name=match,
-                         before=_describe(old_def, (old_name in old_required) if top else None),
-                         before_def=old_def, after_def=new_props[match])
+                         before=_describe(old_def, (old_name in old_required) if top else None))
             )
         else:
             ops.append(
                 ChangeOp(REMOVE, path + (old_name,),
-                         before=_describe(old_def, (old_name in old_required) if top else None),
-                         before_def=old_def)
+                         before=_describe(old_def, (old_name in old_required) if top else None))
             )
     for new_name, new_def in added:
         if new_name in claimed:
@@ -133,7 +128,7 @@ def _diff_level(old_props, new_props, old_required, new_required, path) -> list[
         required = new_name in new_required
         ops.append(
             ChangeOp(ADD, path + (new_name,), after=_describe(new_def, required if top else None),
-                     required_after=required, after_def=new_def)
+                     required_after=required)
         )
     return ops
 
@@ -146,20 +141,6 @@ def is_breaking(ops: list[ChangeOp]) -> bool:
 # -- forward transforms --------------------------------------------------
 
 
-class TransformStep:
-    """A registered forward transform between two adjacent versions of a title."""
-
-    __slots__ = ("title", "from_version", "to_version", "program")
-
-    def __init__(self, title: str, from_version: int, to_version: int, program: jslt.Program):
-        if to_version != from_version + 1:
-            raise EvolutionError(f"transforms cover adjacent versions only: {from_version} -> {to_version}")
-        self.title = title
-        self.from_version = from_version
-        self.to_version = to_version
-        self.program = program
-
-
 class ChainStep(NamedTuple):
     """One step of a composed chain, with what apply_chain needs after it."""
 
@@ -170,57 +151,65 @@ class ChainStep(NamedTuple):
     target: ValidationTarget  # what the step's output is checked against
 
 
-_STEP_FILE_RE = re.compile(r"(\d+)-to-(\d+)\.jslt")
+# ASCII digits only: "٠-to-١.jslt" names no step
+_STEP_FILE_RE = re.compile(r"([0-9]+)-to-([0-9]+)\.jslt")
 
 
 class TransformSet:
-    """The registered forward transforms for one registry."""
+    """The forward transforms for one registry, fixed at construction.
 
-    def __init__(self, registry: Registry):
+    `programs` maps (title, from_version) to the program of the step
+    from_version -> from_version + 1; a step it leaves out is the identity,
+    unless it is breaking.
+    """
+
+    def __init__(self, registry: Registry, programs: dict[tuple[str, int], jslt.Program] | None = None):
         self.registry = registry
-        self._steps: dict[tuple[str, int], TransformStep] = {}
-        self._identity = jslt.compile(".")  # the program of every non-breaking step left unregistered
-        # built on first use for one registry generation; emptied when it or the steps change
+        self._programs = dict(programs or {})
+        self._identity = jslt.compile(".")  # the program of every non-breaking step left out
+        # built on first use for one registry generation; emptied when it changes
         self._generation = registry.generation
         self._chains: dict[tuple[str, int], tuple[ChainStep, ...]] = {}
         self._breaking: dict[tuple[str, int], bool] = {}  # (title, v) -> is step v -> v+1 breaking
 
-    def register(self, step: TransformStep) -> None:
-        versions = self.registry.versions(step.title)
-        if step.from_version not in versions or step.to_version not in versions:
-            raise EvolutionError(
-                f"{step.title!r} has no version pair {step.from_version}/{step.to_version}"
-            )
-        self._steps[(step.title, step.from_version)] = step
-        self._chains.clear()
-
     @classmethod
     def load(cls, registry: Registry, directory: str | Path) -> "TransformSet":
-        """Scan <directory>/<title-slug>/<from>-to-<to>.jslt files."""
-        out = cls(registry)
+        """Compile each <directory>/<title-slug>/<from>-to-<to>.jslt file.
+
+        A file must name one step of a registered title, from_version ->
+        from_version + 1 with to_version no later than the latest, in ASCII
+        digits, and no other file may name the same step.
+        """
         root = Path(directory)
         if not root.is_dir():
-            return out
+            return cls(registry)
+        titles = set(registry.titles())
+        programs: dict[tuple[str, int], jslt.Program] = {}
         for slug_dir in sorted(p for p in root.iterdir() if p.is_dir()):
             title = slug_to_title(slug_dir.name)
             for file in sorted(slug_dir.glob("*.jslt")):
                 m = _STEP_FILE_RE.fullmatch(file.name)
                 if m is None:
                     raise EvolutionError(f"{file}: transform files are named <from>-to-<to>.jslt")
+                from_version, to_version = int(m[1]), int(m[2])
+                if to_version != from_version + 1:
+                    raise EvolutionError(f"{file}: transforms cover adjacent versions only, not {m[1]} -> {m[2]}")
+                if title not in titles or to_version > registry.latest_version(title):
+                    raise EvolutionError(f"{file}: {title!r} has no version {to_version}")
+                if (title, from_version) in programs:
+                    raise EvolutionError(f"{file}: a second transform for {title!r} {from_version} -> {to_version}")
                 try:
-                    program = jslt.compile(file.read_text(encoding="utf-8"))
+                    programs[(title, from_version)] = jslt.compile(file.read_text(encoding="utf-8"))
                 except Exception as exc:
                     raise EvolutionError(f"{file}: {exc}") from None
-                out.register(TransformStep(title, int(m.group(1)), int(m.group(2)), program))
-        return out
+        return cls(registry, programs)
 
     def compose_chain(self, title: str, from_version: int) -> tuple[ChainStep, ...]:
         """The steps carrying events at from_version to the latest version.
 
-        Breaking steps must have a registered transform; other steps fall
+        Breaking steps must have a transform program; other steps fall
         back to the identity program.  Each chain is built once per
-        registry state and set of steps; the tuple is shared by every
-        caller.
+        registry state; the tuple is shared by every caller.
         """
         if self._generation != self.registry.generation:
             self._generation = self.registry.generation
@@ -236,10 +225,8 @@ class TransformSet:
         return chain
 
     def _chain_step(self, title: str, v: int) -> ChainStep:
-        step = self._steps.get((title, v))
-        if step is not None:
-            program = step.program
-        else:
+        program = self._programs.get((title, v))
+        if program is None:
             breaking = self._breaking.get((title, v))
             if breaking is None:
                 breaking = self._breaking[(title, v)] = is_breaking(diff(self.registry, title, v, v + 1))
@@ -262,26 +249,25 @@ class TransformSet:
         _, title, version = parse_id(declared)
         return self.apply_chain(event, title, version)
 
-    def apply_chain(self, event, title: str, from_version: int, check_steps: bool = True):
+    def apply_chain(self, event, title: str, from_version: int):
         """Run the event through every step up to latest.
 
         After each step the event's `schema` property is rewritten to the
-        step's target id, provided the target schema declares one.  With
-        check_steps, every intermediate result is validated against its
-        version and failures raise ChainValidationError.
+        step's target id, provided the target schema declares one.  Every
+        intermediate result is validated against its version and failures
+        raise ChainValidationError.
         """
         for index, step in enumerate(self.compose_chain(title, from_version)):
             event = step.program.evaluate(event)
             if step.schema_id is not None and isinstance(event, dict):
                 event = {**event, "schema": step.schema_id}
-            if check_steps:
-                mismatches = validate(self.registry, event, step.target)
-                if mismatches:
-                    raise ChainValidationError(
-                        f"{title!r} step {step.from_version}->{step.to_version} produced an invalid event",
-                        step_index=index,
-                        mismatches=mismatches,
-                    )
+            mismatches = validate(self.registry, event, step.target)
+            if mismatches:
+                raise ChainValidationError(
+                    f"{title!r} step {step.from_version}->{step.to_version} produced an invalid event",
+                    step_index=index,
+                    mismatches=mismatches,
+                )
         return event
 
     def verify(self, title: str, seeds: int = 50) -> int:

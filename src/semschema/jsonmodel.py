@@ -166,9 +166,6 @@ def is_integral(value: JsonValue) -> bool:
 # ---------------------------------------------------------------------------
 # Paths
 
-_ABSENT = object()
-
-
 class JsonPath:
     """A sequence of steps into a value: string keys and integer indexes.
 
@@ -184,9 +181,6 @@ class JsonPath:
         for step in self.steps:
             if not isinstance(step, (str, int)) or isinstance(step, bool):
                 raise TypeError(f"path step must be str or int, got {step!r}")
-
-    def child(self, step: str | int) -> "JsonPath":
-        return JsonPath(self.steps + (step,))
 
     def is_root(self) -> bool:
         return not self.steps
@@ -270,33 +264,6 @@ class JsonPath:
                 elif text[i] != "[":
                     raise ValueError(f"expected '.' or '[' in path: {text!r}")
         return cls(steps)
-
-
-def get_path(value: JsonValue, path: JsonPath) -> JsonValue:
-    """Value at `path`, or None if any step is missing.
-
-    Total: a key step on a non-object or an index step on a non-array
-    yields None rather than an error.
-    """
-    found = get_path_opt(value, path)
-    return None if found is _ABSENT else found
-
-
-def get_path_opt(value: JsonValue, path: JsonPath):
-    """Like get_path but distinguishes absence (the _ABSENT sentinel)."""
-    current = value
-    for step in path:
-        if isinstance(step, str):
-            if isinstance(current, dict) and step in current:
-                current = current[step]
-            else:
-                return _ABSENT
-        else:
-            if isinstance(current, list) and -len(current) <= step < len(current):
-                current = current[step]
-            else:
-                return _ABSENT
-    return current
 
 
 def set_path(value: JsonValue, path: JsonPath, new: JsonValue) -> JsonValue:

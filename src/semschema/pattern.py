@@ -81,19 +81,16 @@ class _Parser:
         self.pos += 1
         return ch
 
-    def parse(self) -> tuple[Node, bool, bool]:
-        anchored_start = False
-        anchored_end = False
+    def parse(self) -> Node:
+        # the anchors are left to the matcher; generation ignores them
         if self.peek() == "^":
-            anchored_start = True
             self.take()
         node = self.alternation()
         if self.peek() == "$":
-            anchored_end = True
             self.take()
         if self.pos != len(self.src):
             raise self.error(f"unexpected {self.peek()!r}")
-        return node, anchored_start, anchored_end
+        return node
 
     def alternation(self) -> Node:
         branches = [self.sequence()]
@@ -293,8 +290,7 @@ class CompiledPattern:
 
     def __init__(self, source: str):
         self.source = source
-        parser = _Parser(source)
-        self.root, self.anchored_start, self.anchored_end = parser.parse()
+        self.root = _Parser(source).parse()
         try:
             self._regex = re.compile(source)
         except re.error as exc:  # pragma: no cover - dialect parse should catch first

@@ -221,6 +221,10 @@ class SchemaDoc(NamedTuple):
             out["required"] = list(self.required)
         return out
 
+    def render(self) -> str:
+        """The text of this version's file, as `write_version` writes it."""
+        return jsonmodel.dumps(self.body(), indent=2) + "\n"
+
 
 class ResolvedSchema(NamedTuple):
     doc: SchemaDoc
@@ -573,8 +577,8 @@ def load_repo(directory: str | Path) -> Registry:
             continue
         for slug_dir in sorted(p for p in kind_dir.iterdir() if p.is_dir()):
             title = slug_to_title(slug_dir.name)
-            for file in sorted(slug_dir.glob("*.json"), key=_version_key):
-                if not file.stem.isdigit():
+            for file in sorted(slug_dir.glob("*.json"), key=_file_version):
+                if _file_version(file) < 0:
                     raise RegistryError(f"{file}: file name must be <version>.json")
                 try:
                     raw = jsonmodel.parse_json(file.read_text(encoding="utf-8"))
@@ -585,7 +589,7 @@ def load_repo(directory: str | Path) -> Registry:
                     raise RegistryError(f"{file}: {exc}") from None
                 if doc.title != title:
                     raise RegistryError(f"{file}: title {doc.title!r} does not match directory {slug_dir.name!r}")
-                if doc.linear_version != int(file.stem):
+                if doc.linear_version != _file_version(file):
                     raise RegistryError(f"{file}: id version {doc.linear_version} does not match file name")
                 docs.append((file, doc))
     for file, doc in docs:
@@ -611,8 +615,10 @@ def load_repo(directory: str | Path) -> Registry:
     return registry
 
 
-def _version_key(path: Path):
-    return int(path.stem) if path.stem.isdigit() else -1
+def _file_version(path: Path) -> int:
+    """The version that a `<n>.json` file name gives, in ASCII digits; -1 for any other name."""
+    stem = path.stem
+    return int(stem) if stem.isascii() and stem.isdigit() else -1
 
 
 def _parse_releases(file: Path) -> list[ReleaseTag]:
@@ -624,6 +630,9 @@ def _parse_releases(file: Path) -> list[ReleaseTag]:
         try:
             major, minor, patch = (int(part) for part in entry["version"].split("."))
             snapshot = tuple(sorted(entry["snapshot"].items()))
+            # titles are object keys, so strings; a version must be an int, not a bool or 1.0
+            if any(type(version) is not int for _, version in snapshot):
+                raise TypeError
             releases.append(ReleaseTag(major, minor, patch, snapshot, entry["timestamp"]))
         except (KeyError, ValueError, AttributeError, TypeError):
             raise RegistryError(f"{file}: malformed release entry: {jsonmodel.dumps(entry)}") from None
@@ -637,7 +646,7 @@ def write_version(directory: str | Path, doc: SchemaDoc) -> Path:
     root = Path(directory)
     target = root / doc.kind / title_to_slug(doc.title) / f"{doc.linear_version}.json"
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(jsonmodel.dumps(doc.body(), indent=2) + "\n", encoding="utf-8")
+    target.write_text(doc.render(), encoding="utf-8")
     return target
 
 

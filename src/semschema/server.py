@@ -3,7 +3,8 @@
 Serves the schema repository read-only by default:
 
     GET  /health
-    GET  /schemas/<kind>/<slug>/<version>   exact on-disk bytes
+    GET  /schemas/<kind>/<slug>/<version>   the loaded version, rendered as
+                                            write_version writes it
     GET  /schemas/<kind>/<slug>/latest
     POST /validate     body {"event": ..., "target": null | "Title" | "Title@N"}
     POST /transform    body is the event; response is the event at the
@@ -11,9 +12,10 @@ Serves the schema repository read-only by default:
     POST /reload       re-read the repository (writable mode only, else 409);
                        any body is read and ignored
 
-Handlers work against an immutable registry snapshot; /reload swaps the
-snapshot atomically, so concurrent requests see either the old or the
-new repository, never a mix.
+Every route answers from one snapshot, the registry and transforms that
+`SchemaServer._load` built; no route reads the repository directory.
+/reload builds a new snapshot and swaps it in atomically, so concurrent
+requests see either the old or the new repository, never a mix.
 
 `_Handler.parse_request` reads the request head in one pass (RFC 9112
 sections 3 and 5), without `email.parser`.
@@ -30,7 +32,7 @@ from typing import NamedTuple
 from . import jsonmodel
 from .errors import RegistryError, SemSchemaError, UnknownSchemaError
 from .evolution import TransformSet
-from .registry import KINDS, load_repo, slug_to_title
+from .registry import load_repo, slug_to_title
 from .validator import parse_target, validate
 
 _SCHEMA_PATH_RE = re.compile(r"^/schemas/([a-z]+)/([A-Za-z0-9-]+)/([0-9]+|latest)$")
@@ -51,7 +53,7 @@ class ServerConfig(NamedTuple):
 
 
 class SchemaServer(ThreadingHTTPServer):
-    """Serves one repository; `transforms` carries the registry snapshot."""
+    """Serves one repository from `transforms`, the snapshot `_load` built; `reload` swaps in a new one."""
 
     def __init__(self, cfg: ServerConfig, verbose: bool = False):
         self.cfg = cfg
@@ -200,7 +202,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self):
         length = self.headers.get("Content-Length")
-        if length is None or not length.isdigit():
+        # RFC 9110 8.6: 1*DIGIT, ASCII only; "²" is a digit to str.isdigit
+        if length is None or not (length.isascii() and length.isdigit()):
             error = "missing Content-Length"
         elif int(length) > MAX_BODY_BYTES:
             error = "body too large"
@@ -213,7 +216,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _discard_body(self) -> None:
         """Skip a body the route ignores; no Content-Length means none."""
         length = self.headers.get("Content-Length", "0")
-        if length.isdigit() and int(length) <= MAX_BODY_BYTES:
+        if length.isascii() and length.isdigit() and int(length) <= MAX_BODY_BYTES:
             self.rfile.read(int(length))
         else:
             self.close_connection = True
@@ -236,16 +239,10 @@ class _Handler(BaseHTTPRequestHandler):
         return self._get_schema(registry, *match.groups())
 
     def _get_schema(self, registry, kind: str, slug: str, version: str):
-        title = slug_to_title(slug)
-        if kind not in KINDS or title not in registry.titles() or registry.kind_of(title) != kind:
+        doc = registry.get(slug_to_title(slug), None if version == "latest" else int(version))
+        if doc.kind != kind:
             return 404, {"error": f"unknown schema {kind}/{slug}"}
-        number = registry.latest_version(title) if version == "latest" else int(version)
-        if number not in registry.versions(title):
-            return 404, {"error": f"unknown version {number} of {title!r}"}
-        try:
-            return 200, (self.server.directory / kind / slug / f"{number}.json").read_bytes()
-        except OSError:
-            return 404, {"error": f"schema file missing for {title!r} version {number}"}
+        return 200, doc.render().encode()
 
     def _post(self):
         if self.path == "/validate":

@@ -57,6 +57,13 @@ class TestSchemaCommands:
         code, _, err = run(capsys, "schema", "load", str(tmp_path / "missing"))
         assert code == 2 and "error" in err[0]
 
+    def test_load_refuses_a_non_ascii_digit_file_name(self, capsys, scratch_repo):
+        # "\u00b2".isdigit() holds, but int("\u00b2") raises ValueError
+        misnamed = scratch_repo / "event" / "View-Item" / "\u00b2.json"
+        misnamed.write_text((misnamed.parent / "2.json").read_text())
+        code, _, err = run(capsys, "schema", "load", str(scratch_repo))
+        assert (code, err) == (2, [{"error": f"{misnamed}: file name must be <version>.json"}])
+
     def test_show_body(self, capsys, repo_dir):
         code = cli.main(["schema", "show", "Provider@0", "--repo", str(repo_dir)])
         doc = json.loads(capsys.readouterr().out)
@@ -242,6 +249,14 @@ class TestTransform:
             assert event["schema"] == make_id("event", "Send Message", 2)
             assert validate(registry, event) == []
             assert "messageKind" not in event
+
+    def test_second_file_for_a_step_is_a_usage_error(self, capsys, scratch_repo, registry, tmp_path):
+        events = write_events(tmp_path / "old.ndjson", registry, "View Item", 0, count=1)
+        second = scratch_repo / "transforms" / "View-Item" / "00-to-01.jslt"
+        second.write_text(".")
+        code, out, err = run(capsys, "transform", str(events), "--repo", str(scratch_repo))
+        assert (code, out) == (2, [])
+        assert err == [{"error": f"{second}: a second transform for 'View Item' 0 -> 1"}]
 
     def test_undeclared_event_fails_that_line(self, capsys, repo_dir, tmp_path):
         path = tmp_path / "events.ndjson"

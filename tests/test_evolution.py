@@ -20,7 +20,6 @@ from semschema.evolution import (
     RENAME,
     ConsumerSample,
     TransformSet,
-    TransformStep,
     change_impact_test,
     diff,
     is_breaking,
@@ -172,33 +171,32 @@ class TestChains:
         assert "schema" not in out
 
     def test_bad_step_raises_with_index(self, registry):
-        broken = TransformSet(registry)
-        broken.register(
-            TransformStep("View Item", 0, 1, jslt.compile('{"bogus_field": 1, * : .}'))
-        )
+        broken = TransformSet(registry, {("View Item", 0): jslt.compile('{"bogus_field": 1, * : .}')})
         event = generate_valid(registry, "View Item", 0, GenConfig(seed=3))
         with pytest.raises(ChainValidationError) as exc_info:
             broken.apply_chain(event, "View Item", 0)
         assert exc_info.value.step_index == 0
         assert exc_info.value.mismatches
 
-    def test_check_steps_off_lets_bad_output_through(self, registry):
-        broken = TransformSet(registry)
-        broken.register(
-            TransformStep("View Item", 0, 1, jslt.compile('{"bogus_field": 1, * : .}'))
-        )
-        event = generate_valid(registry, "View Item", 0, GenConfig(seed=3))
-        out = broken.apply_chain(event, "View Item", 0, check_steps=False)
-        assert out["bogus_field"] == 1
+    def test_nonadjacent_step_refused(self, registry, tmp_path):
+        (tmp_path / "View-Item").mkdir()
+        (tmp_path / "View-Item" / "0-to-2.jslt").write_text(".")
+        with pytest.raises(EvolutionError, match="adjacent versions only, not 0 -> 2"):
+            TransformSet.load(registry, tmp_path)
 
-    def test_nonadjacent_step_refused(self, registry):
-        with pytest.raises(EvolutionError, match="adjacent"):
-            TransformStep("View Item", 0, 2, jslt.compile("."))
-
-    def test_register_checks_versions_exist(self, registry):
-        fresh = TransformSet(registry)
-        with pytest.raises(EvolutionError):
-            fresh.register(TransformStep("View Item", 8, 9, jslt.compile(".")))
+    @pytest.mark.parametrize("slug, names, error", [
+        ("View-Item", ["\u0660-to-\u0661.jslt"], "transform files are named <from>-to-<to>.jslt"),  # Arabic-Indic
+        ("View-Item", ["2-to-3.jslt"], "'View Item' has no version 3"),
+        ("No-Such", ["0-to-1.jslt"], "'No Such' has no version 1"),
+        ("View-Item", ["0-to-1.jslt", "00-to-01.jslt"], "a second transform for 'View Item' 0 -> 1"),
+    ], ids=["arabic-indic-digits", "past-the-latest", "unknown-title", "two-for-one-step"])
+    def test_load_refuses_a_bad_step_file(self, registry, tmp_path, slug, names, error):
+        (tmp_path / slug).mkdir()
+        for name in names:
+            (tmp_path / slug / name).write_text(".")
+        with pytest.raises(EvolutionError) as exc_info:
+            TransformSet.load(registry, tmp_path)
+        assert str(exc_info.value) == f"{tmp_path / slug / names[-1]}: {error}"
 
     def test_verify_counts_conversions(self, registry, transforms):
         assert transforms.verify("View Item", seeds=4) == 8
@@ -252,7 +250,7 @@ class TestChainCache:
             event = generate_valid(registry, "View Item", 0, GenConfig(seed=seed))
             transforms.upgrade(event)
         steps = sum(len(registry.versions(title)) - 1 for title in registry.titles())
-        assert len(diff_calls) == len(set(diff_calls)) == steps - len(transforms._steps)
+        assert len(diff_calls) == len(set(diff_calls)) == steps - len(transforms._programs)
 
     def test_missing_transform_fails_alike_every_time(self, registry, diff_calls):
         empty = TransformSet(registry)
@@ -275,7 +273,7 @@ class TestChainCache:
         scratch.tombstone("View Item")
         with pytest.raises(MissingTransformError, match="3 -> 4"):
             transforms.compose_chain("View Item", 0)
-        transforms.register(TransformStep("View Item", 3, 4, jslt.compile("{}")))
+        transforms = TransformSet(scratch, {**transforms._programs, ("View Item", 3): jslt.compile("{}")})
         chain = transforms.compose_chain("View Item", 0)
         assert [s.to_version for s in chain] == [1, 2, 3, 4]
         event = generate_valid(scratch, "View Item", 0, GenConfig(seed=5))
@@ -285,7 +283,7 @@ class TestChainCache:
         transforms = self.fresh(registry, repo_dir)
         identity = transforms.compose_chain("View Item", 0)[1].program
         program = jslt.compile("{* : .}")
-        transforms.register(TransformStep("View Item", 1, 2, program))
+        transforms = TransformSet(registry, {**transforms._programs, ("View Item", 1): program})
         assert [s.program for s in transforms.compose_chain("View Item", 0)][1:] == [program]
         assert program is not identity
 

@@ -15,7 +15,6 @@ from semschema.jsonmodel import (
     MAX_DEPTH,
     JsonPath,
     dumps,
-    get_path,
     is_integral,
     iter_ndjson,
     json_equal,
@@ -166,13 +165,6 @@ class TestJsonPath:
         assert JsonPath(("a",)).is_prefix_of(ab)
         assert not ab.is_prefix_of(JsonPath(("a",)))
         assert not JsonPath(("b",)).is_prefix_of(ab)
-
-    def test_get_path_total(self):
-        value = {"a": [{"b": 1}]}
-        assert get_path(value, JsonPath(("a", 0, "b"))) == 1
-        assert get_path(value, JsonPath(("a", 5))) is None
-        assert get_path(value, JsonPath(("missing", "x"))) is None
-        assert get_path(3, JsonPath(("a",))) is None
 
     def test_set_path_copy_on_write(self):
         original = {"a": {"b": 1}, "c": [1, 2]}

@@ -12,8 +12,8 @@ EXPORTS = {
         "SemSchemaError", "TargetError", "UnknownSchemaError", "UnsatisfiableError",
     ],
     "evolution": [
-        "ChangeOp", "ConsumerSample", "ImpactReport", "ImpactResult", "TransformSet", "TransformStep",
-        "change_impact_test", "diff", "is_breaking", "load_samples",
+        "ChangeOp", "ConsumerSample", "ImpactReport", "ImpactResult", "TransformSet", "change_impact_test",
+        "diff", "is_breaking", "load_samples",
     ],
     "generator": ["GenConfig", "generate_valid"],
     "pattern": ["generate_from_pattern"],
@@ -26,9 +26,9 @@ EXPORTS = {
 }
 
 
-def test_all_lists_the_48_public_names():
+def test_all_lists_every_public_name():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 48
+    assert len(names) == 47
     assert semschema.__all__ == sorted(names)
 
 

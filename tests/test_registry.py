@@ -1,8 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_checker_oracle import registries
 
 from semschema.errors import RegistryError, UnknownSchemaError
 from semschema.jsonmodel import parse_json
@@ -408,6 +411,19 @@ class TestRepoIO:
             assert again.get(title).body() == registry.get(title).body()
         assert [t.version_string for t in again.releases] == ["1.0.0", "1.1.0", "1.2.0"]
 
+    @settings(max_examples=30, deadline=None)
+    @given(registry=registries())
+    def test_random_registries_round_trip_through_directory(self, registry):
+        with tempfile.TemporaryDirectory() as scratch:
+            files = {(title, version): write_version(scratch, registry.get(title, version))
+                     for title in registry.titles() for version in registry.versions(title)}
+            again = load_repo(scratch)
+            assert again.titles() == registry.titles()
+            for (title, version), file in files.items():
+                doc = again.get(title, version)
+                assert doc == registry.get(title, version)
+                assert doc.render().encode() == Path(file).read_bytes()
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(RegistryError, match="not a directory"):
             load_repo(tmp_path / "nope")
@@ -432,6 +448,15 @@ class TestRepoIO:
 
         releases.write_text(json.dumps(raw))
         with pytest.raises(RegistryError, match="increase"):
+            load_repo(scratch_repo)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_release_snapshot_versions_are_integers(self, scratch_repo, version):
+        releases = scratch_repo / "releases.json"
+        raw = parse_json(releases.read_text())
+        raw[-1]["snapshot"]["View Item"] = version
+        releases.write_text(json.dumps(raw))
+        with pytest.raises(RegistryError, match="malformed release entry"):
             load_repo(scratch_repo)
 
     @staticmethod

@@ -88,9 +88,12 @@ class TestGet:
         assert body == {"status": "ok", "titles": 14}
 
     def test_schema_bytes_identical_to_disk(self, server, repo_dir):
-        status, payload = request(server, "GET", "/schemas/event/View-Item/1")
-        assert status == 200
-        assert payload == (repo_dir / "event" / "View-Item" / "1.json").read_bytes()
+        files = sorted(repo_dir.glob("*/*/*.json"))
+        assert len(files) == 42
+        for file in files:
+            kind, slug = file.parent.parent.name, file.parent.name
+            status, payload = request(server, "GET", f"/schemas/{kind}/{slug}/{file.stem}")
+            assert (status, payload) == (200, file.read_bytes()), file
 
     def test_latest_alias(self, server, repo_dir):
         status, payload = request(server, "GET", "/schemas/object/Provider/latest")
@@ -204,6 +207,41 @@ class TestReload:
         assert status == 200
         assert json.loads(payload)["id"] == make_id("object", "Vehicle", 3)
 
+    def test_schemas_and_validate_agree_until_reload(self, writable_server):
+        httpd, scratch = writable_server
+        repo = load_repo(scratch)
+        body = repo.get("Vehicle", 2).body()
+        del body["id"]
+        body["properties"]["color"] = {"type": "string"}
+        repo.register_version("Vehicle", body)
+        write_version(scratch, repo.get("Vehicle", 3))
+        assert request_json(httpd, "POST", "/reload", {})[0] == 200
+        view_item, vehicle = "/schemas/event/View-Item/2", "/schemas/object/Vehicle/3"
+        served = {path: request(httpd, "GET", path) for path in (view_item, vehicle)}
+        event = generate_valid(repo, "View Item", 2, GenConfig(seed=4))
+        event["position"] = 3
+        checks = [{"event": event, "target": "View Item@2"},
+                  {"event": generate_valid(repo, "Vehicle", 3, GenConfig(seed=4)), "target": "Vehicle@3"}]
+        valid = (200, {"valid": True, "mismatches": []})
+        # edit one file and delete another; until /reload, every route answers from the loaded snapshot
+        edited = scratch / "event" / "View-Item" / "2.json"
+        shrunk = json.loads(edited.read_text())
+        del shrunk["properties"]["position"]
+        edited.write_text(json.dumps(shrunk))
+        (scratch / "object" / "Vehicle" / "3.json").unlink()
+        assert {path: request(httpd, "GET", path) for path in served} == served
+        assert "position" in json.loads(served[view_item][1])["properties"]
+        assert [request_json(httpd, "POST", "/validate", check) for check in checks] == [valid, valid]
+        assert request_json(httpd, "POST", "/reload", {}) == (200, {"reloaded": True, "titles": 14})
+        status, payload = request(httpd, "GET", view_item)
+        assert status == 200 and json.loads(payload) == shrunk
+        # a hand-formatted file is served as write_version writes it
+        assert payload == load_repo(scratch).get("View Item", 2).render().encode() != edited.read_bytes()
+        status, verdict = request_json(httpd, "POST", "/validate", checks[0])
+        assert (status, verdict["valid"], [m["path"] for m in verdict["mismatches"]]) == (200, False, [".position"])
+        assert request_json(httpd, "GET", vehicle)[0] == 404
+        assert request_json(httpd, "POST", "/validate", checks[1])[0] == 404
+
     @pytest.mark.parametrize("edit", ["same_size_schema_edit", "removed_transform"])
     def test_changes_are_picked_up(self, writable_server, registry, edit):
         httpd, scratch = writable_server
@@ -242,6 +280,12 @@ class TestReload:
         assert request_json(httpd, "POST", "/validate", {"event": event}) == (200, {"valid": True, "mismatches": []})
         file.write_text(text)
         assert request_json(httpd, "POST", "/reload", {}) == (200, {"reloaded": True, "titles": 14})
+        before = httpd.transforms
+        second = scratch / "transforms" / "View-Item" / "00-to-01.jslt"
+        second.write_text("{}")
+        status, body = request_json(httpd, "POST", "/reload", {})
+        assert (status, body) == (400, {"error": f"{second}: a second transform for 'View Item' 0 -> 1"})
+        assert httpd.transforms is before
 
     def test_too_deeply_nested_transform_is_400(self, writable_server):
         httpd, scratch = writable_server
@@ -427,6 +471,13 @@ class TestKeepAlive:
         assert [status for status, _ in responses] == [200] * 20
         assert len(responses[0][1]) > 65_536
         assert elapsed < 0.4
+
+    @pytest.mark.parametrize("path, status", [("/validate", 400), ("/reload", 409), ("/nowhere", 404)])
+    def test_non_ascii_digit_length_closes_the_connection(self, server, path, status):
+        # "\xb2" is "\u00b2" in ISO-8859-1, a digit to str.isdigit; the body must not be read as a request
+        bad = f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: \xb2\r\n\r\n".encode("latin-1")
+        responses = exchange(server, bad + b'{"event": {}}', HEALTH)
+        assert [s for s, _ in responses] == [status]
 
     def test_stalled_body_times_out(self, server, monkeypatch):
         assert 0 < _Handler.timeout <= 60
