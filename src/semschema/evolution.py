@@ -21,7 +21,7 @@ from .errors import (
     UnsatisfiableError,
 )
 from .jsonmodel import JsonPath, parse_json
-from .registry import PropertyDef, Registry, parse_id, slug_to_title
+from .registry import PropertyDef, Registry, file_text, parse_id, read_transforms, slug_to_title
 from .validator import ValidationTarget, validate
 
 ADD = "Add"
@@ -173,35 +173,38 @@ class TransformSet:
         self._breaking: dict[tuple[str, int], bool] = {}  # (title, v) -> is step v -> v+1 breaking
 
     @classmethod
-    def load(cls, registry: Registry, directory: str | Path) -> "TransformSet":
+    def load(cls, registry: Registry, directory: str | Path, files: dict[Path, bytes] | None = None) -> "TransformSet":
         """Compile each <directory>/<title-slug>/<from>-to-<to>.jslt file.
 
         A file must name one step of a registered title, from_version ->
         from_version + 1 with to_version no later than the latest, in ASCII
-        digits, and no other file may name the same step.
+        digits, and no other file may name the same step.  `files` is what
+        `read_repo` returned for the repository around `directory`, when
+        the caller has already read it; otherwise this reads the files.
         """
         root = Path(directory)
-        if not root.is_dir():
-            return cls(registry)
+        if files is None:
+            files = read_transforms(root)
         titles = set(registry.titles())
         programs: dict[tuple[str, int], jslt.Program] = {}
-        for slug_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-            title = slug_to_title(slug_dir.name)
-            for file in sorted(slug_dir.glob("*.jslt")):
-                m = _STEP_FILE_RE.fullmatch(file.name)
-                if m is None:
-                    raise EvolutionError(f"{file}: transform files are named <from>-to-<to>.jslt")
-                from_version, to_version = int(m[1]), int(m[2])
-                if to_version != from_version + 1:
-                    raise EvolutionError(f"{file}: transforms cover adjacent versions only, not {m[1]} -> {m[2]}")
-                if title not in titles or to_version > registry.latest_version(title):
-                    raise EvolutionError(f"{file}: {title!r} has no version {to_version}")
-                if (title, from_version) in programs:
-                    raise EvolutionError(f"{file}: a second transform for {title!r} {from_version} -> {to_version}")
-                try:
-                    programs[(title, from_version)] = jslt.compile(file.read_text(encoding="utf-8"))
-                except Exception as exc:
-                    raise EvolutionError(f"{file}: {exc}") from None
+        for file, data in files.items():
+            if file.parent.parent != root:
+                continue
+            title = slug_to_title(file.parent.name)
+            m = _STEP_FILE_RE.fullmatch(file.name)
+            if m is None:
+                raise EvolutionError(f"{file}: transform files are named <from>-to-<to>.jslt")
+            from_version, to_version = int(m[1]), int(m[2])
+            if to_version != from_version + 1:
+                raise EvolutionError(f"{file}: transforms cover adjacent versions only, not {m[1]} -> {m[2]}")
+            if title not in titles or to_version > registry.latest_version(title):
+                raise EvolutionError(f"{file}: {title!r} has no version {to_version}")
+            if (title, from_version) in programs:
+                raise EvolutionError(f"{file}: a second transform for {title!r} {from_version} -> {to_version}")
+            try:
+                programs[(title, from_version)] = jslt.compile(file_text(data))
+            except Exception as exc:
+                raise EvolutionError(f"{file}: {exc}") from None
         return cls(registry, programs)
 
     def compose_chain(self, title: str, from_version: int) -> tuple[ChainStep, ...]:

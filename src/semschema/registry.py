@@ -25,6 +25,7 @@ object-kind schema by title and always resolve to its latest version.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -564,34 +565,86 @@ def _same_body(a: SchemaDoc, b: SchemaDoc) -> bool:
 # -- directory loading and writing --------------------------------------
 
 
-def load_repo(directory: str | Path) -> Registry:
-    """Load every schema version and the release history from a directory."""
+def read_repo(directory: str | Path) -> dict[Path, bytes]:
+    """The bytes of every file the loaders read, keyed in the order they take them.
+
+    `load_repo` reads `<kind>/<slug>/*.json` for each kind and
+    `releases.json`; `TransformSet.load` reads what `read_transforms` lists
+    under `transforms`.  No other file is read: a deployed repository may
+    be a git checkout.
+    """
     root = Path(directory)
+    return _read_schema_files(root) | read_transforms(root / "transforms")
+
+
+def _read_schema_files(root: Path) -> dict[Path, bytes]:
     if not root.is_dir():
         raise RegistryError(f"not a directory: {root}")
+    files: dict[Path, bytes] = {}
+    for kind in KINDS:
+        files |= _read_slug_dirs(root / kind, ".json", _file_version)
+    releases_file = root / "releases.json"
+    if releases_file.exists():
+        files[releases_file] = releases_file.read_bytes()
+    return files
+
+
+def read_transforms(directory: str | Path) -> dict[Path, bytes]:
+    """The bytes of each `<directory>/<slug>/*.jslt` file, as `read_repo` orders them."""
+    return _read_slug_dirs(Path(directory), ".jslt")
+
+
+def _read_slug_dirs(root: Path, suffix: str, key=None) -> dict[Path, bytes]:
+    """The bytes of each `<root>/<slug>/*<suffix>` file: slugs sorted, then each slug's files by `key`."""
+    if not root.is_dir():
+        return {}
+    # os.scandir lists in a third of the time Path.glob takes
+    with os.scandir(root) as entries:
+        slug_dirs = sorted(entry.path for entry in entries if entry.is_dir())
+    files: dict[Path, bytes] = {}
+    for slug_dir in slug_dirs:
+        with os.scandir(slug_dir) as entries:
+            slug_files = sorted((Path(entry.path) for entry in entries if entry.name.endswith(suffix)), key=key)
+        for file in slug_files:
+            files[file] = file.read_bytes()
+    return files
+
+
+def file_text(data: bytes) -> str:
+    """A file's text as `Path.read_text` gives it: UTF-8, with universal newlines."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_repo(directory: str | Path, files: dict[Path, bytes] | None = None) -> Registry:
+    """Load every schema version and the release history from a directory.
+
+    `files` is what `read_repo(directory)` returned, when the caller has
+    already read it; otherwise this reads it.
+    """
+    root = Path(directory)
+    if files is None:
+        files = _read_schema_files(root)
     registry = Registry()
     docs: list[tuple[Path, SchemaDoc]] = []
-    for kind in KINDS:
-        kind_dir = root / kind
-        if not kind_dir.is_dir():
+    for file, data in files.items():
+        parts = file.relative_to(root).parts
+        if len(parts) != 3 or parts[0] not in KINDS:
             continue
-        for slug_dir in sorted(p for p in kind_dir.iterdir() if p.is_dir()):
-            title = slug_to_title(slug_dir.name)
-            for file in sorted(slug_dir.glob("*.json"), key=_file_version):
-                if _file_version(file) < 0:
-                    raise RegistryError(f"{file}: file name must be <version>.json")
-                try:
-                    raw = jsonmodel.parse_json(file.read_text(encoding="utf-8"))
-                    doc = _parse_doc(raw, kind, where=str(file))
-                except RegistryError:
-                    raise
-                except Exception as exc:
-                    raise RegistryError(f"{file}: {exc}") from None
-                if doc.title != title:
-                    raise RegistryError(f"{file}: title {doc.title!r} does not match directory {slug_dir.name!r}")
-                if doc.linear_version != _file_version(file):
-                    raise RegistryError(f"{file}: id version {doc.linear_version} does not match file name")
-                docs.append((file, doc))
+        kind, slug, _ = parts
+        if _file_version(file) < 0:
+            raise RegistryError(f"{file}: file name must be <version>.json")
+        try:
+            raw = jsonmodel.parse_json(file_text(data))
+            doc = _parse_doc(raw, kind, where=str(file))
+        except RegistryError:
+            raise
+        except Exception as exc:
+            raise RegistryError(f"{file}: {exc}") from None
+        if doc.title != slug_to_title(slug):
+            raise RegistryError(f"{file}: title {doc.title!r} does not match directory {slug!r}")
+        if doc.linear_version != _file_version(file):
+            raise RegistryError(f"{file}: id version {doc.linear_version} does not match file name")
+        docs.append((file, doc))
     for file, doc in docs:
         try:
             registry._store(doc)
@@ -604,8 +657,8 @@ def load_repo(directory: str | Path) -> Registry:
         except RegistryError as exc:
             raise RegistryError(f"{file}: {exc}") from None
     releases_file = root / "releases.json"
-    if releases_file.exists():
-        registry.releases = _parse_releases(releases_file)
+    if releases_file in files:
+        registry.releases = _parse_releases(releases_file, files[releases_file])
         for tag in registry.releases:
             for title, version in tag.snapshot:
                 if title not in registry._schemas or version not in registry._schemas[title]:
@@ -621,8 +674,8 @@ def _file_version(path: Path) -> int:
     return int(stem) if stem.isascii() and stem.isdigit() else -1
 
 
-def _parse_releases(file: Path) -> list[ReleaseTag]:
-    raw = jsonmodel.parse_json(file.read_text(encoding="utf-8"))
+def _parse_releases(file: Path, data: bytes) -> list[ReleaseTag]:
+    raw = jsonmodel.parse_json(file_text(data))
     if not isinstance(raw, list):
         raise RegistryError(f"{file}: expected a list of release tags")
     releases: list[ReleaseTag] = []

@@ -14,8 +14,13 @@ Serves the schema repository read-only by default:
 
 Every route answers from one snapshot, the registry and transforms that
 `SchemaServer._load` built; no route reads the repository directory.
-/reload builds a new snapshot and swaps it in atomically, so concurrent
-requests see either the old or the new repository, never a mix.
+/reload reads the files the loaders read (`registry.read_repo`: each
+kind's `<slug>/*.json`, `releases.json`, `transforms/<slug>/*.jslt`) and
+compares their bytes with those the snapshot was built from.  Unchanged,
+it keeps the snapshot and its warm caches; changed, it builds a new
+snapshot from the bytes it compared and swaps it in atomically, so
+concurrent requests see either the old or the new repository, never a
+mix.
 
 `_Handler.parse_request` reads the request head in one pass (RFC 9112
 sections 3 and 5), without `email.parser`.
@@ -30,9 +35,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import jsonmodel
-from .errors import RegistryError, SemSchemaError, UnknownSchemaError
+from .errors import EvolutionError, RegistryError, SemSchemaError, UnknownSchemaError
 from .evolution import TransformSet
-from .registry import load_repo, slug_to_title
+from .registry import load_repo, read_repo, slug_to_title
 from .validator import parse_target, validate
 
 _SCHEMA_PATH_RE = re.compile(r"^/schemas/([a-z]+)/([A-Za-z0-9-]+)/([0-9]+|latest)$")
@@ -53,25 +58,34 @@ class ServerConfig(NamedTuple):
 
 
 class SchemaServer(ThreadingHTTPServer):
-    """Serves one repository from `transforms`, the snapshot `_load` built; `reload` swaps in a new one."""
+    """Serves one repository from `transforms`, the snapshot `_load` built from the bytes in `_files`.
+
+    `reload` swaps in a new snapshot when those bytes have changed.
+    """
 
     def __init__(self, cfg: ServerConfig, verbose: bool = False):
         self.cfg = cfg
         self.directory = Path(cfg.directory)
         self.verbose = verbose
         self._reloading = threading.Lock()
-        self.transforms = self._load()
+        self._files = read_repo(self.directory)
+        self.transforms = self._load(self._files)
         super().__init__((cfg.host, cfg.port), _Handler)
 
-    def _load(self) -> TransformSet:
-        return TransformSet.load(load_repo(self.directory), self.directory / "transforms")
+    def _load(self, files: dict[Path, bytes]) -> TransformSet:
+        return TransformSet.load(load_repo(self.directory, files), self.directory / "transforms", files)
 
     def reload(self) -> TransformSet:
         # one attribute store is the atomic swap; a handler reads it once per
         # request.  Reloads take turns, so one that starts later stores later.
+        # The snapshot is built from the bytes compared, so a file written
+        # during the load is a change the next reload finds.
         with self._reloading:
-            self.transforms = transforms = self._load()
-        return transforms
+            files = read_repo(self.directory)
+            if files != self._files:
+                self.transforms = self._load(files)
+                self._files = files
+            return self.transforms
 
 
 class Headers(dict):
@@ -202,9 +216,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self):
         length = self.headers.get("Content-Length")
-        # RFC 9110 8.6: 1*DIGIT, ASCII only; "²" is a digit to str.isdigit
-        if length is None or not (length.isascii() and length.isdigit()):
+        if length is None:
             error = "missing Content-Length"
+        # RFC 9110 8.6: 1*DIGIT, ASCII only; "²" is a digit to str.isdigit
+        elif not (length.isascii() and length.isdigit()):
+            error = "bad Content-Length"
         elif int(length) > MAX_BODY_BYTES:
             error = "body too large"
         else:
@@ -261,7 +277,7 @@ class _Handler(BaseHTTPRequestHandler):
             return 409, {"error": "server is read-only; restart with --writable to allow /reload"}
         try:
             transforms = self.server.reload()
-        except (RegistryError, OSError) as exc:
+        except (RegistryError, EvolutionError, OSError) as exc:
             return 400, {"error": f"reload failed: {exc}"}
         return 200, {"reloaded": True, "titles": len(transforms.registry.titles())}
 

@@ -807,4 +807,4 @@ class TestImportFootprint:
     def test_serve(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "serve", "--repo", str(repo_dir), "--port", "0")
         assert "semschema.server" in loaded
-        assert not loaded & {"semschema.dqt", "semschema.generator", "dataclasses", "inspect"}
+        assert not loaded & {"semschema.dqt", "semschema.generator", "dataclasses", "inspect", "hashlib"}

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semschema
+from semschema.evolution import TransformSet
 from semschema.generator import GenConfig, generate_valid
 from semschema.jsonmodel import MAX_DEPTH
 from semschema.registry import load_repo, make_id, write_version
@@ -191,12 +192,7 @@ class TestReload:
         httpd, scratch = writable_server
         status, _ = request_json(httpd, "GET", "/schemas/object/Vehicle/3")
         assert status == 404
-        registry = load_repo(scratch)
-        body = registry.get("Vehicle", 2).body()
-        del body["id"]
-        body["properties"]["color"] = {"type": "string"}
-        registry.register_version("Vehicle", body)
-        write_version(scratch, registry.get("Vehicle", 3))
+        add_vehicle_3(scratch)
 
         # not visible until the snapshot is swapped
         status, _ = request_json(httpd, "GET", "/schemas/object/Vehicle/3")
@@ -284,7 +280,7 @@ class TestReload:
         second = scratch / "transforms" / "View-Item" / "00-to-01.jslt"
         second.write_text("{}")
         status, body = request_json(httpd, "POST", "/reload", {})
-        assert (status, body) == (400, {"error": f"{second}: a second transform for 'View Item' 0 -> 1"})
+        assert (status, body) == (400, {"error": f"reload failed: {second}: a second transform for 'View Item' 0 -> 1"})
         assert httpd.transforms is before
 
     def test_too_deeply_nested_transform_is_400(self, writable_server):
@@ -298,8 +294,8 @@ class TestReload:
         loaded, release = threading.Event(), threading.Event()
         load = httpd._load
 
-        def held_first_load():
-            transforms = load()
+        def held_first_load(files):
+            transforms = load(files)
             if not loaded.is_set():
                 loaded.set()
                 release.wait(10)
@@ -311,16 +307,13 @@ class TestReload:
         def reload():
             statuses.append(request_json(httpd, "POST", "/reload", {})[0])
 
+        # a reload that finds the files unchanged loads nothing; give the first one a change
+        edit_description(scratch)
         first = threading.Thread(target=reload)
         first.start()
         assert loaded.wait(10)
         # the first reload has read the repository; now Vehicle 3 appears
-        registry = load_repo(scratch)
-        body = registry.get("Vehicle", 2).body()
-        del body["id"]
-        body["properties"]["color"] = {"type": "string"}
-        registry.register_version("Vehicle", body)
-        write_version(scratch, registry.get("Vehicle", 3))
+        add_vehicle_3(scratch)
         second = threading.Thread(target=reload)
         second.start()
         second.join(timeout=1)  # unordered, the second reload stores its snapshot here
@@ -332,6 +325,79 @@ class TestReload:
         assert 3 in httpd.transforms.registry.versions("Vehicle")
         status, _ = request_json(httpd, "POST", "/validate", {"event": {}, "target": "Vehicle@3"})
         assert status == 200
+
+    def test_unchanged_reload_keeps_the_snapshot_and_its_caches(self, writable_server, registry):
+        httpd, scratch = writable_server
+        before = httpd.transforms
+        check = {"event": generate_valid(registry, "View Item", 2, GenConfig(seed=4)), "target": "View Item@2"}
+        assert request_json(httpd, "POST", "/validate", check)[0] == 200
+        old = generate_valid(registry, "View Item", 0, GenConfig(seed=6))
+        assert request_json(httpd, "POST", "/transform", old)[0] == 200
+        checker = before.registry._checkers[make_id("event", "View Item", 2)]
+        chain = before.compose_chain("View Item", 0)
+        # files no loader reads change nothing
+        (scratch / ".git").mkdir()
+        (scratch / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        (scratch / "event" / "View-Item" / "notes.txt").write_text("draft")
+        for _ in range(2):
+            status, payload = request(httpd, "POST", "/reload", {})
+            assert (status, payload) == (200, b'{\n  "reloaded": true,\n  "titles": 14\n}\n')
+        assert httpd.transforms is before
+        assert before.registry._checkers[make_id("event", "View Item", 2)] is checker
+        assert before.compose_chain("View Item", 0) is chain
+
+    def test_removed_repository_is_400_and_the_old_snapshot_keeps_serving(self, writable_server, registry):
+        httpd, scratch = writable_server
+        before = httpd.transforms
+        shutil.rmtree(scratch)
+        status, body = request_json(httpd, "POST", "/reload", {})
+        assert (status, body) == (400, {"error": f"reload failed: not a directory: {scratch}"})
+        assert httpd.transforms is before
+        event = generate_valid(registry, "View Item", 2, GenConfig(seed=4))
+        assert request_json(httpd, "POST", "/validate", {"event": event}) == (200, {"valid": True, "mismatches": []})
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "reverted"])
+    def test_file_written_during_a_load_is_left_to_the_next_reload(self, writable_server, monkeypatch, kept):
+        httpd, scratch = writable_server
+        load = httpd._load
+        added = scratch / "object" / "Vehicle" / "3.json"
+
+        def write_then_load(files):
+            # lands after the reload read the bytes, before it builds the snapshot
+            if not added.exists():
+                add_vehicle_3(scratch)
+            return load(files)
+
+        monkeypatch.setattr(httpd, "_load", write_then_load)
+        edit_description(scratch)
+        assert request_json(httpd, "POST", "/reload", {})[0] == 200
+        assert added.exists()
+        assert request_json(httpd, "GET", "/schemas/object/Vehicle/3")[0] == 404
+        monkeypatch.undo()
+        if not kept:
+            added.unlink()
+        before = httpd.transforms
+        assert request_json(httpd, "POST", "/reload", {})[0] == 200
+        assert (httpd.transforms is before) is not kept
+        assert request_json(httpd, "GET", "/schemas/object/Vehicle/3")[0] == (200 if kept else 404)
+
+    def test_compared_files_are_the_files_the_loaders_open(self, writable_server, monkeypatch):
+        httpd, scratch = writable_server
+        opened = []
+        open_file = Path.open
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(path)
+            return open_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        httpd._load(httpd._files)
+        assert opened == []  # the server's loads parse the bytes it compared
+        TransformSet.load(load_repo(scratch), scratch / "transforms")
+        monkeypatch.undo()
+        assert len(opened) == len(set(opened)) == 62
+        assert set(opened) == set(httpd._files)
+        assert all(httpd._files[path] == path.read_bytes() for path in opened)
 
     def test_reload_during_requests_serves_the_old_or_the_new_repository(self, writable_server, registry, tmp_path):
         httpd, scratch = writable_server
@@ -391,6 +457,20 @@ class TestReload:
             assert sorted(verdicts, key=lambda a: a == new) == verdicts and verdicts[-10:] == [new] * 10
         reloads = answers["reload"]
         assert reloads and all(answer == (200, {"reloaded": True, "titles": 14}) for answer in reloads)
+
+
+def edit_description(repo: Path) -> None:
+    file = repo / "event" / "View-Item" / "2.json"
+    file.write_text(file.read_text().replace("looked at", "LOOKED AT"))
+
+
+def add_vehicle_3(repo: Path) -> None:
+    registry = load_repo(repo)
+    body = registry.get("Vehicle", 2).body()
+    del body["id"]
+    body["properties"]["color"] = {"type": "string"}
+    registry.register_version("Vehicle", body)
+    write_version(repo, registry.get("Vehicle", 3))
 
 
 def exchange(httpd, *requests):
@@ -478,6 +558,12 @@ class TestKeepAlive:
         bad = f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: \xb2\r\n\r\n".encode("latin-1")
         responses = exchange(server, bad + b'{"event": {}}', HEALTH)
         assert [s for s, _ in responses] == [status]
+
+    @pytest.mark.parametrize("length", ["1x", "\xb2"])
+    def test_malformed_length_is_400_and_closes_the_connection(self, server, length):
+        bad = f"POST /validate HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n".encode("latin-1")
+        responses = exchange(server, bad + b'{"event": {}}', HEALTH)
+        assert [(s, json.loads(p)) for s, p in responses] == [(400, {"error": "bad Content-Length"})]
 
     def test_stalled_body_times_out(self, server, monkeypatch):
         assert 0 < _Handler.timeout <= 60
