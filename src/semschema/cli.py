@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import jsonmodel
-from .errors import SemSchemaError
+from .errors import JsonParseError, SemSchemaError
 
 # Every other module is imported by the commands that use it, so that a
 # command loads only what it runs; registry and validator are called
@@ -194,7 +194,10 @@ def cmd_impact_test(args) -> int:
     registry = _load_repo(args.repo)
     from . import evolution, generator
 
-    proposal = jsonmodel.parse_json(Path(args.proposal).read_text(encoding="utf-8"))
+    try:
+        proposal = jsonmodel.parse_json(Path(args.proposal).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, JsonParseError) as exc:
+        raise SemSchemaError(f"{args.proposal}: {exc}") from None
     if not isinstance(proposal, dict) or not isinstance(proposal.get("title"), str):
         raise SemSchemaError("proposal file must be a schema document with a title")
     title = proposal["title"]
@@ -214,7 +217,11 @@ def cmd_impact_test(args) -> int:
 def cmd_jslt_run(args) -> int:
     from . import jslt
 
-    program = jslt.compile(Path(args.program).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.program).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SemSchemaError(f"{args.program}: {exc}") from None
+    program = jslt.compile(text)
     return _each_line(args.input, lambda value: _out(program.evaluate(value)))
 
 
@@ -222,7 +229,7 @@ def cmd_dqt_run(args) -> int:
     from . import dqt
 
     modules = dqt.load_modules(args.modules)
-    sampler = dqt.SamplerConfig(rate=args.rate, strategy=args.strategy, seed=args.seed)
+    sampler = dqt.Sampler(rate=args.rate, strategy=args.strategy, seed=args.seed)
     registry = _load_repo(args.repo) if args.repo else None
     with _open("-" if args.sink == "stdout" else args.sink, "w") as out, _open(args.events) as stream:
         summary = dqt.run_stream(

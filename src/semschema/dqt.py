@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import jslt, jsonmodel
-from .errors import JsltRuntimeError, SemSchemaError
+from .errors import JsltRuntimeError, JsonParseError, SemSchemaError
 from .jslt.functions import is_truthy
 
 if TYPE_CHECKING:
@@ -60,6 +60,8 @@ def parse_module(owner: str, raw: dict, where: str = "check module") -> CheckMod
         raise DqtError(f"{where}: a module is a non-empty object of named checks")
     checks = []
     for name, record in raw.items():
+        if name == "schema_compliance":
+            raise DqtError(f"{where}: check name 'schema_compliance' is reserved for schema validation counts")
         if not isinstance(record, dict):
             raise DqtError(f"{where}: check {name!r} must be an object")
         unknown = set(record) - {"description", "solutionUrl", "filter", "check"}
@@ -73,15 +75,8 @@ def parse_module(owner: str, raw: dict, where: str = "check module") -> CheckMod
             check_program = jslt.compile(record["check"])
         except Exception as exc:
             raise DqtError(f"{where}: check {name!r}: {exc}") from None
-        checks.append(
-            CheckDef(
-                name=name,
-                description=record.get("description", ""),
-                solution_url=record.get("solutionUrl", ""),
-                filter=filter_program,
-                check=check_program,
-            )
-        )
+        description, solution_url = record.get("description", ""), record.get("solutionUrl", "")
+        checks.append(CheckDef(name, description, solution_url, filter_program, check_program))
     return CheckModule(owner, tuple(checks))
 
 
@@ -90,9 +85,18 @@ def load_modules(directory: str | Path) -> list[CheckModule]:
     if not root.is_dir():
         raise DqtError(f"not a directory: {root}")
     modules = []
+    defined_in: dict[str, Path] = {}  # check name -> the file that defines it
     for file in sorted(root.glob("*.json")):
-        raw = jsonmodel.parse_json(file.read_text(encoding="utf-8"))
-        modules.append(parse_module(file.stem, raw, where=str(file)))
+        try:
+            raw = jsonmodel.parse_json(file.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, JsonParseError) as exc:
+            raise DqtError(f"{file}: {exc}") from None
+        module = parse_module(file.stem, raw, where=str(file))
+        for check in module.checks:
+            # counters are keyed by check name, so two teams' checks of one name would mix
+            if defined_in.setdefault(check.name, file) != file:
+                raise DqtError(f"{file}: check {check.name!r} is already defined in {defined_in[check.name]}")
+        modules.append(module)
     if not modules:
         raise DqtError(f"no check modules found in {root}")
     return modules
@@ -101,48 +105,26 @@ def load_modules(directory: str | Path) -> list[CheckModule]:
 # -- per-event evaluation ------------------------------------------------
 
 
-class CheckOutcome(NamedTuple):
-    applicable: bool
-    valid: bool | None  # None when not applicable or the check errored
-    error_stage: str | None = None  # "filter" | "check"
+def run_check(check: CheckDef, event) -> str | None:
+    """The outcome `event` counts under, or None when the filter leaves it out.
 
-
-# run_check returns one of these five; no record is built per check
-FILTER_ERROR = CheckOutcome(False, None, "filter")
-NOT_APPLICABLE = CheckOutcome(False, None)
-CHECK_ERROR = CheckOutcome(True, None, "check")
-VALID = CheckOutcome(True, True)
-INVALID = CheckOutcome(True, False)
-
-
-def run_check(check: CheckDef, event) -> CheckOutcome:
+    One of "valid", "invalid", "error" (the check raised) or
+    "filter_error" (the filter raised; the event is out of scope).
+    """
     try:
         gate = check.filter.evaluate(event)
     except JsltRuntimeError:
-        return FILTER_ERROR
+        return "filter_error"
     if not is_truthy(gate):
-        return NOT_APPLICABLE
+        return None
     try:
         result = check.check.evaluate(event)
     except JsltRuntimeError:
-        return CHECK_ERROR
-    return VALID if is_truthy(result) else INVALID
+        return "error"
+    return "valid" if is_truthy(result) else "invalid"
 
 
 # -- sampling ------------------------------------------------------------
-
-
-class SamplerConfig:
-    __slots__ = ("rate", "strategy", "seed")
-
-    def __init__(self, rate: float = 0.01, strategy: str = "hash", seed: int = 0):
-        if not 0 < rate <= 1:
-            raise DqtError(f"sampling rate must be in (0, 1], got {rate}")
-        if strategy not in ("hash", "random"):
-            raise DqtError(f"unknown sampling strategy {strategy!r}")
-        self.rate = rate
-        self.strategy = strategy  # "hash" | "random"
-        self.seed = seed
 
 
 def _hash_fraction(event) -> float:
@@ -157,37 +139,30 @@ def _hash_fraction(event) -> float:
 
 
 class Sampler:
-    def __init__(self, cfg: SamplerConfig):
-        self.cfg = cfg
-        self._rng = random.Random(cfg.seed)
+    """Keeps a `rate` share of events: by a hash of each event's id, or seeded random draws."""
+
+    def __init__(self, rate: float = 0.01, strategy: str = "hash", seed: int = 0):
+        if not 0 < rate <= 1:
+            raise DqtError(f"sampling rate must be in (0, 1], got {rate}")
+        if strategy not in ("hash", "random"):
+            raise DqtError(f"unknown sampling strategy {strategy!r}")
+        self.rate = rate
+        self.strategy = strategy
+        self.seed = seed
+        self._rng = random.Random(seed)
 
     def keep(self, event) -> bool:
-        if self.cfg.strategy == "hash":
-            return _hash_fraction(event) < self.cfg.rate
-        return self._rng.random() < self.cfg.rate
+        if self.strategy == "hash":
+            return _hash_fraction(event) < self.rate
+        return self._rng.random() < self.rate
 
 
 # -- metrics -------------------------------------------------------------
 
 
-class MetricKey(NamedTuple):
-    metric: str
-    tags: tuple[tuple[str, str], ...]
-
-    def to_json(self, count: int, window: str) -> dict:
-        return {"metric": self.metric, "tags": dict(self.tags), "count": count, "window": window}
-
-
-class InMemorySink:
-    def __init__(self):
-        self.lines: list[dict] = []
-
-    def emit(self, key: MetricKey, count: int, window: str) -> None:
-        self.lines.append(key.to_json(count, window))
-
-
-# the text jsonmodel.dumps(key.to_json(count, window)) gives, built from
-# the parts: tag values are str and the count an int, so nothing is walked
+# the text jsonmodel.dumps({"metric": metric, "tags": dict(tags), "count": count,
+# "window": window}) gives, built from the parts: tag values are str and the
+# count an int, so nothing is walked
 _METRIC_LINE = '{"metric":%s,"tags":{%s},"count":%d,"window":%s}\n'
 
 
@@ -197,10 +172,11 @@ class NdjsonSink:
     def __init__(self, stream):
         self.stream = stream
 
-    def emit(self, key: MetricKey, count: int, window: str) -> None:
+    def emit(self, key: tuple, count: int, window: str) -> None:
+        metric, tags = key
         encode = jsonmodel.encode_string
-        tags = ",".join([encode(name) + ":" + encode(value) for name, value in key.tags])
-        line = _METRIC_LINE % (encode(key.metric), tags, count, encode(window))
+        fields = ",".join([encode(name) + ":" + encode(value) for name, value in tags])
+        line = _METRIC_LINE % (encode(metric), fields, count, encode(window))
         self.stream.write(jsonmodel.escape_surrogates(line))
 
 
@@ -240,18 +216,22 @@ def event_tags(event) -> tuple[tuple[str, str], ...]:
 
 
 _OUTCOMES = ("valid", "invalid", "error")
+_PARSE_ERROR = ("parse_error", ())
 
 
 class StreamSummary:
-    """What run_stream saw; `counters` maps MetricKey -> int, in key order."""
+    """What run_stream saw; `counters` maps (metric, tags) -> int, in key order."""
 
-    def __init__(self, total: int = 0, sampled: int = 0, parse_errors: int = 0,
-                 elapsed_seconds: float = 0.0, counters: dict | None = None):
+    def __init__(self, total: int = 0, sampled: int = 0, elapsed_seconds: float = 0.0,
+                 counters: dict | None = None):
         self.total = total
         self.sampled = sampled
-        self.parse_errors = parse_errors
         self.elapsed_seconds = elapsed_seconds
         self.counters = {} if counters is None else counters
+
+    @property
+    def parse_errors(self) -> int:
+        return self.counters.get(_PARSE_ERROR, 0)
 
     @property
     def events_per_second(self) -> float:
@@ -268,18 +248,14 @@ class StreamSummary:
     def valid_percentages(self) -> dict[str, float]:
         """check name -> valid / (valid + invalid + error), across all tags."""
         tallies: dict[str, list[int]] = {}  # check name -> [valid, valid + invalid + error]
-        for key, count in self.counters.items():
-            name, _, outcome = key[0].rpartition(".")
+        for (metric, _), count in self.counters.items():
+            name, _, outcome = metric.rpartition(".")
             if name and outcome in _OUTCOMES:
                 tally = tallies.setdefault(name, [0, 0])
+                tally[0] += count if outcome == "valid" else 0
                 tally[1] += count
-                if outcome == "valid":
-                    tally[0] += count
-        return {
-            name: 100.0 * valid / applicable
-            for name, (valid, applicable) in sorted(tallies.items())
-            if applicable
-        }
+        return {name: 100.0 * valid / applicable
+                for name, (valid, applicable) in sorted(tallies.items()) if applicable}
 
     def to_json(self) -> dict:
         return {
@@ -295,57 +271,52 @@ class StreamSummary:
 def run_stream(
     modules: list[CheckModule],
     events,
-    sampler: SamplerConfig | Sampler | None = None,
+    sampler: Sampler | None = None,
     sink=None,
     registry: Registry | None = None,
     window: str | None = None,
 ) -> StreamSummary:
-    """Evaluate every check of every module over the sampled events.
+    """Count every check of every module over the events `sampler` (default `Sampler()`) keeps.
 
-    `events` yields parsed JSON values (or BadLine markers, as produced
-    by events_from_ndjson).  When a registry is given, each sampled
-    event is also validated against its self-declared schema under the
-    `schema_compliance` metric.
+    `events` yields parsed JSON values or BadLine markers, as
+    events_from_ndjson does; a BadLine counts under `parse_error`.
+    Counters are keyed by `(metric, tags)`: a check's outcome from
+    run_check counts under `<check>.<outcome>`, and under
+    `<check>.applicable` unless it is "filter_error".  With a registry,
+    each kept event is also validated against its declared schema under
+    `schema_compliance`.  The sink gets the counters in key order.
     """
-    if sampler is None:
-        sampler = Sampler(SamplerConfig())
-    elif isinstance(sampler, SamplerConfig):
-        sampler = Sampler(sampler)
-    keep = sampler.keep
+    keep = (sampler or Sampler()).keep
     if registry is not None:
         from . import validator  # a stream that validates nothing never loads it
-    # per check: applicable, valid, invalid, error and filter_error metric names
+    # per check: its applicable metric name, and run_check's outcome -> metric name
     checks = [
-        (check, tuple(f"{check.name}.{outcome}" for outcome in ("applicable", *_OUTCOMES, "filter_error")))
+        (check, f"{check.name}.applicable",
+         {outcome: f"{check.name}.{outcome}" for outcome in (*_OUTCOMES, "filter_error")})
         for module in modules
         for check in module.checks
     ]
-    # counter keys are plain (metric, tags) tuples, made MetricKeys once at the end
     counters: dict[tuple, int] = {}
     get = counters.get
-    parse_error = ("parse_error", ())
-    total = sampled = parse_errors = 0
+    total = sampled = 0
     started = time.perf_counter()
     for event in events:
         total += 1
         if isinstance(event, BadLine):
-            parse_errors += 1
-            counters[parse_error] = get(parse_error, 0) + 1
+            counters[_PARSE_ERROR] = get(_PARSE_ERROR, 0) + 1
             continue
         if not keep(event):
             continue
         sampled += 1
         tags = event_tags(event)
-        for check, (applicable, valid, invalid, error, filter_error) in checks:
+        for check, applicable, metric in checks:
             outcome = run_check(check, event)
-            if outcome.applicable:
+            if outcome is None:
+                continue
+            if outcome != "filter_error":
                 key = (applicable, tags)
                 counters[key] = get(key, 0) + 1
-                key = (error if outcome.error_stage else valid if outcome.valid else invalid, tags)
-            elif outcome.error_stage:
-                key = (filter_error, tags)
-            else:
-                continue
+            key = (metric[outcome], tags)
             counters[key] = get(key, 0) + 1
         if registry is not None:
             mismatches = validator.validate(registry, event)
@@ -354,10 +325,7 @@ def run_stream(
             key = ("schema_compliance.invalid" if mismatches else "schema_compliance.valid", tags)
             counters[key] = get(key, 0) + 1
     elapsed = time.perf_counter() - started
-    summary = StreamSummary(
-        total, sampled, parse_errors, elapsed,
-        {MetricKey._make(key): counters[key] for key in sorted(counters)},
-    )
+    summary = StreamSummary(total, sampled, elapsed, dict(sorted(counters.items())))
     if sink is not None:
         stamp = window or datetime.now(timezone.utc).isoformat()
         for key, count in summary.counters.items():

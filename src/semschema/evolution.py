@@ -17,6 +17,7 @@ from . import jslt
 from .errors import (
     ChainValidationError,
     EvolutionError,
+    JsonParseError,
     MissingTransformError,
     UnsatisfiableError,
 )
@@ -395,17 +396,24 @@ def load_samples(directory: str | Path) -> list[ConsumerSample]:
     samples = []
     root = Path(directory)
     for file in sorted(root.glob("*.json")):
-        raw = parse_json(file.read_text(encoding="utf-8"))
+        try:
+            raw = parse_json(file.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, JsonParseError) as exc:
+            raise EvolutionError(f"{file}: {exc}") from None
         if not isinstance(raw, dict) or not isinstance(raw.get("fragment"), dict):
             raise EvolutionError(f"{file}: expected an object with a fragment mapping")
         unknown = set(raw) - {"consumer", "schema", "polarity", "fragment"}
         if unknown:
             raise EvolutionError(f"{file}: unknown fields {sorted(unknown)}")
+        try:
+            fragment = tuple((JsonPath.parse(path), value) for path, value in raw["fragment"].items())
+        except ValueError as exc:  # a path that does not parse
+            raise EvolutionError(f"{file}: {exc}") from None
         samples.append(
             ConsumerSample(
                 consumer=raw.get("consumer", file.stem),
                 title=raw.get("schema", ""),
-                fragment=tuple((JsonPath.parse(path), value) for path, value in raw["fragment"].items()),
+                fragment=fragment,
                 polarity=raw.get("polarity", MUST_STAY_VALID),
             )
         )

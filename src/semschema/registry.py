@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import jsonmodel
-from .errors import PatternError, RegistryError, UnknownSchemaError
+from .errors import JsonParseError, PatternError, RegistryError, UnknownSchemaError
 from .pattern import compile_pattern
 
 HOST = "https://schema.example.com"
@@ -675,7 +675,10 @@ def _file_version(path: Path) -> int:
 
 
 def _parse_releases(file: Path, data: bytes) -> list[ReleaseTag]:
-    raw = jsonmodel.parse_json(file_text(data))
+    try:
+        raw = jsonmodel.parse_json(file_text(data))
+    except (UnicodeDecodeError, JsonParseError) as exc:
+        raise RegistryError(f"{file}: {exc}") from None
     if not isinstance(raw, list):
         raise RegistryError(f"{file}: expected a list of release tags")
     releases: list[ReleaseTag] = []

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from semschema import jslt
-from semschema.dqt import Sampler, SamplerConfig, load_modules, run_stream
+from semschema.dqt import Sampler, load_modules, run_stream
 from semschema.errors import GenerationError
 from semschema.evolution import (
     ADD,
@@ -101,7 +101,7 @@ def test_user_id_format_check_counts_exactly(checks_dir):
             "@id": f"legacy-{i}", "@type": "View",
             "actor": {"spt:userId": f"{10000 + i}"},
         })
-    summary = run_stream(insights, events, SamplerConfig(rate=1.0))
+    summary = run_stream(insights, events, Sampler(rate=1.0))
     counts = (
         summary.count("user_id_format.applicable"),
         summary.count("user_id_format.valid"),
@@ -209,12 +209,12 @@ def test_change_impact_blocks_exactly_the_hit_consumers(registry):
 
 def test_sampling_statistics_and_determinism():
     events = [{"@id": f"sdrn:mp:event:{i:06d}"} for i in range(100_000)]
-    sampler = Sampler(SamplerConfig(rate=0.01))
+    sampler = Sampler(rate=0.01)
     kept = [e["@id"] for e in events if sampler.keep(e)]
     # binomial n=100000 p=0.01: mean 1000, sigma 31.5; freeze the 3-sigma band
     in_band = 906 <= len(kept) <= 1094
 
-    rerun = [e["@id"] for e in events if Sampler(SamplerConfig(rate=0.01)).keep(e)]
+    rerun = [e["@id"] for e in events if Sampler(rate=0.01).keep(e)]
     identical = kept == rerun
     report(
         "sampling",
@@ -244,7 +244,7 @@ def test_corpus_shape_and_throughput(registry, checks_dir, capsys):
         for title in ("View Item", "Send Message", "Post Item", "Save Item")
         for seed in range(250)
     ]
-    summary = run_stream(modules, events, SamplerConfig(rate=1.0))
+    summary = run_stream(modules, events, Sampler(rate=1.0))
     rate = summary.events_per_second
     target = "clears" if rate >= 10_000 else "misses (informational only)"
     report(

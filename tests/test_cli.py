@@ -712,6 +712,64 @@ class TestDqtRun:
         )
         assert code == 2 and "rate" in err[0]["error"]
 
+    def test_check_name_in_two_modules_is_a_usage_error(self, capsys, tmp_path):
+        modules = tmp_path / "modules"
+        modules.mkdir()
+        (modules / "a.json").write_text(json.dumps({"c": {"filter": ".n", "check": ".n > 0"}}))
+        (modules / "b.json").write_text(json.dumps({"c": {"filter": ".n", "check": ".n < 0"}}))
+        sink = tmp_path / "metrics.ndjson"
+        # refused before --events (missing here) or --sink is opened
+        code, out, err = run(
+            capsys, "dqt", "run", "--modules", str(modules), "--rate", "1.0",
+            "--events", str(tmp_path / "missing.ndjson"), "--sink", str(sink),
+        )
+        assert (code, out) == (2, [])
+        assert err == [{"error": f"{modules / 'b.json'}: check 'c' is already defined in {modules / 'a.json'}"}]
+        assert not sink.exists()
+
+
+class TestUnreadableInputs:
+    """An input file that cannot be read (not UTF-8, not JSON, a bad path) is one usage error naming it."""
+
+    NOT_UTF8 = b'{"title": "Provider\xff"}'
+
+    def check(self, capsys, file, *argv):
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out, len(err)) == (2, [], 1)
+        assert err[0]["error"].startswith(f"{file}: ")
+
+    @pytest.mark.parametrize("data", [NOT_UTF8, b"{"], ids=["not-utf8", "not-json"])
+    def test_check_module(self, capsys, tmp_path, data):
+        (tmp_path / "team.json").write_bytes(data)
+        self.check(capsys, tmp_path / "team.json", "dqt", "run", "--modules", tmp_path, "--events", tmp_path / "none")
+
+    @pytest.mark.parametrize("data", [NOT_UTF8, b"{"], ids=["not-utf8", "not-json"])
+    def test_proposal(self, capsys, repo_dir, tmp_path, data):
+        proposal, samples = tmp_path / "proposal.json", tmp_path / "samples"
+        proposal.write_bytes(data)
+        samples.mkdir()
+        self.check(capsys, proposal, "impact-test", "--repo", repo_dir, "--proposal", proposal, "--samples", samples)
+
+    @pytest.mark.parametrize("data", [NOT_UTF8, b"{", b'{"schema": "Provider", "fragment": {"..x": 1}}'],
+                             ids=["not-utf8", "not-json", "bad-path"])
+    def test_sample(self, capsys, repo_dir, tmp_path, data):
+        proposal, samples = tmp_path / "proposal.json", tmp_path / "samples"
+        proposal.write_text(json.dumps({"title": "Provider", "properties": {}}))
+        samples.mkdir()
+        (samples / "feed.json").write_bytes(data)
+        self.check(capsys, samples / "feed.json",
+                   "impact-test", "--repo", repo_dir, "--proposal", proposal, "--samples", samples)
+
+    def test_jslt_program(self, capsys, tmp_path):
+        program = tmp_path / "p.jslt"
+        program.write_bytes(b'"\xff"')
+        self.check(capsys, program, "jslt", "run", program, "--input", tmp_path / "none")
+
+    @pytest.mark.parametrize("data", [NOT_UTF8, b"{"], ids=["not-utf8", "not-json"])
+    def test_releases(self, capsys, scratch_repo, data):
+        (scratch_repo / "releases.json").write_bytes(data)
+        self.check(capsys, scratch_repo / "releases.json", "schema", "load", scratch_repo)
+
 
 class TestMain:
     def test_unknown_command_is_argparse_error(self, capsys):

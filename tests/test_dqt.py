@@ -10,13 +10,9 @@ from semschema.dqt import (
     UNKNOWN_TAG,
     BadLine,
     CheckDef,
-    CheckOutcome,
     DqtError,
-    InMemorySink,
-    MetricKey,
     NdjsonSink,
     Sampler,
-    SamplerConfig,
     StreamSummary,
     event_tags,
     events_from_ndjson,
@@ -36,40 +32,41 @@ def module_of(**checks):
     return parse_module("inline", raw)
 
 
+def emitted(modules, events, **kwargs):
+    """The metric lines run_stream writes through an NdjsonSink, parsed."""
+    out = io.StringIO()
+    run_stream(modules, events, Sampler(rate=1.0), sink=NdjsonSink(out), **kwargs)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
 class TestRecords:
     def test_values_compare_and_hash(self):
-        key = MetricKey("m.valid", (("a", "1"),))
-        same = MetricKey("m.valid", (("a", "1"),))
-        assert key == same and hash(key) == hash(same) and len({key, same}) == 1
-        assert key != MetricKey("m.valid", ()) and key != MetricKey("m.invalid", key.tags)
         check = module_of(positive=(".n", ".n > 0")).checks[0]
         copy = CheckDef(check.name, check.description, check.solution_url, check.filter, check.check)
         assert copy == check and hash(copy) == hash(check)
         assert check != module_of(positive=(".n", ".n > 0")).checks[0]  # programs compare by identity
-        outcome = run_check(check, {"n": 3})
-        assert outcome == CheckOutcome(True, True) == CheckOutcome(True, True, None)
-        assert hash(outcome) == hash(CheckOutcome(True, True))
-        assert CheckOutcome(False, None, "filter") != CheckOutcome(False, None)
 
     def test_records_are_immutable(self):
-        key = MetricKey("m", ())
+        module = module_of(c=(".n", ".n"))
         with pytest.raises(AttributeError):
-            key.metric = "other"
+            module.owner = "other"
         with pytest.raises(AttributeError):
-            run_check(module_of(c=(".n", ".n")).checks[0], {}).valid = True
+            module.checks[0].name = "other"
 
     def test_run_check_shares_its_outcomes(self):
+        # outcomes are the names counters are kept under; no record is built per check
         check = module_of(positive=(".n", ".n > 0")).checks[0]
-        assert run_check(check, {"n": 3}) is run_check(check, {"n": 4})
-        assert run_check(check, {}) is run_check(check, {"m": 1})
+        assert run_check(check, {"n": 3}) is run_check(check, {"n": 4}) == "valid"
+        assert run_check(check, {}) is run_check(check, {"m": 1}) is None
 
     def test_summary_counters_are_sorted_metric_keys(self):
         events = [{"n": 1, "@type": "B"}, {"n": -1, "@type": "A"}, BadLine(3, "x")]
-        summary = run_stream([module_of(positive=(".n", ".n > 0"))], events, SamplerConfig(rate=1.0))
+        summary = run_stream([module_of(positive=(".n", ".n > 0"))], events, Sampler(rate=1.0))
         keys = list(summary.counters)
-        assert all(type(key) is MetricKey for key in keys)
-        assert keys == sorted(keys, key=lambda k: (k.metric, k.tags))
-        assert summary.count("positive.valid", keys[-1].tags) == 1
+        assert all(type(key) is tuple and len(key) == 2 for key in keys)
+        assert keys == sorted(keys) and keys[0] == ("parse_error", ())
+        metric, tags = keys[-1]
+        assert metric == "positive.valid" and summary.count(metric, tags) == 1
 
 
 class TestParseModule:
@@ -109,48 +106,63 @@ class TestParseModule:
         with pytest.raises(DqtError, match="no check modules"):
             load_modules(tmp_path)
 
+    def test_schema_compliance_name_refused(self):
+        # with a repository, its counters would merge with the schema validation counts
+        with pytest.raises(DqtError, match="^x.json: check name 'schema_compliance'"):
+            parse_module("x", {"schema_compliance": {"filter": ".", "check": "."}}, where="x.json")
+
+    def test_check_name_defined_by_two_modules_refused(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps({"c": {"filter": ".n", "check": ".n > 0"}}))
+        (tmp_path / "b.json").write_text(json.dumps({"c": {"filter": ".n", "check": ".n < 0"}}))
+        with pytest.raises(DqtError) as caught:
+            load_modules(tmp_path)
+        assert str(caught.value) == f"{tmp_path / 'b.json'}: check 'c' is already defined in {tmp_path / 'a.json'}"
+
+    @pytest.mark.parametrize("data", [b'{"c": {"filter": ".", "check": "\xff"}}', b"{"], ids=["not-utf8", "not-json"])
+    def test_unreadable_module_names_its_file(self, tmp_path, data):
+        file = tmp_path / "a.json"
+        file.write_bytes(data)
+        with pytest.raises(DqtError) as caught:
+            load_modules(tmp_path)
+        assert str(caught.value).startswith(f"{file}: ")
+
 
 class TestRunCheck:
     def test_pass_and_fail(self):
         check = module_of(positive=(".n != null", ".n > 0")).checks[0]
-        passed = run_check(check, {"n": 3})
-        assert (passed.applicable, passed.valid, passed.error_stage) == (True, True, None)
-        failed = run_check(check, {"n": -3})
-        assert (failed.applicable, failed.valid) == (True, False)
+        assert run_check(check, {"n": 3}) == "valid"
+        assert run_check(check, {"n": -3}) == "invalid"
 
     def test_falsy_filter_gates(self):
         check = module_of(positive=(".n", ".n > 0")).checks[0]
-        outcome = run_check(check, {"other": 1})
-        assert (outcome.applicable, outcome.valid, outcome.error_stage) == (False, None, None)
+        assert run_check(check, {"other": 1}) is None
 
     def test_zero_passes_the_gate(self):
         # 0 is truthy in the expression language; only null/false/""/[]/{} gate
         check = module_of(positive=(".n", ".n >= 0")).checks[0]
-        assert run_check(check, {"n": 0}).applicable is True
+        assert run_check(check, {"n": 0}) == "valid"
 
     def test_filter_error(self):
         check = module_of(broken=("1 / .zero", ".")).checks[0]
-        outcome = run_check(check, {"zero": 0})
-        assert (outcome.applicable, outcome.valid, outcome.error_stage) == (False, None, "filter")
+        assert run_check(check, {"zero": 0}) == "filter_error"
 
     def test_check_error(self):
         check = module_of(broken=(".n", "1 / (.n - 1)")).checks[0]
-        outcome = run_check(check, {"n": 1})
-        assert (outcome.applicable, outcome.valid, outcome.error_stage) == (True, None, "check")
+        assert run_check(check, {"n": 1}) == "error"
 
 
 class TestSampler:
     def test_rate_bounds(self):
         for rate in (0, -0.5, 1.01):
             with pytest.raises(DqtError, match="rate"):
-                SamplerConfig(rate=rate)
+                Sampler(rate=rate)
         with pytest.raises(DqtError, match="strategy"):
-            SamplerConfig(strategy="census")
+            Sampler(strategy="census")
 
     def test_rate_one_keeps_everything(self):
         events = [{"@id": f"e{i}"} for i in range(50)]
         for strategy in ("hash", "random"):
-            sampler = Sampler(SamplerConfig(rate=1.0, strategy=strategy))
+            sampler = Sampler(rate=1.0, strategy=strategy)
             assert all(sampler.keep(e) for e in events)
 
     def test_rate_one_keeps_the_highest_hash(self, monkeypatch):
@@ -162,35 +174,35 @@ class TestSampler:
                 return b"\xff" * 32
 
         monkeypatch.setattr(dqt.hashlib, "sha256", TopDigest)
-        assert Sampler(SamplerConfig(rate=1.0)).keep({"@id": "any"})
+        assert Sampler(rate=1.0).keep({"@id": "any"})
 
     def test_hash_is_deterministic_and_seed_free(self):
         events = [{"@id": f"event-{i}"} for i in range(400)]
-        first = [e["@id"] for e in events if Sampler(SamplerConfig(rate=0.3)).keep(e)]
+        first = [e["@id"] for e in events if Sampler(rate=0.3).keep(e)]
         second = [
             e["@id"]
             for e in events
-            if Sampler(SamplerConfig(rate=0.3, seed=99)).keep(e)
+            if Sampler(rate=0.3, seed=99).keep(e)
         ]
         assert first == second and 0 < len(first) < 400
 
     def test_hash_rates_nest(self):
         events = [{"@id": f"event-{i}"} for i in range(400)]
-        narrow = {e["@id"] for e in events if Sampler(SamplerConfig(rate=0.1)).keep(e)}
-        wide = {e["@id"] for e in events if Sampler(SamplerConfig(rate=0.5)).keep(e)}
+        narrow = {e["@id"] for e in events if Sampler(rate=0.1).keep(e)}
+        wide = {e["@id"] for e in events if Sampler(rate=0.5).keep(e)}
         assert narrow <= wide
 
     def test_hash_keys_on_the_id(self):
         a = {"@id": "shared", "payload": 1}
         b = {"@id": "shared", "payload": 2}
-        sampler = Sampler(SamplerConfig(rate=0.5))
+        sampler = Sampler(rate=0.5)
         assert sampler.keep(a) == sampler.keep(b)
 
     def test_random_strategy_respects_seed(self):
         events = [{"n": i} for i in range(200)]
 
         def kept(seed):
-            sampler = Sampler(SamplerConfig(rate=0.5, strategy="random", seed=seed))
+            sampler = Sampler(rate=0.5, strategy="random", seed=seed)
             return [i for i, e in enumerate(events) if sampler.keep(e)]
 
         assert kept(1) == kept(1)
@@ -228,7 +240,7 @@ class TestRunStream:
 
     def test_counts_partition(self):
         events = [{"n": 1}, {"n": 2}, {"n": -1}, {"skip": True}, BadLine(5, "bad")]
-        summary = run_stream([self.positive_module()], events, SamplerConfig(rate=1.0))
+        summary = run_stream([self.positive_module()], events, Sampler(rate=1.0))
         assert summary.total == 5
         assert summary.sampled == 4  # every parseable event; BadLine never reaches checks
         assert summary.parse_errors == 1
@@ -238,18 +250,18 @@ class TestRunStream:
         assert summary.count("positive.error") == 0
 
     def test_parse_error_metric_has_no_tags(self):
-        summary = run_stream([self.positive_module()], [BadLine(1, "x")], SamplerConfig(rate=1.0))
-        assert summary.counters == {MetricKey("parse_error", ()): 1}
+        summary = run_stream([self.positive_module()], [BadLine(1, "x")], Sampler(rate=1.0))
+        assert summary.counters == {("parse_error", ()): 1}
 
     def test_filter_error_is_not_applicable(self):
         module = module_of(broken=("1 / .zero", "."))
-        summary = run_stream([module], [{"zero": 0}], SamplerConfig(rate=1.0))
+        summary = run_stream([module], [{"zero": 0}], Sampler(rate=1.0))
         assert summary.count("broken.filter_error") == 1
         assert summary.count("broken.applicable") == 0
 
     def test_tags_attached_to_counters(self):
         events = [{"n": 1, "@type": "View", "tracker": {"type": "web"}}]
-        summary = run_stream([self.positive_module()], events, SamplerConfig(rate=1.0))
+        summary = run_stream([self.positive_module()], events, Sampler(rate=1.0))
         tags = (("eventType", "View"), ("trackerType", "web"), ("tenant", UNKNOWN_TAG))
         assert summary.count("positive.valid", tags) == 1
 
@@ -260,7 +272,7 @@ class TestRunStream:
             for title in ("View Item", "Send Message", "Post Item")
             for seed in range(15)
         ]
-        summary = run_stream(modules, events, SamplerConfig(rate=1.0), registry=registry)
+        summary = run_stream(modules, events, Sampler(rate=1.0), registry=registry)
         for name in ("user_id_format", "price_range", "published_parses", "schema_compliance"):
             applicable = summary.count(f"{name}.applicable")
             parts = sum(
@@ -270,53 +282,41 @@ class TestRunStream:
 
     def test_schema_compliance_only_with_registry(self, registry):
         events = [generate_valid(registry, "View Item", 2, GenConfig(seed=1))]
-        with_registry = run_stream([], iter(events), SamplerConfig(rate=1.0), registry=registry)
+        with_registry = run_stream([], iter(events), Sampler(rate=1.0), registry=registry)
         assert with_registry.count("schema_compliance.valid") == 1
-        without = run_stream([], iter(events), SamplerConfig(rate=1.0))
+        without = run_stream([], iter(events), Sampler(rate=1.0))
         assert without.count("schema_compliance.applicable") == 0
 
     def test_schema_compliance_flags_bad_events(self, registry):
         event = generate_valid(registry, "View Item", 2, GenConfig(seed=1))
         event["surprise"] = 1
-        summary = run_stream([], [event], SamplerConfig(rate=1.0), registry=registry)
+        summary = run_stream([], [event], Sampler(rate=1.0), registry=registry)
         assert summary.count("schema_compliance.invalid") == 1
 
     def test_sampling_thins_the_stream(self):
         events = [{"@id": f"event-{i}", "n": 1} for i in range(400)]
         summary = run_stream(
-            [self.positive_module()], events, SamplerConfig(rate=0.1)
+            [self.positive_module()], events, Sampler(rate=0.1)
         )
         assert summary.total == 400
         assert 0 < summary.sampled < 400
         assert summary.count("positive.applicable") == summary.sampled
 
     def test_sink_lines_sorted_and_windowed(self):
-        sink = InMemorySink()
         events = [{"n": 1, "@type": "B"}, {"n": 1, "@type": "A"}, {"bad": 1}]
-        run_stream(
-            [self.positive_module()], events, SamplerConfig(rate=1.0),
-            sink=sink, window="2026-03-01T00:00:00Z",
-        )
-        assert [line["metric"] for line in sink.lines] == sorted(
-            line["metric"] for line in sink.lines
-        )
-        assert all(line["window"] == "2026-03-01T00:00:00Z" for line in sink.lines)
-        valid_tags = [
-            line["tags"]["eventType"]
-            for line in sink.lines
-            if line["metric"] == "positive.valid"
-        ]
+        lines = emitted([self.positive_module()], events, window="2026-03-01T00:00:00Z")
+        assert [line["metric"] for line in lines] == sorted(line["metric"] for line in lines)
+        assert all(line["window"] == "2026-03-01T00:00:00Z" for line in lines)
+        valid_tags = [line["tags"]["eventType"] for line in lines if line["metric"] == "positive.valid"]
         assert valid_tags == ["A", "B"]
 
     def test_default_window_is_a_timestamp(self):
-        sink = InMemorySink()
-        run_stream([self.positive_module()], [{"n": 1}], SamplerConfig(rate=1.0), sink=sink)
-        assert "T" in sink.lines[0]["window"]
+        assert "T" in emitted([self.positive_module()], [{"n": 1}])[0]["window"]
 
     def test_ndjson_sink_output_parses(self):
         out = io.StringIO()
         run_stream(
-            [self.positive_module()], [{"n": 1}], SamplerConfig(rate=1.0),
+            [self.positive_module()], [{"n": 1}], Sampler(rate=1.0),
             sink=NdjsonSink(out), window="w",
         )
         lines = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -330,18 +330,19 @@ class TestRunStream:
     @settings(max_examples=150, deadline=None)
     @given(any_text, st.dictionaries(any_text, any_text, max_size=3), st.integers(0, 2**63), any_text)
     def test_ndjson_sink_line_equals_dumps(self, metric, tags, count, window):
-        for key in (MetricKey(metric, tuple(tags.items())), MetricKey("parse_error", ())):
+        for name, pairs in ((metric, tuple(tags.items())), ("parse_error", ())):
             out = io.StringIO()
-            NdjsonSink(out).emit(key, count, window)
-            assert out.getvalue() == jsonmodel.dumps(key.to_json(count, window)) + "\n"
+            NdjsonSink(out).emit((name, pairs), count, window)
+            line = {"metric": name, "tags": dict(pairs), "count": count, "window": window}
+            assert out.getvalue() == jsonmodel.dumps(line) + "\n"
 
 
 class TestSummary:
     def test_count_sums_across_tags(self):
         summary = StreamSummary(counters={
-            MetricKey("m.valid", (("a", "1"),)): 2,
-            MetricKey("m.valid", (("a", "2"),)): 3,
-            MetricKey("other", ()): 9,
+            ("m.valid", (("a", "1"),)): 2,
+            ("m.valid", (("a", "2"),)): 3,
+            ("other", ()): 9,
         })
         assert summary.count("m.valid") == 5
         assert summary.count("m.valid", (("a", "2"),)) == 3
@@ -349,24 +350,28 @@ class TestSummary:
 
     def test_valid_percentages(self):
         summary = StreamSummary(counters={
-            MetricKey("m.valid", ()): 3,
-            MetricKey("m.invalid", ()): 1,
-            MetricKey("m.applicable", ()): 4,
-            MetricKey("quiet.applicable", ()): 0,
+            ("m.valid", ()): 3,
+            ("m.invalid", ()): 1,
+            ("m.applicable", ()): 4,
+            ("quiet.applicable", ()): 0,
         })
         assert summary.valid_percentages() == {"m": 75.0}
 
     def test_valid_percentages_sum_tags_and_skip_other_metrics(self):
         summary = StreamSummary(counters={
-            MetricKey("m.valid", (("a", "1"),)): 3,
-            MetricKey("m.valid", (("a", "2"),)): 1,
-            MetricKey("m.invalid", (("a", "1"),)): 3,
-            MetricKey("m.error", ()): 1,
-            MetricKey("m.filter_error", ()): 5,
-            MetricKey("n.invalid", ()): 2,
-            MetricKey("parse_error", ()): 7,
+            ("m.valid", (("a", "1"),)): 3,
+            ("m.valid", (("a", "2"),)): 1,
+            ("m.invalid", (("a", "1"),)): 3,
+            ("m.error", ()): 1,
+            ("m.filter_error", ()): 5,
+            ("n.invalid", ()): 2,
+            ("parse_error", ()): 7,
         })
         assert summary.valid_percentages() == {"m": 50.0, "n": 0.0}
+
+    def test_parse_errors_read_the_parse_error_counter(self):
+        assert StreamSummary(counters={("parse_error", ()): 3, ("m.valid", ()): 1}).parse_errors == 3
+        assert StreamSummary().parse_errors == 0
 
     def test_events_per_second(self):
         summary = StreamSummary(total=100, elapsed_seconds=2.0)
@@ -388,3 +393,68 @@ class TestNdjsonInput:
         assert out[0] == {"a": 1}
         assert isinstance(out[1], BadLine) and out[1].lineno == 2
         assert out[-1] == {"b": 2}
+
+
+class TestCountsProperty:
+    """run_stream's counters against an oracle that calls run_check on each kept event."""
+
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["", "a", "abc", "x1"]))
+    events = st.one_of(
+        st.builds(BadLine, st.integers(1, 9), st.just("bad")),
+        scalars,  # not an object
+        st.lists(scalars, max_size=2),
+        st.fixed_dictionaries({}, optional={
+            "@id": st.sampled_from(["e1", "e2", "e3"]),
+            "@type": st.sampled_from(["View", "", 7]),
+            "n": scalars,  # a string or null where a number is expected, at times
+            "s": scalars,
+            "tracker": st.one_of(st.fixed_dictionaries({"type": st.sampled_from(["web", "ios"])}), scalars),
+            "provider": st.fixed_dictionaries({}, optional={"@id": st.sampled_from(["t1", "t2"])}),
+        }),
+    )
+    # runtime errors included: `.n > 0` on a string, `1 / .n` on 0, `size(.s)` on a number
+    filters = st.sampled_from([".n", ".s", "true", ".n != null", "1 / .n", ".missing", "size(.s) > 1"])
+    checks = st.sampled_from([".n > 0", ".s", 'test(.s, "^a")', "1 / .n", "size(.s) > 1", "number(.s) > 0"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.tuples(filters, checks), min_size=1, max_size=3), min_size=1, max_size=3),
+        st.lists(events, max_size=25),
+        st.sampled_from([1.0, 0.5, 0.2]),
+        st.sampled_from(["hash", "random"]),
+        st.integers(0, 3),
+    )
+    def test_counters_equal_the_oracle(self, drawn_modules, events, rate, strategy, seed):
+        names = iter(range(100))
+        modules = [
+            parse_module(f"team{i}", {f"c{next(names)}": {"filter": f, "check": c} for f, c in pairs})
+            for i, pairs in enumerate(drawn_modules)
+        ]
+        summary = run_stream(modules, events, Sampler(rate, strategy, seed))
+
+        expected: dict[tuple, int] = {}
+
+        def bump(metric, tags):
+            expected[metric, tags] = expected.get((metric, tags), 0) + 1
+
+        oracle = Sampler(rate, strategy, seed)  # a Sampler carries its RNG state, so a fresh one
+        for event in events:
+            if isinstance(event, BadLine):
+                bump("parse_error", ())
+            elif oracle.keep(event):
+                for check in (check for module in modules for check in module.checks):
+                    outcome = run_check(check, event)
+                    if outcome in ("valid", "invalid", "error"):
+                        bump(f"{check.name}.applicable", event_tags(event))
+                    if outcome is not None:
+                        bump(f"{check.name}.{outcome}", event_tags(event))
+        assert summary.counters == expected
+        assert list(summary.counters) == sorted(expected)
+
+        for (metric, tags), count in summary.counters.items():
+            name, _, outcome = metric.rpartition(".")
+            if outcome == "applicable":
+                parts = (summary.count(f"{name}.{part}", tags) for part in ("valid", "invalid", "error"))
+                assert count == sum(parts), (metric, tags)
+            elif outcome in ("valid", "invalid", "error"):
+                assert summary.count(f"{name}.applicable", tags) > 0

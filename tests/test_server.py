@@ -282,6 +282,13 @@ class TestReload:
         status, body = request_json(httpd, "POST", "/reload", {})
         assert (status, body) == (400, {"error": f"reload failed: {second}: a second transform for 'View Item' 0 -> 1"})
         assert httpd.transforms is before
+        second.unlink()
+        releases = scratch / "releases.json"
+        for data in (b"\xff", b"["):  # not UTF-8, not JSON
+            releases.write_bytes(data)
+            status, body = request_json(httpd, "POST", "/reload", {})
+            assert status == 400 and body["error"].startswith(f"reload failed: {releases}: ")
+            assert httpd.transforms is before
 
     def test_too_deeply_nested_transform_is_400(self, writable_server):
         httpd, scratch = writable_server
