@@ -124,11 +124,17 @@ def cmd_schema_show(args) -> int:
 
 def cmd_schema_tombstone(args) -> int:
     registry = _load_repo(args.repo)
-    from .registry import write_version
+    from .registry import title_to_slug, write_version
 
     version = registry.tombstone(args.title)
     path = write_version(args.repo, registry.get(args.title, version))
-    _out({"title": args.title, "version": version, "file": str(path)})
+    # Retiring drops every property, a breaking step: ship its transform so the
+    # repository still loads, keeping one already written for the step.
+    transform = Path(args.repo) / "transforms" / title_to_slug(args.title) / f"{version - 1}-to-{version}.jslt"
+    transform.parent.mkdir(parents=True, exist_ok=True)
+    if not transform.exists():
+        transform.write_text("{}\n", encoding="utf-8")
+    _out({"title": args.title, "version": version, "file": str(path), "transform": str(transform)})
     return 0
 
 
@@ -199,7 +205,7 @@ def cmd_impact_test(args) -> int:
     except (UnicodeDecodeError, JsonParseError) as exc:
         raise SemSchemaError(f"{args.proposal}: {exc}") from None
     if not isinstance(proposal, dict) or not isinstance(proposal.get("title"), str):
-        raise SemSchemaError("proposal file must be a schema document with a title")
+        raise SemSchemaError(f"{args.proposal}: proposal file must be a schema document with a title")
     title = proposal["title"]
     kind = registry.kind_of(title) if title in registry.titles() else "event"
     samples = [s for s in evolution.load_samples(args.samples) if s.title == title]
@@ -218,10 +224,9 @@ def cmd_jslt_run(args) -> int:
     from . import jslt
 
     try:
-        text = Path(args.program).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        program = jslt.compile(Path(args.program).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, SemSchemaError) as exc:
         raise SemSchemaError(f"{args.program}: {exc}") from None
-    program = jslt.compile(text)
     return _each_line(args.input, lambda value: _out(program.evaluate(value)))
 
 

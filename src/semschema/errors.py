@@ -71,7 +71,7 @@ class EvolutionError(SemSchemaError):
 
 
 class MissingTransformError(EvolutionError):
-    pass
+    """A breaking step has no transform program; raised when a TransformSet is built."""
 
 
 class ChainValidationError(EvolutionError):

@@ -157,21 +157,25 @@ _STEP_FILE_RE = re.compile(r"([0-9]+)-to-([0-9]+)\.jslt")
 
 
 class TransformSet:
-    """The forward transforms for one registry, fixed at construction.
+    """The forward transforms for one registry, every chain settled at construction.
 
     `programs` maps (title, from_version) to the program of the step
     from_version -> from_version + 1; a step it leaves out is the identity,
-    unless it is breaking.
+    unless it is breaking, which is a MissingTransformError here.  The set
+    is not changed after, so any number of threads may share it; it must
+    not be used once its registry changes, whose new versions its chains
+    do not show.
     """
 
     def __init__(self, registry: Registry, programs: dict[tuple[str, int], jslt.Program] | None = None):
         self.registry = registry
         self._programs = dict(programs or {})
-        self._identity = jslt.compile(".")  # the program of every non-breaking step left out
-        # built on first use for one registry generation; emptied when it changes
-        self._generation = registry.generation
+        identity = jslt.compile(".")  # the program of every non-breaking step left out
         self._chains: dict[tuple[str, int], tuple[ChainStep, ...]] = {}
-        self._breaking: dict[tuple[str, int], bool] = {}  # (title, v) -> is step v -> v+1 breaking
+        for title in registry.titles():
+            steps = tuple(self._chain_step(title, v, identity) for v in range(registry.latest_version(title)))
+            for v in range(len(steps) + 1):
+                self._chains[(title, v)] = steps[v:]
 
     @classmethod
     def load(cls, registry: Registry, directory: str | Path, files: dict[Path, bytes] | None = None) -> "TransformSet":
@@ -211,32 +215,20 @@ class TransformSet:
     def compose_chain(self, title: str, from_version: int) -> tuple[ChainStep, ...]:
         """The steps carrying events at from_version to the latest version.
 
-        Breaking steps must have a transform program; other steps fall
-        back to the identity program.  Each chain is built once per
-        registry state; the tuple is shared by every caller.
+        The tuple is shared by every caller and must not be mutated.
         """
-        if self._generation != self.registry.generation:
-            self._generation = self.registry.generation
-            self._chains.clear()
-            self._breaking.clear()
         chain = self._chains.get((title, from_version))
         if chain is None:
-            latest = self.registry.latest_version(title)
-            if from_version not in self.registry.versions(title):
-                raise EvolutionError(f"{title!r} has no version {from_version}")
-            chain = tuple(self._chain_step(title, v) for v in range(from_version, latest))
-            self._chains[(title, from_version)] = chain
+            self.registry.versions(title)  # UnknownSchemaError for an unknown title
+            raise EvolutionError(f"{title!r} has no version {from_version}")
         return chain
 
-    def _chain_step(self, title: str, v: int) -> ChainStep:
+    def _chain_step(self, title: str, v: int, identity: jslt.Program) -> ChainStep:
         program = self._programs.get((title, v))
         if program is None:
-            breaking = self._breaking.get((title, v))
-            if breaking is None:
-                breaking = self._breaking[(title, v)] = is_breaking(diff(self.registry, title, v, v + 1))
-            if breaking:
+            if is_breaking(diff(self.registry, title, v, v + 1)):
                 raise MissingTransformError(f"{title!r} {v} -> {v + 1} is a breaking step with no registered transform")
-            program = self._identity
+            program = identity
         target = self.registry.resolve(title, v + 1)
         schema_id = target.doc.id if "schema" in target.properties else None
         return ChainStep(v, v + 1, program, schema_id, ValidationTarget.explicit(title, v + 1))
@@ -407,14 +399,14 @@ def load_samples(directory: str | Path) -> list[ConsumerSample]:
             raise EvolutionError(f"{file}: unknown fields {sorted(unknown)}")
         try:
             fragment = tuple((JsonPath.parse(path), value) for path, value in raw["fragment"].items())
-        except ValueError as exc:  # a path that does not parse
-            raise EvolutionError(f"{file}: {exc}") from None
-        samples.append(
-            ConsumerSample(
-                consumer=raw.get("consumer", file.stem),
-                title=raw.get("schema", ""),
-                fragment=fragment,
-                polarity=raw.get("polarity", MUST_STAY_VALID),
+            samples.append(
+                ConsumerSample(
+                    consumer=raw.get("consumer", file.stem),
+                    title=raw.get("schema", ""),
+                    fragment=fragment,
+                    polarity=raw.get("polarity", MUST_STAY_VALID),
+                )
             )
-        )
+        except (ValueError, EvolutionError) as exc:  # a path that does not parse, an unknown polarity
+            raise EvolutionError(f"{file}: {exc}") from None
     return samples

@@ -312,12 +312,11 @@ class Registry:
     def __init__(self):
         self._schemas: dict[str, dict[int, SchemaDoc]] = {}
         self._kinds: dict[str, str] = {}
-        # (title, version or None for latest) -> flattened form; emptied on every change
+        # (title, version or None for latest) -> flattened form; emptied on every
+        # registration, tombstone or rolled-back registration
         self._resolved: dict[tuple[str, int | None], ResolvedSchema] = {}
         # schema id -> compiled checker (see validator); emptied with _resolved
         self._checkers: dict[str, object] = {}
-        # bumped on every change; caches kept outside the registry compare it
-        self.generation = 0
         self.releases: list[ReleaseTag] = []
 
     def clone(self) -> "Registry":
@@ -532,7 +531,6 @@ class Registry:
     def _changed(self) -> None:
         self._resolved.clear()
         self._checkers.clear()
-        self.generation += 1
 
 
 def _iter_refs(doc: SchemaDoc):

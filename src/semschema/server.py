@@ -20,7 +20,9 @@ compares their bytes with those the snapshot was built from.  Unchanged,
 it keeps the snapshot and its warm caches; changed, it builds a new
 snapshot from the bytes it compared and swaps it in atomically, so
 concurrent requests see either the old or the new repository, never a
-mix.
+mix.  Building a snapshot settles every transform chain, so a file that
+does not load and a breaking step with no transform are both refused
+with 400 `reload failed: ...`, and the old snapshot keeps serving.
 
 `_Handler.parse_request` reads the request head in one pass (RFC 9112
 sections 3 and 5), without `email.parser`.
@@ -286,12 +288,8 @@ def _encode(value) -> bytes:
     return (jsonmodel.dumps(value, indent=2) + "\n").encode("utf-8")
 
 
-def make_server(cfg: ServerConfig, verbose: bool = False) -> SchemaServer:
-    return SchemaServer(cfg, verbose)
-
-
 def serve(cfg: ServerConfig, verbose: bool = True) -> None:
-    httpd = make_server(cfg, verbose=verbose)
+    httpd = SchemaServer(cfg, verbose)
     host, port = httpd.server_address[:2]
     print(f"serving schemas from {cfg.directory} on http://{host}:{port}")
     try:

@@ -95,6 +95,17 @@ class TestSchemaCommands:
         code, out, _ = run(capsys, "schema", "tag", "--repo", str(scratch_repo))
         assert code == 0 and out[0]["release"] == "1.3.1"
 
+    def test_tombstone_ships_its_transform(self, capsys, scratch_repo, tmp_path):
+        code, out, _ = run(capsys, "schema", "tombstone", "Vehicle", "--repo", str(scratch_repo))
+        step = scratch_repo / "transforms" / "Vehicle" / "2-to-3.jslt"
+        assert code == 0 and out[0]["transform"] == str(step)
+        assert step.read_text() == "{}\n"
+
+        events = tmp_path / "empty.ndjson"
+        events.write_text("")
+        code, out, err = run(capsys, "transform", str(events), "--repo", str(scratch_repo))
+        assert (code, out, err) == (0, [], [])
+
 
 class TestValidate:
     def test_self_declared_clean(self, capsys, repo_dir, registry, tmp_path):
@@ -258,6 +269,21 @@ class TestTransform:
         assert (code, out) == (2, [])
         assert err == [{"error": f"{second}: a second transform for 'View Item' 0 -> 1"}]
 
+    MISSING = "'Base Event' 1 -> 2 is a breaking step with no registered transform"
+
+    def test_breaking_step_without_transform_is_a_usage_error(self, capsys, scratch_repo, tmp_path):
+        (scratch_repo / "transforms" / "Base-Event" / "1-to-2.jslt").unlink()
+        events = tmp_path / "empty.ndjson"
+        events.write_text("")
+        code, out, err = run(capsys, "transform", str(events), "--repo", str(scratch_repo))
+        assert (code, out, err) == (2, [], [{"error": self.MISSING}])
+
+    def test_serve_refuses_a_breaking_step_without_transform(self, scratch_repo):
+        (scratch_repo / "transforms" / "Base-Event" / "1-to-2.jslt").unlink()
+        done = fresh_cli(["serve", "--repo", scratch_repo, "--port", "0"], timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert json.loads(done.stderr) == {"error": self.MISSING}
+
     def test_undeclared_event_fails_that_line(self, capsys, repo_dir, tmp_path):
         path = tmp_path / "events.ndjson"
         path.write_text('{"x": 1}\n')
@@ -349,7 +375,7 @@ class TestJsltRun:
         data.write_text('{"n": 1}\n')
         code, out, err = run(capsys, "jslt", "run", str(program), "--input", str(data))
         assert (code, out) == (2, [])
-        assert err == [{"error": "unexpected character '²' at 1:6"}]
+        assert err == [{"error": f"{program}: unexpected character '²' at 1:6"}]
 
     def test_long_minus_chain_is_a_usage_error(self, tmp_path):
         # in a fresh interpreter: a RecursionError escaping into pytest stalls it
@@ -359,7 +385,7 @@ class TestJsltRun:
         data.write_text('{"n": 1}\n')
         done = fresh_cli(["jslt", "run", program, "--input", data])
         assert (done.returncode, done.stdout) == (2, "")
-        assert json.loads(done.stderr) == {"error": "expression nesting exceeds 500 at 1:501"}
+        assert json.loads(done.stderr) == {"error": f"{program}: expression nesting exceeds 500 at 1:501"}
 
     def test_runtime_error_marks_the_line(self, capsys, tmp_path):
         program = tmp_path / "div.jslt"
@@ -765,6 +791,25 @@ class TestUnreadableInputs:
         program.write_bytes(b'"\xff"')
         self.check(capsys, program, "jslt", "run", program, "--input", tmp_path / "none")
 
+    @pytest.mark.parametrize("bad, error", [
+        ("program", "unexpected 'end of input' at 1:5"),
+        ("proposal", "proposal file must be a schema document with a title"),
+        ("sample", "unknown sample polarity 'sideways'"),
+    ])
+    def test_refused_file_is_named(self, capsys, repo_dir, tmp_path, bad, error):
+        program, proposal, samples = tmp_path / "p.jslt", tmp_path / "proposal.json", tmp_path / "samples"
+        samples.mkdir()
+        if bad == "program":
+            program.write_text(".n +")
+            file, argv = program, ["jslt", "run", program, "--input", tmp_path / "none"]
+        else:
+            proposal.write_text(json.dumps({"properties": {}} if bad == "proposal" else {"title": "Provider", "properties": {}}))
+            (samples / "feed.json").write_text(json.dumps({"schema": "Provider", "polarity": "sideways", "fragment": {}}))
+            file = proposal if bad == "proposal" else samples / "feed.json"
+            argv = ["impact-test", "--repo", repo_dir, "--proposal", proposal, "--samples", samples]
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out, err) == (2, [], [{"error": f"{file}: {error}"}])
+
     @pytest.mark.parametrize("data", [NOT_UTF8, b"{"], ids=["not-utf8", "not-json"])
     def test_releases(self, capsys, scratch_repo, data):
         (scratch_repo / "releases.json").write_bytes(data)
@@ -825,7 +870,7 @@ class TestImportFootprint:
         "from semschema import cli\n"
         "if sys.argv[2] == 'serve':  # serve blocks: build its server, then close it\n"
         "    from semschema import server\n"
-        "    server.serve = lambda cfg: server.make_server(cfg).server_close()\n"
+        "    server.serve = lambda cfg: server.SchemaServer(cfg).server_close()\n"
         "cli.main(sys.argv[2:])\n"
         "open(sys.argv[1], 'w').write('\\n'.join(sys.modules))\n"
     )

@@ -3,6 +3,9 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_checker_oracle import bodies, registries
 
 from semschema import evolution, jslt
 from semschema.errors import (
@@ -10,6 +13,7 @@ from semschema.errors import (
     EvolutionError,
     MissingTransformError,
     RegistryError,
+    UnknownSchemaError,
 )
 from semschema.evolution import (
     ADD,
@@ -149,13 +153,16 @@ class TestChains:
         assert transforms.compose_chain("View Item", 2) == ()
 
     def test_unknown_from_version_refused(self, registry, transforms):
-        with pytest.raises(EvolutionError):
+        with pytest.raises(EvolutionError, match="'View Item' has no version 9"):
             transforms.compose_chain("View Item", 9)
+        with pytest.raises(UnknownSchemaError, match="unknown schema title 'No Such'"):
+            transforms.compose_chain("No Such", 0)
 
-    def test_breaking_step_without_transform_refused(self, registry):
-        empty = TransformSet(registry)
-        with pytest.raises(MissingTransformError):
-            empty.compose_chain("Provider", 0)
+    def test_breaking_step_without_transform_refused(self, registry, transforms):
+        programs = {step: p for step, p in transforms._programs.items() if step != ("Provider", 0)}
+        with pytest.raises(MissingTransformError) as exc_info:
+            TransformSet(registry, programs)
+        assert str(exc_info.value) == "'Provider' 0 -> 1 is a breaking step with no registered transform"
 
     def test_apply_chain_lands_on_latest(self, registry, transforms):
         event = generate_valid(registry, "View Item", 0, GenConfig(seed=9))
@@ -170,8 +177,9 @@ class TestChains:
         assert out == {"make": "a", "modelName": "b"}
         assert "schema" not in out
 
-    def test_bad_step_raises_with_index(self, registry):
-        broken = TransformSet(registry, {("View Item", 0): jslt.compile('{"bogus_field": 1, * : .}')})
+    def test_bad_step_raises_with_index(self, registry, transforms):
+        bogus = jslt.compile('{"bogus_field": 1, * : .}')
+        broken = TransformSet(registry, {**transforms._programs, ("View Item", 0): bogus})
         event = generate_valid(registry, "View Item", 0, GenConfig(seed=3))
         with pytest.raises(ChainValidationError) as exc_info:
             broken.apply_chain(event, "View Item", 0)
@@ -215,9 +223,9 @@ class TestChains:
             TransformSet.load(registry, tmp_path)
 
     def test_load_missing_directory_is_empty(self, registry, tmp_path):
-        out = TransformSet.load(registry, tmp_path / "nope")
-        with pytest.raises(MissingTransformError):
-            out.compose_chain("Provider", 0)
+        # no programs at all: the first breaking step refuses the set
+        with pytest.raises(MissingTransformError, match="is a breaking step with no registered transform"):
+            TransformSet.load(registry, tmp_path / "nope")
 
 
 class TestChainCache:
@@ -242,6 +250,10 @@ class TestChainCache:
 
     def test_diff_runs_once_per_unregistered_step(self, registry, repo_dir, diff_calls):
         transforms = self.fresh(registry, repo_dir)
+        steps = sum(len(registry.versions(title)) - 1 for title in registry.titles())
+        assert len(diff_calls) == len(set(diff_calls)) == steps - len(transforms._programs)
+        # every chain was settled in the constructor; using them runs no diff
+        diff_calls.clear()
         for _ in range(2):
             for title in registry.titles():
                 for version in registry.versions(title):
@@ -249,31 +261,35 @@ class TestChainCache:
         for seed in range(3):
             event = generate_valid(registry, "View Item", 0, GenConfig(seed=seed))
             transforms.upgrade(event)
-        steps = sum(len(registry.versions(title)) - 1 for title in registry.titles())
-        assert len(diff_calls) == len(set(diff_calls)) == steps - len(transforms._programs)
+        assert transforms.verify("View Item", seeds=2) == 4
+        assert diff_calls == []
 
-    def test_missing_transform_fails_alike_every_time(self, registry, diff_calls):
-        empty = TransformSet(registry)
+    def test_missing_transform_fails_alike_every_time(self, registry, transforms, diff_calls):
+        programs = {step: p for step, p in transforms._programs.items() if step != ("Provider", 0)}
         messages = []
         for _ in range(3):
+            diff_calls.clear()
             with pytest.raises(MissingTransformError) as exc_info:
-                empty.compose_chain("Provider", 0)
+                TransformSet(registry, programs)
             messages.append(str(exc_info.value))
+            assert diff_calls[-1] == ("Provider", 0, 1) and len(diff_calls) == len(set(diff_calls))
         assert len(set(messages)) == 1 and "breaking step" in messages[0]
-        assert diff_calls == [("Provider", 0, 1)]
 
     def test_registry_and_step_changes_are_seen(self, registry, repo_dir):
         scratch = registry.clone()
         transforms = self.fresh(scratch, repo_dir)
+        programs = transforms._programs
         assert len(transforms.compose_chain("View Item", 0)) == 2
         body = {k: v for k, v in scratch.get("View Item").body().items() if k != "id"}
         body["properties"] = {**body["properties"], "note": {"type": "string"}}
         scratch.register_version("View Item", body)
-        assert [s.to_version for s in transforms.compose_chain("View Item", 0)] == [1, 2, 3]
+        # a set shows the registry as it was when built; a new set sees the change
+        assert len(transforms.compose_chain("View Item", 0)) == 2
+        assert [s.to_version for s in TransformSet(scratch, programs).compose_chain("View Item", 0)] == [1, 2, 3]
         scratch.tombstone("View Item")
         with pytest.raises(MissingTransformError, match="3 -> 4"):
-            transforms.compose_chain("View Item", 0)
-        transforms = TransformSet(scratch, {**transforms._programs, ("View Item", 3): jslt.compile("{}")})
+            TransformSet(scratch, programs)
+        transforms = TransformSet(scratch, {**programs, ("View Item", 3): jslt.compile("{}")})
         chain = transforms.compose_chain("View Item", 0)
         assert [s.to_version for s in chain] == [1, 2, 3, 4]
         event = generate_valid(scratch, "View Item", 0, GenConfig(seed=5))
@@ -317,16 +333,53 @@ class TestChainCache:
 
     def test_rolled_back_registration_keeps_the_chain_right(self, registry, repo_dir):
         scratch = registry.clone()
-        transforms = self.fresh(scratch, repo_dir)
-        before = transforms.compose_chain("View Item", 0)
+        before = self.fresh(scratch, repo_dir).compose_chain("View Item", 0)
         with pytest.raises(RegistryError, match="required"):
             scratch.register_version("View Item", {"properties": {}, "required": ["ghost"]})
+        transforms = self.fresh(scratch, repo_dir)
         after = transforms.compose_chain("View Item", 0)
         assert [(s.from_version, s.to_version, s.schema_id) for s in after] == [
             (s.from_version, s.to_version, s.schema_id) for s in before
         ]
         event = generate_valid(scratch, "View Item", 0, GenConfig(seed=2))
         assert transforms.apply_chain(event, "View Item", 0)["schema"] == make_id("event", "View Item", 2)
+
+
+@st.composite
+def evolving_registries(draw):
+    """A registry from `registries()`, each title given up to two more versions."""
+    registry = draw(registries())
+    objects = [title for title in registry.titles() if registry.kind_of(title) == "object"]
+    for title in registry.titles():
+        refs = objects if title == "Ev" else objects[: objects.index(title)]
+        extra = {"schema": {"type": "string"}} if title == "Ev" else None
+        for _ in range(draw(st.integers(0, 2))):
+            try:
+                registry.register_version(title, draw(bodies(refs, extra)))
+            except RegistryError:  # no change against the last version; rolled back
+                pass
+    return registry
+
+
+@settings(max_examples=40, deadline=None)
+@given(registry=evolving_registries(), data=st.data())
+def test_every_chain_is_settled_at_construction(registry, data):
+    identity = jslt.compile(".")
+    breaking = [(title, v) for title in registry.titles() for v in range(registry.latest_version(title))
+                if is_breaking(diff(registry, title, v, v + 1))]
+    programs = dict.fromkeys(breaking, identity)
+    transforms = TransformSet(registry, programs)
+    for title in registry.titles():
+        latest = registry.latest_version(title)
+        for v in registry.versions(title):
+            chain = transforms.compose_chain(title, v)
+            assert [s.to_version for s in chain] == list(range(v + 1, latest + 1))
+    if breaking:
+        title, v = data.draw(st.sampled_from(breaking))
+        del programs[(title, v)]
+        with pytest.raises(MissingTransformError) as exc_info:
+            TransformSet(registry, programs)
+        assert str(exc_info.value) == f"{title!r} {v} -> {v + 1} is a breaking step with no registered transform"
 
 
 class TestImpact:

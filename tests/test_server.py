@@ -24,14 +24,14 @@ from semschema.generator import GenConfig, generate_valid
 from semschema.jsonmodel import MAX_DEPTH
 from semschema.registry import load_repo, make_id, write_version
 from semschema.server import (
-    MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, ServerConfig, _Handler, make_server, parse_target,
+    MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, SchemaServer, ServerConfig, _Handler, parse_target,
 )
 from semschema.validator import ValidationTarget
 
 
 @pytest.fixture(scope="module")
 def server(repo_dir):
-    httpd = make_server(ServerConfig(str(repo_dir), port=0))
+    httpd = SchemaServer(ServerConfig(str(repo_dir), port=0))
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     yield httpd
@@ -43,7 +43,7 @@ def server(repo_dir):
 def writable_server(repo_dir, tmp_path):
     scratch = tmp_path / "repo"
     shutil.copytree(repo_dir, scratch)
-    httpd = make_server(ServerConfig(str(scratch), port=0, read_only=False))
+    httpd = SchemaServer(ServerConfig(str(scratch), port=0, read_only=False))
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     yield httpd, scratch
@@ -253,15 +253,17 @@ class TestReload:
         else:
             (scratch / "transforms" / "View-Item" / "0-to-1.jslt").unlink()
         status, body = request_json(httpd, "POST", "/reload", {})
-        assert (status, body) == (200, {"reloaded": True, "titles": 14})
-        after = httpd.transforms
-        assert after is not before
         if edit == "same_size_schema_edit":
-            assert after.registry.get("View Item", 2).description == "An actor LOOKED AT a classified ad."
+            assert (status, body) == (200, {"reloaded": True, "titles": 14})
+            assert httpd.transforms is not before
+            assert httpd.transforms.registry.get("View Item", 2).description == "An actor LOOKED AT a classified ad."
         else:
+            # the new snapshot is refused as a whole; the old one keeps serving the step
+            missing = "'View Item' 0 -> 1 is a breaking step with no registered transform"
+            assert (status, body) == (400, {"error": f"reload failed: {missing}"})
+            assert httpd.transforms is before
             event = generate_valid(registry, "View Item", 0, GenConfig(seed=6))
-            status, body = request_json(httpd, "POST", "/transform", event)
-            assert status == 400 and "no registered transform" in body["error"]
+            assert request_json(httpd, "POST", "/transform", event)[0] == 200
 
     def test_bad_file_is_400_and_the_old_snapshot_keeps_serving(self, writable_server, registry):
         httpd, scratch = writable_server
@@ -408,12 +410,14 @@ class TestReload:
 
     def test_reload_during_requests_serves_the_old_or_the_new_repository(self, writable_server, registry, tmp_path):
         httpd, scratch = writable_server
-        event = generate_valid(registry, "View Item", 2, GenConfig(seed=4))
+        event = {**generate_valid(registry, "View Item", 2, GenConfig(seed=4)), "color": "red"}
         check = json.dumps({"event": event, "target": "View Item"}).encode()
-        old = {"valid": True, "mismatches": []}
-        # View Item 3 requires a property the event lacks; one rename makes it appear
+        status, old = request_json(httpd, "POST", "/validate", json.loads(check))
+        assert status == 200 and old["valid"] is False
+        # View Item 3 declares the property the event carries, a non-breaking
+        # step that needs no transform; one rename makes it appear
         body = registry.get("View Item", 2).body()
-        body.update(id=make_id("event", "View Item", 3), required=["object", "color"])
+        body["id"] = make_id("event", "View Item", 3)
         body["properties"]["color"] = {"type": "string"}
         staged = tmp_path / "3.json"
         staged.write_text(json.dumps(body))
@@ -456,7 +460,7 @@ class TestReload:
         assert not any(thread.is_alive() for thread in threads)
         assert rebuilt.is_set()
         status, new = request_json(httpd, "POST", "/validate", json.loads(check))
-        assert status == 200 and new["valid"] is False
+        assert (status, new) == (200, {"valid": True, "mismatches": []})
         for name in ("validate0", "validate1"):
             verdicts = [answer for _, answer in answers[name]]
             # old answers, then new ones: never a mix, and never back; those sent after a rebuild are new
@@ -582,7 +586,7 @@ class TestKeepAlive:
     def test_transform_runtime_error_is_400(self, scratch_repo, registry):
         program = scratch_repo / "transforms" / "View-Item" / "0-to-1.jslt"
         program.write_text('{"referrer": number(.origin), * - origin : .}\n')
-        httpd = make_server(ServerConfig(str(scratch_repo), port=0))
+        httpd = SchemaServer(ServerConfig(str(scratch_repo), port=0))
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
         try:
@@ -618,7 +622,7 @@ class TestKeepAlive:
     def test_unencodable_transform_result_is_400(self, scratch_repo, registry):
         program = scratch_repo / "transforms" / "View-Item" / "1-to-2.jslt"
         program.write_text('{"position": 1e308 * 10, * : .}\n')
-        httpd = make_server(ServerConfig(str(scratch_repo), port=0))
+        httpd = SchemaServer(ServerConfig(str(scratch_repo), port=0))
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
         try:
@@ -788,8 +792,8 @@ _EXCHANGE_SCRIPT = """
 import json, sys, threading
 sys.path.insert(0, sys.argv[1])
 from test_server import exchange, post
-from semschema.server import ServerConfig, make_server
-httpd = make_server(ServerConfig(sys.argv[2], port=0))
+from semschema.server import SchemaServer, ServerConfig
+httpd = SchemaServer(ServerConfig(sys.argv[2], port=0))
 threading.Thread(target=httpd.serve_forever, daemon=True).start()
 requests = [post(path, body.encode()) for path, body in json.load(sys.stdin)]
 print(json.dumps([[status, payload.decode()] for status, payload in exchange(httpd, *requests)]))
