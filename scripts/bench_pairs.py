@@ -9,9 +9,11 @@ a run becomes one entry of `runs`.  `summary` has one row per workload
 and invocation: per side the median and quartiles of every metric, and
 for each metric with a known direction (from BENCHMARK.json) the number
 of pairs the change won, the median gain and the parent's interquartile
-range.  `--append` adds the new runs to an existing file and recomputes
-the summary, so claim pairs, held-out seeds and `--workload all` pairs
-can share one file.  `--claim workload/metric` copies that row to
+range; each end-to-end metric also gets its bound from BENCHMARK.json
+and a `verdict`: worse, unresolved or no worse (see `verdict`).
+`--append` adds the new runs to an existing file and recomputes the
+summary, so claim pairs, held-out seeds and `--workload all` pairs can
+share one file.  `--claim workload/metric` copies that row to
 `claim` and marks it met when the change won at least 9 in 10 pairs and
 its median gain exceeds the parent's interquartile range.
 
@@ -69,9 +71,33 @@ def run_once(checkout: Path, side: str, first: str, seed: int, args) -> list[dic
     return records
 
 
-def directions(checkout: Path) -> dict[str, str]:
+def metric_specs(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Each metric's better direction, and each end-to-end metric's regression bound."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    better = {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    return better, {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
+
+
+def _ratio(part: float, base: float) -> float:
+    if base:
+        return part / abs(base)
+    return 0.0 if not part else float("inf") if part > 0 else float("-inf")
+
+
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """`worse`, `unresolved` or `no worse`, against a relative bound (choosing-metrics 6.5).
+
+    worse: the change's median is worse than the parent's by more than the
+    bound.  unresolved: the parent's interquartile range over its median
+    exceeds the bound, unless every change run beats every parent run.
+    """
+    p, c = spread(parent), spread(change)
+    if _ratio(sign * (c["median"] - p["median"]), p["median"]) < -bound:
+        return "worse"
+    all_better = min(sign * x for x in change) > max(sign * x for x in parent)
+    if _ratio(p["q3"] - p["q1"], p["median"]) > bound and not all_better:
+        return "unresolved"
+    return "no worse"
 
 
 def spread(values: list[float]) -> dict:
@@ -79,7 +105,7 @@ def spread(values: list[float]) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
+def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> list[dict]:
     rows = []
     groups: dict[tuple[str, str], dict[int, dict[str, dict]]] = {}
     for run in runs:
@@ -104,6 +130,8 @@ def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
                 wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
                 entry.update(better=better[name], change_wins=wins, median_gain=round(gain, 6),
                              parent_iqr=round(iqr, 6), met=wins * 10 >= 9 * len(pairs) and sign * gain > iqr)
+                if name in bounds:
+                    entry.update(bound=bounds[name], verdict=verdict(parent, change, sign, bounds[name]))
             row["metrics"][name] = entry
         rows.append(row)
     return rows
@@ -149,7 +177,7 @@ def main(argv=None) -> int:
         "parent_sha": git_sha(parent), "change_sha": git_sha(change),
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine(),
                  "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
-        "summary": summarise(runs, directions(change)),
+        "summary": summarise(runs, *metric_specs(change)),
         "runs": runs,
     })
     claim = args.claim or doc.get("claim", {}).get("id")

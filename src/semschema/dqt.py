@@ -21,7 +21,6 @@ not applicable.  Counters carry three tags: eventType (the event's
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from datetime import datetime, timezone
@@ -104,30 +103,48 @@ def load_modules(directory: str | Path) -> list[CheckModule]:
 
 # -- per-event evaluation ------------------------------------------------
 
+_OUTCOMES = ("valid", "invalid", "error", "filter_error")
+_APPLICABLE = _OUTCOMES[:3]  # the outcomes that count an event under <check>.applicable
+
+
+def check_outcome(check: CheckDef):
+    """`check`'s rules as one function, built once: event -> outcome or None.
+
+    The outcome is "valid", "invalid", "error" (the check raised) or
+    "filter_error" (the filter raised; the event is out of scope), and
+    None when the filter leaves the event out.  A RecursionError is a
+    runtime error, as Program.evaluate reads it.  is_truthy only sees
+    the values Python reads as false and JSLT may not (0 is true).
+    """
+    gate, test = check.filter.run, check.check.run
+
+    def outcome(event):
+        try:
+            passed = gate(event, {})
+        except (JsltRuntimeError, RecursionError):
+            return "filter_error"
+        if not passed and (passed is None or not is_truthy(passed)):
+            return None
+        try:
+            result = test(event, {})
+        except (JsltRuntimeError, RecursionError):
+            return "error"
+        return "valid" if result or (result is not False and is_truthy(result)) else "invalid"
+
+    return outcome
+
 
 def run_check(check: CheckDef, event) -> str | None:
-    """The outcome `event` counts under, or None when the filter leaves it out.
-
-    One of "valid", "invalid", "error" (the check raised) or
-    "filter_error" (the filter raised; the event is out of scope).
-    """
-    try:
-        gate = check.filter.evaluate(event)
-    except JsltRuntimeError:
-        return "filter_error"
-    if not is_truthy(gate):
-        return None
-    try:
-        result = check.check.evaluate(event)
-    except JsltRuntimeError:
-        return "error"
-    return "valid" if is_truthy(result) else "invalid"
+    """The outcome `event` counts under, or None when the filter leaves it out (see check_outcome)."""
+    return check_outcome(check)(event)
 
 
 # -- sampling ------------------------------------------------------------
 
 
 def _hash_fraction(event) -> float:
+    import hashlib  # here, so a run that never hashes never loads libcrypto
+
     key = event.get("@id") if isinstance(event, dict) else None
     if not isinstance(key, str):
         key = jsonmodel.dumps(event)
@@ -139,7 +156,10 @@ def _hash_fraction(event) -> float:
 
 
 class Sampler:
-    """Keeps a `rate` share of events: by a hash of each event's id, or seeded random draws."""
+    """Keeps a `rate` share of events: by a hash of each event's id, or seeded random draws.
+
+    At rate 1.0 every event is kept with no hash and no draw.
+    """
 
     def __init__(self, rate: float = 0.01, strategy: str = "hash", seed: int = 0):
         if not 0 < rate <= 1:
@@ -152,6 +172,8 @@ class Sampler:
         self._rng = random.Random(seed)
 
     def keep(self, event) -> bool:
+        if self.rate == 1:
+            return True
         if self.strategy == "hash":
             return _hash_fraction(event) < self.rate
         return self._rng.random() < self.rate
@@ -166,18 +188,38 @@ class Sampler:
 _METRIC_LINE = '{"metric":%s,"tags":{%s},"count":%d,"window":%s}\n'
 
 
+class _EncodedParts(dict):
+    """A metric name or window (str), or a tag tuple -> its text in a metric line, encoded on first use.
+
+    A lone surrogate is written as its \\uXXXX escape, part by part; the
+    rest of the line is ASCII, so the line comes out as dumps writes it.
+    """
+
+    def __missing__(self, part):
+        encode = jsonmodel.encode_string
+        if isinstance(part, str):
+            text = encode(part)
+        else:
+            text = ",".join([encode(name) + ":" + encode(value) for name, value in part])
+        text = self[part] = jsonmodel.escape_surrogates(text)
+        return text
+
+
 class NdjsonSink:
-    """Writes one metric line per counter to a text stream."""
+    """Writes one metric line per counter to a text stream.
+
+    Each distinct metric name, tag tuple and window is encoded once: a
+    run emits every tag tuple once per metric it counted.
+    """
 
     def __init__(self, stream):
         self.stream = stream
+        self._parts = _EncodedParts()
 
     def emit(self, key: tuple, count: int, window: str) -> None:
         metric, tags = key
-        encode = jsonmodel.encode_string
-        fields = ",".join([encode(name) + ":" + encode(value) for name, value in tags])
-        line = _METRIC_LINE % (encode(metric), fields, count, encode(window))
-        self.stream.write(jsonmodel.escape_surrogates(line))
+        parts = self._parts
+        self.stream.write(_METRIC_LINE % (parts[metric], parts[tags], count, parts[window]))
 
 
 class BadLine:
@@ -215,7 +257,6 @@ def event_tags(event) -> tuple[tuple[str, str], ...]:
     )
 
 
-_OUTCOMES = ("valid", "invalid", "error")
 _PARSE_ERROR = ("parse_error", ())
 
 
@@ -250,7 +291,7 @@ class StreamSummary:
         tallies: dict[str, list[int]] = {}  # check name -> [valid, valid + invalid + error]
         for (metric, _), count in self.counters.items():
             name, _, outcome = metric.rpartition(".")
-            if name and outcome in _OUTCOMES:
+            if name and outcome in _APPLICABLE:
                 tally = tallies.setdefault(name, [0, 0])
                 tally[0] += count if outcome == "valid" else 0
                 tally[1] += count
@@ -268,6 +309,26 @@ class StreamSummary:
         }
 
 
+def _counters(rows: dict, slots: dict[str, int], applicable: dict[int, tuple[int, ...]]) -> dict:
+    """`(metric, tags) -> count` in key order, for each count above 0 in `rows`.
+
+    `rows` maps a tag tuple to its counts, `slots` a metric name to its
+    place in a row; each `applicable` slot is filled in here as the sum
+    of the slots it names.
+    """
+    ordered = sorted(rows.items())  # the tag tuples are distinct, so no row is compared
+    for _, row in ordered:
+        for total, parts in applicable.items():
+            row[total] = sum([row[i] for i in parts])
+    counters = {}
+    for metric, slot in sorted(slots.items()):
+        for tags, row in ordered:
+            count = row[slot]
+            if count:
+                counters[metric, tags] = count
+    return counters
+
+
 def run_stream(
     modules: list[CheckModule],
     events,
@@ -280,52 +341,59 @@ def run_stream(
 
     `events` yields parsed JSON values or BadLine markers, as
     events_from_ndjson does; a BadLine counts under `parse_error`.
-    Counters are keyed by `(metric, tags)`: a check's outcome from
-    run_check counts under `<check>.<outcome>`, and under
+    A check's outcome counts under `<check>.<outcome>`, and under
     `<check>.applicable` unless it is "filter_error".  With a registry,
     each kept event is also validated against its declared schema under
-    `schema_compliance`.  The sink gets the counters in key order.
+    `schema_compliance`.  Counts go into one row per tag tuple, a slot
+    per metric; `StreamSummary.counters` maps `(metric, tags)` to each
+    count above 0, and the sink gets them in key order.
     """
     keep = (sampler or Sampler()).keep
     if registry is not None:
         from . import validator  # a stream that validates nothing never loads it
-    # per check: its applicable metric name, and run_check's outcome -> metric name
-    checks = [
-        (check, f"{check.name}.applicable",
-         {outcome: f"{check.name}.{outcome}" for outcome in (*_OUTCOMES, "filter_error")})
-        for module in modules
-        for check in module.checks
-    ]
-    counters: dict[tuple, int] = {}
-    get = counters.get
+    slots: dict[str, int] = {}  # metric name -> its place in a row; checks of one name share it
+
+    def slot(metric: str) -> int:
+        return slots.setdefault(metric, len(slots))
+
+    parse_error = slot("parse_error")
+    applicable: dict[int, tuple[int, ...]] = {}  # an applicable slot -> the slots it sums
+    checks = []  # per check: its outcome function, and outcome -> slot
+    for module in modules:
+        for check in module.checks:
+            to_slot = {outcome: slot(f"{check.name}.{outcome}") for outcome in _OUTCOMES}
+            applicable[slot(f"{check.name}.applicable")] = tuple(to_slot[o] for o in _APPLICABLE)
+            checks.append((check_outcome(check), to_slot))
+    if registry is not None:
+        compliance = (slot("schema_compliance.valid"), slot("schema_compliance.invalid"))
+        applicable[slot("schema_compliance.applicable")] = compliance
+    width = len(slots)
+    bad_lines = [0] * width
+    rows = {(): bad_lines}  # tag tuple -> its counts; parse errors count under no tags
     total = sampled = 0
     started = time.perf_counter()
     for event in events:
         total += 1
         if isinstance(event, BadLine):
-            counters[_PARSE_ERROR] = get(_PARSE_ERROR, 0) + 1
+            bad_lines[parse_error] += 1
             continue
         if not keep(event):
             continue
         sampled += 1
         tags = event_tags(event)
-        for check, applicable, metric in checks:
-            outcome = run_check(check, event)
-            if outcome is None:
-                continue
-            if outcome != "filter_error":
-                key = (applicable, tags)
-                counters[key] = get(key, 0) + 1
-            key = (metric[outcome], tags)
-            counters[key] = get(key, 0) + 1
+        row = rows.get(tags)
+        if row is None:
+            row = rows[tags] = [0] * width
+        for outcome, to_slot in checks:
+            name = outcome(event)
+            if name is not None:
+                row[to_slot[name]] += 1
         if registry is not None:
-            mismatches = validator.validate(registry, event)
-            key = ("schema_compliance.applicable", tags)
-            counters[key] = get(key, 0) + 1
-            key = ("schema_compliance.invalid" if mismatches else "schema_compliance.valid", tags)
-            counters[key] = get(key, 0) + 1
+            row[compliance[bool(validator.validate(registry, event))]] += 1
     elapsed = time.perf_counter() - started
-    summary = StreamSummary(total, sampled, elapsed, dict(sorted(counters.items())))
+    counters = _counters(rows, slots, applicable)
+    del rows  # its counts are in `counters` now; free the rows before the sink runs
+    summary = StreamSummary(total, sampled, elapsed, counters)
     if sink is not None:
         stamp = window or datetime.now(timezone.utc).isoformat()
         for key, count in summary.counters.items():

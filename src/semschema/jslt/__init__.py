@@ -29,16 +29,21 @@ def _ensure_recursion_room() -> None:
 
 
 class Program:
-    """A compiled, reusable transformation."""
+    """A compiled, reusable transformation.
+
+    `run(value, env)` is the compiled closure itself, for a caller that
+    evaluates in a loop: pass a fresh `{}` as `env`, and read a
+    RecursionError as the runtime error that `evaluate` makes of it.
+    """
 
     def __init__(self, source: str, run):
         self.source = source
-        self._run = run
+        self.run = run
 
     def evaluate(self, value):
         """The program's result for `value`; a runtime failure is a JsltRuntimeError."""
         try:
-            return self._run(value, {})
+            return self.run(value, {})
         except RecursionError:  # a value built deeper than the frames left
             raise JsltRuntimeError("nesting too deep") from None
 

@@ -907,6 +907,13 @@ class TestImportFootprint:
         assert not loaded & {"semschema.evolution", "semschema.generator", "dataclasses", "inspect",
                              "semschema.registry", "semschema.validator"}
 
+    def test_dqt_run_at_rate_one_never_hashes(self, checks_dir, tmp_path):
+        events = tmp_path / "events.ndjson"
+        events.write_text('{"@id": "e1", "@type": "View"}\n{"@id": "e2"}\n')
+        argv = ("dqt", "run", "--modules", str(checks_dir), "--events", str(events), "--sink", str(tmp_path / "out"))
+        assert not self.modules_after(tmp_path, *argv, "--rate", "1.0") & {"hashlib", "_hashlib"}
+        assert "hashlib" in self.modules_after(tmp_path, *argv, "--rate", "0.5")
+
     def test_serve(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "serve", "--repo", str(repo_dir), "--port", "0")
         assert "semschema.server" in loaded

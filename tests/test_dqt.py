@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semschema import dqt, jsonmodel
+from semschema import dqt, jsonmodel, validator
 from semschema.dqt import (
     UNKNOWN_TAG,
     BadLine,
@@ -173,8 +174,9 @@ class TestSampler:
             def digest(self):
                 return b"\xff" * 32
 
-        monkeypatch.setattr(dqt.hashlib, "sha256", TopDigest)
+        monkeypatch.setattr(hashlib, "sha256", TopDigest)
         assert Sampler(rate=1.0).keep({"@id": "any"})
+        assert dqt._hash_fraction({"@id": "any"}) < 1.0  # the highest hash would be kept too
 
     def test_hash_is_deterministic_and_seed_free(self):
         events = [{"@id": f"event-{i}"} for i in range(400)]
@@ -259,6 +261,12 @@ class TestRunStream:
         assert summary.count("broken.filter_error") == 1
         assert summary.count("broken.applicable") == 0
 
+    def test_checks_of_one_name_count_together(self):
+        # load_modules refuses two checks of one name; given them directly, run_stream sums them
+        modules = [module_of(c=(".n", ".n > 0")), module_of(c=(".n", ".n > 5"))]
+        summary = run_stream(modules, [{"n": 3}], Sampler(rate=1.0))
+        assert (summary.count("c.applicable"), summary.count("c.valid"), summary.count("c.invalid")) == (2, 1, 1)
+
     def test_tags_attached_to_counters(self):
         events = [{"n": 1, "@type": "View", "tracker": {"type": "web"}}]
         summary = run_stream([self.positive_module()], events, Sampler(rate=1.0))
@@ -328,13 +336,26 @@ class TestRunStream:
     )
 
     @settings(max_examples=150, deadline=None)
-    @given(any_text, st.dictionaries(any_text, any_text, max_size=3), st.integers(0, 2**63), any_text)
-    def test_ndjson_sink_line_equals_dumps(self, metric, tags, count, window):
-        for name, pairs in ((metric, tuple(tags.items())), ("parse_error", ())):
-            out = io.StringIO()
-            NdjsonSink(out).emit((name, pairs), count, window)
-            line = {"metric": name, "tags": dict(pairs), "count": count, "window": window}
-            assert out.getvalue() == jsonmodel.dumps(line) + "\n"
+    @given(
+        st.lists(any_text, min_size=1, max_size=3),
+        st.lists(st.dictionaries(any_text, any_text, max_size=3), min_size=1, max_size=3),
+        st.lists(any_text, min_size=1, max_size=2),
+        # (metric, tags, window, count): indexes into the lists above, so parts repeat
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1), st.integers(0, 2**63)),
+                 min_size=1, max_size=12),
+    )
+    def test_ndjson_sink_line_equals_dumps(self, metrics, tag_dicts, windows, picks):
+        # one sink for every line: it encodes each part once and reuses the text
+        tag_tuples = [tuple(tags.items()) for tags in tag_dicts] + [()]  # () as parse_error has
+        out = io.StringIO()
+        sink = NdjsonSink(out)
+        expected = []
+        for m, t, w, count in picks:
+            metric, tags, window = metrics[m % len(metrics)], tag_tuples[t % len(tag_tuples)], windows[w % len(windows)]
+            sink.emit((metric, tags), count, window)
+            line = {"metric": metric, "tags": dict(tags), "count": count, "window": window}
+            expected.append(jsonmodel.dumps(line) + "\n")
+        assert out.getvalue() == "".join(expected)
 
 
 class TestSummary:
@@ -416,38 +437,48 @@ class TestCountsProperty:
     filters = st.sampled_from([".n", ".s", "true", ".n != null", "1 / .n", ".missing", "size(.s) > 1"])
     checks = st.sampled_from([".n > 0", ".s", 'test(.s, "^a")', "1 / .n", "size(.s) > 1", "number(.s) > 0"])
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.lists(st.tuples(filters, checks), min_size=1, max_size=3), min_size=1, max_size=3),
-        st.lists(events, max_size=25),
-        st.sampled_from([1.0, 0.5, 0.2]),
-        st.sampled_from(["hash", "random"]),
-        st.integers(0, 3),
-    )
-    def test_counters_equal_the_oracle(self, drawn_modules, events, rate, strategy, seed):
+    drawn_modules = st.lists(st.lists(st.tuples(filters, checks), min_size=1, max_size=3), min_size=1, max_size=3)
+    samplers = st.tuples(st.sampled_from([1.0, 0.5, 0.2]), st.sampled_from(["hash", "random"]), st.integers(0, 3))
+    windows = st.sampled_from(["w", "2026-03-01T00:00:00Z", "\ud800", 'é"\\'])
+
+    @staticmethod
+    def modules_of(drawn_modules):
         names = iter(range(100))
-        modules = [
+        return [
             parse_module(f"team{i}", {f"c{next(names)}": {"filter": f, "check": c} for f, c in pairs})
             for i, pairs in enumerate(drawn_modules)
         ]
-        summary = run_stream(modules, events, Sampler(rate, strategy, seed))
 
+    @staticmethod
+    def oracle(modules, events, sampler, registry=None) -> dict:
+        """One dict bump per counter a kept event adds, with run_check and validate called directly."""
         expected: dict[tuple, int] = {}
 
         def bump(metric, tags):
             expected[metric, tags] = expected.get((metric, tags), 0) + 1
 
-        oracle = Sampler(rate, strategy, seed)  # a Sampler carries its RNG state, so a fresh one
         for event in events:
             if isinstance(event, BadLine):
                 bump("parse_error", ())
-            elif oracle.keep(event):
+            elif sampler.keep(event):
                 for check in (check for module in modules for check in module.checks):
                     outcome = run_check(check, event)
                     if outcome in ("valid", "invalid", "error"):
                         bump(f"{check.name}.applicable", event_tags(event))
                     if outcome is not None:
                         bump(f"{check.name}.{outcome}", event_tags(event))
+                if registry is not None:
+                    bump("schema_compliance.applicable", event_tags(event))
+                    verdict = "invalid" if validator.validate(registry, event) else "valid"
+                    bump(f"schema_compliance.{verdict}", event_tags(event))
+        return expected
+
+    def run_and_compare(self, modules, events, rate, strategy, seed, window, registry=None):
+        out = io.StringIO()
+        summary = run_stream(modules, events, Sampler(rate, strategy, seed), sink=NdjsonSink(out),
+                             registry=registry, window=window)
+        # a Sampler carries its RNG state, so the oracle gets a fresh one
+        expected = self.oracle(modules, events, Sampler(rate, strategy, seed), registry)
         assert summary.counters == expected
         assert list(summary.counters) == sorted(expected)
 
@@ -458,3 +489,30 @@ class TestCountsProperty:
                 assert count == sum(parts), (metric, tags)
             elif outcome in ("valid", "invalid", "error"):
                 assert summary.count(f"{name}.applicable", tags) > 0
+
+        lines = [
+            jsonmodel.dumps({"metric": metric, "tags": dict(tags), "count": count, "window": window}) + "\n"
+            for (metric, tags), count in summary.counters.items()
+        ]
+        assert out.getvalue() == "".join(lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_modules, st.lists(events, max_size=25), samplers, windows)
+    def test_counters_equal_the_oracle(self, drawn_modules, events, sampler, window):
+        self.run_and_compare(self.modules_of(drawn_modules), events, *sampler, window)
+
+    # (title, seed, compliant): a generated event, given an undeclared field when not compliant
+    generated = st.tuples(st.sampled_from(["View Item", "Send Message", "Post Item"]), st.integers(0, 2), st.booleans())
+
+    @settings(max_examples=30, deadline=None)
+    @given(drawn_modules, st.lists(events | generated, max_size=15), samplers, windows)
+    def test_schema_compliance_equals_the_oracle(self, registry, drawn_modules, events, sampler, window):
+        def event_of(drawn):
+            if not isinstance(drawn, tuple):
+                return drawn
+            title, seed, compliant = drawn
+            event = generate_valid(registry, title, None, GenConfig(seed=seed))
+            return event if compliant else {**event, "surprise": 1}
+
+        events = [event_of(drawn) for drawn in events]
+        self.run_and_compare(self.modules_of(drawn_modules), events, *sampler, window, registry=registry)

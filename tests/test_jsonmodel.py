@@ -369,7 +369,61 @@ def nested_texts(draw):
     return json.dumps(value, separators=(separator, ": "))
 
 
+def first_too_deep_by_walk(text):
+    """The index of the first bracket that opens level MAX_DEPTH + 1 in any
+    text, or None: a character walk in which a string literal runs to its
+    closing quote, a backslash in it escapes the next character, and one
+    left open runs to the end of the text."""
+    depth, i = 0, 0
+    while i < len(text):
+        char = text[i]
+        if char == '"':
+            i += 1
+            while i < len(text) and text[i] != '"':
+                i += 2 if text[i] == "\\" else 1
+        elif char in "[{":
+            depth += 1
+            if depth > MAX_DEPTH:
+                return i
+        elif char in "]}":
+            depth -= 1
+        i += 1
+    return None
+
+
+# pieces of text that is mostly not JSON: runs of brackets that take it near
+# the bound, quotes that open and close strings, escapes, and line breaks
+_PIECES = st.sampled_from([
+    "[" * 97, "{" * 61, "]" * 13, "}" * 5, ", ", "x", "\n",
+    '"', '\\"', "\\\\", "\\",  # a quote or escape on its own, in a string or not
+    '"[[]"', '"\\""', '"\\\\"', '"\\\\\\"]"',  # whole strings: brackets, an escaped quote, escaped backslashes
+])
+
+
 class TestDepthBound:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_PIECES, max_size=30))
+    def test_error_matches_a_character_walk(self, pieces):
+        # the padding takes every text past the length test, so the scan always runs
+        text = "".join(pieces) + " " * (2 * MAX_DEPTH)
+        found = first_too_deep_by_walk(text)
+        if found is None:
+            try:
+                parse_json(text)
+            except JsonParseError as exc:
+                assert not str(exc).startswith("nesting deeper")
+            return
+        with pytest.raises(JsonParseError) as err:
+            parse_json(text)
+        line, column = text.count("\n", 0, found) + 1, found - text.rfind("\n", 0, found)
+        assert str(err.value) == f"nesting deeper than {MAX_DEPTH} levels (line {line}, column {column})"
+
+    def test_a_wide_shallow_array_parses(self):
+        item = {"name": 'a "quoted" [text] {with} brackets\\', "tags": [[1, {}], ["]"]], "n": {"m": [None]}}
+        text = json.dumps([item] * 2000)
+        assert text.count("[") + text.count("{") > 10 * MAX_DEPTH
+        assert parse_json(text) == json.loads(text)
+
     @pytest.mark.parametrize("opener", ["[", '{"k": '])
     def test_at_the_bound_parses_and_one_more_level_does_not(self, opener):
         closer = "]" if opener == "[" else "}"
