@@ -10,7 +10,9 @@ and invocation: per side the median and quartiles of every metric, and
 for each metric with a known direction (from BENCHMARK.json) the number
 of pairs the change won, the median gain and the parent's interquartile
 range; each end-to-end metric also gets its bound from BENCHMARK.json
-and a `verdict`: worse, unresolved or no worse (see `verdict`).
+and a `verdict`: worse, unresolved or no worse (see `verdict`).  A
+metric that reads 0 on every change run but not on every parent run is
+marked `"measured": false` and never met.
 `--append` adds the new runs to an existing file and recomputes the
 summary, so claim pairs, held-out seeds and `--workload all` pairs can
 share one file.  `--claim workload/metric` copies that row to
@@ -128,8 +130,14 @@ def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
                 gain = entry["change"]["median"] - entry["parent"]["median"]
                 iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
                 wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+                # a name the change never recorded: a call that is gone and one the tracer
+                # no longer sees both read 0, so the pairs cannot show a gain
+                measured = any(change) or not any(parent)
                 entry.update(better=better[name], change_wins=wins, median_gain=round(gain, 6),
-                             parent_iqr=round(iqr, 6), met=wins * 10 >= 9 * len(pairs) and sign * gain > iqr)
+                             parent_iqr=round(iqr, 6),
+                             met=measured and wins * 10 >= 9 * len(pairs) and sign * gain > iqr)
+                if not measured:
+                    entry["measured"] = False
                 if name in bounds:
                     entry.update(bound=bounds[name], verdict=verdict(parent, change, sign, bounds[name]))
             row["metrics"][name] = entry

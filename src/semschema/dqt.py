@@ -142,15 +142,13 @@ def run_check(check: CheckDef, event) -> str | None:
 # -- sampling ------------------------------------------------------------
 
 
-def _hash_fraction(event) -> float:
-    import hashlib  # here, so a run that never hashes never loads libcrypto
-
+def _hash_fraction(event, sha256) -> float:
     key = event.get("@id") if isinstance(event, dict) else None
     if not isinstance(key, str):
         key = jsonmodel.dumps(event)
     # an @id may hold an escaped lone surrogate; "surrogatepass" encodes it and
     # leaves the bytes of every valid string as they were
-    digest = hashlib.sha256(key.encode("utf-8", "surrogatepass")).digest()
+    digest = sha256(key.encode("utf-8", "surrogatepass")).digest()
     # the top 53 bits, which a double holds exactly, so the fraction stays below 1
     return (int.from_bytes(digest[:8], "big") >> 11) / 2**53
 
@@ -170,12 +168,16 @@ class Sampler:
         self.strategy = strategy
         self.seed = seed
         self._rng = random.Random(seed)
+        if strategy == "hash" and rate < 1:
+            from hashlib import sha256  # here, so a run that never hashes never loads libcrypto
+
+            self._sha256 = sha256
 
     def keep(self, event) -> bool:
         if self.rate == 1:
             return True
         if self.strategy == "hash":
-            return _hash_fraction(event) < self.rate
+            return _hash_fraction(event, self._sha256) < self.rate
         return self._rng.random() < self.rate
 
 

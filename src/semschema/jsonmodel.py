@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import accumulate
 from typing import Any, Iterable, Iterator
 
 from .errors import JsonParseError
@@ -28,10 +27,6 @@ _MAX_EXACT_INT = 2**53
 MAX_DEPTH = 400
 # a string literal (left open, it runs to the end of the text) or a bracket
 _NESTING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
-# a run of such string literals and other characters, or a run of the brackets
-# that _NESTING counts, held by group 1
-_BRACKET_RUNS = re.compile(r'(?:"[^"\\]*+(?:\\.[^"\\]*+)*+"?|[^\[\]{}"]++)++|([\[\]{}]++)', re.DOTALL)
-_NESTING_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def _reject_constant(name: str):
@@ -47,11 +42,6 @@ def _finite_float(text: str) -> float:
 
 def _check_depth(text: str) -> None:
     """Raise JSONDecodeError at the first bracket that opens level MAX_DEPTH + 1."""
-    # a first pass over the brackets outside string literals, collected by one
-    # regex: only text that goes past the bound pays for the scan that finds where
-    brackets = "".join(_BRACKET_RUNS.findall(text))
-    if not any(depth > MAX_DEPTH for depth in accumulate(map(_NESTING_STEP.__getitem__, brackets))):
-        return
     depth = 0
     for match in _NESTING.finditer(text):
         char = text[match.start()]

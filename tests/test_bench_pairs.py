@@ -35,3 +35,17 @@ def test_a_wide_parent_spread_is_unresolved_unless_every_run_is_better():
 def test_a_zero_median_compares_as_equal_or_worse():
     assert bench_pairs.verdict([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -1, 0.25) == "no worse"
     assert bench_pairs.verdict([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], -1, 0.25) == "worse"
+
+
+def run(seed, side, value):
+    return {"workload": "w", "invocation": "i", "seed": seed, "side": side, "corpus_digest": "c",
+            "correct": True, "metrics": {"m.self_s": value}}
+
+
+def test_a_metric_the_change_never_recorded_is_not_a_gain():
+    runs = [run(seed, side, 0.0 if side == "change" else 0.04) for seed in range(10) for side in ("parent", "change")]
+    entry = bench_pairs.summarise(runs, {"m.self_s": "lower"}, {})[0]["metrics"]["m.self_s"]
+    assert entry["change_wins"] == 10 and entry["measured"] is False and entry["met"] is False
+    runs = [run(seed, side, 0.01 if side == "change" else 0.04) for seed in range(10) for side in ("parent", "change")]
+    entry = bench_pairs.summarise(runs, {"m.self_s": "lower"}, {})[0]["metrics"]["m.self_s"]
+    assert "measured" not in entry and entry["met"] is True

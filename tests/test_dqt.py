@@ -176,7 +176,7 @@ class TestSampler:
 
         monkeypatch.setattr(hashlib, "sha256", TopDigest)
         assert Sampler(rate=1.0).keep({"@id": "any"})
-        assert dqt._hash_fraction({"@id": "any"}) < 1.0  # the highest hash would be kept too
+        assert dqt._hash_fraction({"@id": "any"}, hashlib.sha256) < 1.0  # the highest hash would be kept too
 
     def test_hash_is_deterministic_and_seed_free(self):
         events = [{"@id": f"event-{i}"} for i in range(400)]
