@@ -200,6 +200,13 @@ class TestSampler:
         sampler = Sampler(rate=0.5)
         assert sampler.keep(a) == sampler.keep(b)
 
+    def test_hash_is_the_top_53_bits_of_the_ids_sha256(self):
+        # the kept set must not change between versions: runs at one rate compare
+        ids = [f"event-{i}" for i in range(400)]
+        top = {i: (int.from_bytes(hashlib.sha256(i.encode()).digest()[:8], "big") >> 11) / 2**53 for i in ids}
+        sampler = Sampler(rate=0.3)
+        assert [i for i in ids if sampler.keep({"@id": i})] == [i for i in ids if top[i] < 0.3]
+
     def test_random_strategy_respects_seed(self):
         events = [{"n": i} for i in range(200)]
 
