@@ -12,7 +12,10 @@ of pairs the change won, the median gain and the parent's interquartile
 range; each end-to-end metric also gets its bound from BENCHMARK.json
 and a `verdict`: worse, unresolved or no worse (see `verdict`).  A
 metric that reads 0 on every change run but not on every parent run is
-marked `"measured": false` and never met.
+marked `"measured": false` and never met.  evolution-ci's plan.json holds
+the checkout's path, so its `corpus_digest` never matches between
+checkouts; its rows count `same_plan` instead, the pairs whose two plans
+are equal once the `repo` key is dropped.
 `--append` adds the new runs to an existing file and recomputes the
 summary, so claim pairs, held-out seeds and `--workload all` pairs can
 share one file.  `--claim workload/metric` copies that row to
@@ -26,6 +29,7 @@ the `.bench_cache/` that run.py keeps in each.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -50,6 +54,17 @@ def git_sha(checkout: Path) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def plan_digest(checkout: Path, seed: int, source_digest: str) -> str | None:
+    """Digest of evolution-ci's plan.json less its `repo` key, the checkout's own path; None if absent."""
+    path = checkout / ".bench_cache" / "corpus" / f"evolution-ci-s{seed}-{source_digest}" / "plan.json"
+    try:
+        plan = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    plan.pop("repo", None)
+    return hashlib.sha256(json.dumps(plan, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def run_once(checkout: Path, side: str, first: str, seed: int, args) -> list[dict]:
     """One perfbench invocation; one record per workload report it prints."""
     invocation = ["--workload", args.workload, "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
@@ -63,13 +78,16 @@ def run_once(checkout: Path, side: str, first: str, seed: int, args) -> list[dic
             continue
         report = json.loads(line)["report"]
         stamp = report["stamp"]
-        records.append({
+        record = {
             "workload": report["workload"], "side": side, "first": first, "seed": seed,
             "invocation": " ".join(invocation),
             **{key: stamp[key] for key in ("git_sha", "source_digest", "corpus_digest", "python", "nproc")},
             "correct": report["failed"] == 0, "attempted": report["attempted"], "failed": report["failed"],
             "metrics": {name: entry["value"] for name, entry in report["metrics"].items()},
-        })
+        }
+        if report["workload"] == "evolution-ci":
+            record["plan_digest"] = plan_digest(checkout, seed, stamp["source_digest"])
+        records.append(record)
     return records
 
 
@@ -121,6 +139,9 @@ def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
                "same_corpus": sum(p["parent"]["corpus_digest"] == p["change"]["corpus_digest"] for p in pairs),
                "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
                "metrics": {}}
+        if workload == "evolution-ci":
+            row["same_plan"] = sum(p["parent"].get("plan_digest") is not None
+                                   and p["parent"].get("plan_digest") == p["change"].get("plan_digest") for p in pairs)
         for name in pairs[0]["parent"]["metrics"]:
             parent = [p["parent"]["metrics"][name] for p in pairs]
             change = [p["change"]["metrics"][name] for p in pairs]

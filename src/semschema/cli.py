@@ -216,7 +216,8 @@ def cmd_impact_test(args) -> int:
     )
     for result in report.results:
         _out(result.to_json())
-    _out({"title": report.title, "proposed_version": report.proposed_version, "blocked": report.blocked})
+    _out({"title": report.title, "proposed_version": report.proposed_version, "blocked": report.blocked,
+          "failing": report.failing_consumers()})
     return 1 if report.blocked else 0
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import GenerationError, UnsatisfiableError
 from .jsonmodel import JsonPath, set_path
-from .pattern import compile_pattern, generate_from_pattern
+from .pattern import compile_pattern, draw_chars, generate_from_pattern
 from .registry import PropertyDef, Registry, ResolvedSchema
 from .validator import ValidationTarget, validate
 
@@ -89,7 +89,7 @@ def _gen_value(registry, prop: PropertyDef, rng, cfg):
         if prop.pattern is not None:
             return compile_pattern(prop.pattern).generate(rng)
         length = rng.randint(0, cfg.max_string_length)
-        return "".join(rng.choice(_STRING_ALPHABET) for _ in range(length))
+        return draw_chars(rng, _STRING_ALPHABET, length)
     if kind == "enum":
         return rng.choice(prop.values)
     if kind == "array":

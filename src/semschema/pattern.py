@@ -10,20 +10,26 @@ lookaround, named groups, and inline flags are rejected explicitly.
 Matching is delegated to the stdlib `re` engine, which accepts more than
 ECMA-262 does (ROADMAP item 3): `^[a-z]+$` matches "abc\n", and `^\d+$`
 "٣٣" and `^\w+$` "é", as `$` matches before a final newline and `\d` and
-`\w` are Unicode classes on str. Generation walks the parsed AST with a
-seeded RNG and ASCII classes, so every generated string matches.
+`\w` are Unicode classes on str. Generation runs a tree of closures
+built once per pattern from the parsed AST, with ASCII classes, so every
+generated string matches. Each class and `.` holds its pool of
+characters, and `draw_chars` draws every character, a whole repeated run
+in one call, by the rule `Random.choice` uses on CPython 3.10-3.13; repeat
+counts and alternation still come from `randint` and `randrange`. So each
+string is the one the earlier per-character AST walk drew, for every seed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import re
 from typing import NamedTuple, Union
 
 from .errors import PatternError
 
-_PRINTABLE = [chr(c) for c in range(32, 127)]
+_PRINTABLE = "".join(chr(c) for c in range(32, 127))
 
 _CLASS_D = frozenset("0123456789")
 _CLASS_W = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -282,6 +288,40 @@ class _Parser:
         raise self.error(f"unsupported escape \\{esc} in class")
 
 
+def draw_chars(rng: random.Random, pool: str, count: int) -> str:
+    """`count` characters of `pool`, each drawn as `rng.choice(pool)` draws it.
+
+    An index is `rng.getrandbits(len(pool).bit_length())`, drawn again
+    while it is out of range: the rule by which `Random.choice` picks an
+    index on CPython 3.10-3.13. The random module keeps the right to change
+    that rule (https://docs.python.org/3/library/random.html#notes-on-reproducibility),
+    so it is fixed here, and a whole run costs one call.
+    """
+    size = len(pool)
+    if not size:
+        raise IndexError("cannot draw from an empty pool")
+    bits = size.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        index = getrandbits(bits)
+        while index >= size:
+            index = getrandbits(bits)
+        out.append(pool[index])
+    return "".join(out)
+
+
+def _pool(node: Node) -> str | None:
+    """The characters a class or `.` draws from, in draw order; None for other nodes."""
+    if isinstance(node, Dot):
+        return _PRINTABLE
+    if isinstance(node, CharClass):
+        if node.negated:
+            return "".join(c for c in _PRINTABLE if c not in node.chars)
+        return "".join(sorted(node.chars))
+    return None
+
+
 class CompiledPattern:
     """A dialect-checked pattern that can both match and generate."""
 
@@ -290,11 +330,12 @@ class CompiledPattern:
 
     def __init__(self, source: str):
         self.source = source
-        self.root = _Parser(source).parse()
+        root = _Parser(source).parse()
         try:
             self._regex = re.compile(source)
         except re.error as exc:  # pragma: no cover - dialect parse should catch first
             raise PatternError(f"pattern rejected by matcher: {exc}") from exc
+        self._generate = self._compile(root)
 
     def search(self, text: str) -> bool:
         """True iff the pattern finds a match anywhere in `text`."""
@@ -302,30 +343,49 @@ class CompiledPattern:
 
     def generate(self, rng: random.Random) -> str:
         """A random string in the pattern's language, deterministic per RNG state."""
-        return self._gen(self.root, rng)
+        return self._generate(rng)
 
-    def _gen(self, node: Node, rng: random.Random) -> str:
+    def _compile(self, node: Node):
+        """One closure `rng -> str` per node; each draws what the node's language needs."""
         if isinstance(node, Lit):
-            return node.char
-        if isinstance(node, Dot):
-            return rng.choice(_PRINTABLE)
-        if isinstance(node, CharClass):
-            if node.negated:
-                pool = [c for c in _PRINTABLE if c not in node.chars]
-            else:
-                pool = sorted(node.chars)
-            if not pool:
-                raise PatternError(f"class excludes every printable character in {self.source!r}")
-            return rng.choice(pool)
+            return _constant(node.char)
+        pool = _pool(node)
+        if pool == "":
+            source = self.source
+
+            def empty(rng):
+                raise PatternError(f"class excludes every printable character in {source!r}")
+
+            return empty
+        if pool:
+            return lambda rng: draw_chars(rng, pool, 1)
         if isinstance(node, Seq):
-            return "".join(self._gen(item, rng) for item in node.items)
+            parts = []
+            for literal, items in itertools.groupby(node.items, lambda item: isinstance(item, Lit)):
+                if literal:
+                    parts.append(_constant("".join(item.char for item in items)))
+                else:
+                    parts.extend(self._compile(item) for item in items)
+            if len(parts) == 1:
+                return parts[0]
+            return lambda rng: "".join([part(rng) for part in parts])
         if isinstance(node, Alt):
-            return self._gen(node.branches[rng.randrange(len(node.branches))], rng)
+            branches = [self._compile(branch) for branch in node.branches]
+            count = len(branches)
+            return lambda rng: branches[rng.randrange(count)](rng)
         if isinstance(node, Repeat):
-            high = node.max if node.max is not None else node.min + self.UNBOUNDED_EXTRA
-            count = rng.randint(node.min, high)
-            return "".join(self._gen(node.item, rng) for _ in range(count))
+            low = node.min
+            high = node.max if node.max is not None else low + self.UNBOUNDED_EXTRA
+            pool = _pool(node.item)
+            if pool:
+                return lambda rng: draw_chars(rng, pool, rng.randint(low, high))
+            item = self._compile(node.item)
+            return lambda rng: "".join([item(rng) for _ in range(rng.randint(low, high))])
         raise AssertionError(f"unhandled node {node!r}")
+
+
+def _constant(text: str):
+    return lambda rng: text
 
 
 @functools.lru_cache(maxsize=512)

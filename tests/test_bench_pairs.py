@@ -1,6 +1,7 @@
-"""The verdict rule of scripts/bench_pairs.py (the script is run, not installed)."""
+"""The verdict rule and the evolution-ci plan check of scripts/bench_pairs.py (the script is run, not installed)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,31 @@ def test_a_metric_the_change_never_recorded_is_not_a_gain():
     runs = [run(seed, side, 0.01 if side == "change" else 0.04) for seed in range(10) for side in ("parent", "change")]
     entry = bench_pairs.summarise(runs, {"m.self_s": "lower"}, {})[0]["metrics"]["m.self_s"]
     assert "measured" not in entry and entry["met"] is True
+
+
+def write_plan(checkout, seed, source_digest, repo, seeds=5):
+    where = checkout / ".bench_cache" / "corpus" / f"evolution-ci-s{seed}-{source_digest}"
+    where.mkdir(parents=True)
+    plan = {"repo": repo, "seeds": seeds, "titles": ["A", "B"], "impact": []}
+    (where / "plan.json").write_text(json.dumps(plan, indent=1), encoding="utf-8")
+
+
+def test_plans_that_differ_only_in_the_repo_path_have_one_digest(tmp_path):
+    write_plan(tmp_path / "parent", 1, "aaaa", "/x/parent/src/semschema/fixtures/repo")
+    write_plan(tmp_path / "change", 1, "bbbb", "/x/change/src/semschema/fixtures/repo")
+    write_plan(tmp_path / "other", 1, "cccc", "/x/change/src/semschema/fixtures/repo", seeds=6)
+    parent = bench_pairs.plan_digest(tmp_path / "parent", 1, "aaaa")
+    assert parent == bench_pairs.plan_digest(tmp_path / "change", 1, "bbbb")
+    assert parent != bench_pairs.plan_digest(tmp_path / "other", 1, "cccc")
+    assert bench_pairs.plan_digest(tmp_path / "parent", 2, "aaaa") is None
+
+
+def test_evolution_ci_rows_count_the_pairs_with_the_same_plan():
+    def evo(seed, side, plan):
+        return {**run(seed, side, 1.0), "workload": "evolution-ci", "plan_digest": plan}
+
+    runs = [evo(0, "parent", "p"), evo(0, "change", "p"), evo(1, "parent", "p"), evo(1, "change", "q"),
+            evo(2, "parent", None), evo(2, "change", None)]
+    row = bench_pairs.summarise(runs, {}, {})[0]
+    assert (row["pairs"], row["same_plan"]) == (3, 1)
+    assert "same_plan" not in bench_pairs.summarise([run(0, "parent", 1.0), run(0, "change", 1.0)], {}, {})[0]

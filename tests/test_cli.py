@@ -293,8 +293,8 @@ class TestTransform:
 
 
 class TestImpactTest:
-    def write_inputs(self, tmp_path, loose=False):
-        pattern = ".*" if loose else "^sdrn:mp:provider:[0-9]+$"
+    def write_inputs(self, tmp_path, loose=False, pattern="^sdrn:mp:provider:[0-9]+$"):
+        pattern = ".*" if loose else pattern
         proposal = {
             "title": "Provider",
             "allOf": make_id("object", "Provider", 2),
@@ -325,7 +325,18 @@ class TestImpactTest:
         assert code == 1
         results = {line["consumer"]: line["result"] for line in out if "consumer" in line}
         assert results == {"legacy-feed": "FAIL", "guard": "PASS"}
-        assert out[-1] == {"title": "Provider", "proposed_version": 3, "blocked": True}
+        assert out[-1] == {"title": "Provider", "proposed_version": 3, "blocked": True, "failing": ["legacy-feed"]}
+
+    def test_unblocked_proposal_exits_zero_and_fails_no_one(self, capsys, repo_dir, tmp_path):
+        proposal, samples = self.write_inputs(tmp_path, pattern="^sdrn:[a-z]+:provider:[a-z0-9]+$")
+        code, out, _ = run(
+            capsys, "impact-test", "--repo", str(repo_dir),
+            "--proposal", str(proposal), "--samples", str(samples),
+        )
+        assert code == 0
+        results = {line["consumer"]: line["result"] for line in out if "consumer" in line}
+        assert results == {"legacy-feed": "PASS", "guard": "PASS"}
+        assert out[-1] == {"title": "Provider", "proposed_version": 3, "blocked": False, "failing": []}
 
     def test_loosening_trips_the_guard(self, capsys, repo_dir, tmp_path):
         proposal, samples = self.write_inputs(tmp_path, loose=True)
@@ -336,6 +347,7 @@ class TestImpactTest:
         assert code == 1
         results = {line["consumer"]: line["result"] for line in out if "consumer" in line}
         assert results["guard"] == "FAIL"
+        assert out[-1]["failing"] == ["guard"]
 
     def test_proposal_needs_title(self, capsys, repo_dir, tmp_path):
         bad = tmp_path / "proposal.json"

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semschema.errors import GenerationError, UnsatisfiableError
-from semschema.generator import GenConfig, generate_valid
+from semschema.generator import GenConfig, generate_from_pattern, generate_valid
 from semschema.registry import make_id
 from semschema.validator import validate
+from test_pattern import DIALECT_SAMPLES
 
 
 class TestDeterminism:
@@ -151,3 +153,29 @@ def test_generated_events_always_validate(registry_holder, seed):
 @pytest.fixture(scope="module")
 def registry_holder(request):
     return request.getfixturevalue("registry")
+
+
+class TestGolden:
+    """Pinned outputs: a change to any draw, or to the order of draws, changes a digest."""
+
+    EVENTS_SHA256 = "0bbcec080bba8e1a0153c37ae94c5964a23ff94f03437fd220ba24e9d547a286"
+    PATTERNS_SHA256 = "9a6223063114f05de5bdff474c871cb927f4273c1856073435bf47567172b663"
+
+    def test_fixture_events(self, registry):
+        from semschema.jsonmodel import dumps
+
+        h = hashlib.sha256()
+        for title in sorted(registry.titles()):
+            for version in registry.versions(title):
+                if registry.get(title, version).is_tombstone():
+                    continue
+                for seed in range(20):
+                    h.update(dumps(generate_valid(registry, title, version, GenConfig(seed=seed))).encode() + b"\n")
+        assert h.hexdigest() == self.EVENTS_SHA256
+
+    def test_dialect_samples(self):
+        h = hashlib.sha256()
+        for source in DIALECT_SAMPLES:
+            for seed in range(50):
+                h.update(generate_from_pattern(source, seed).encode() + b"\n")
+        assert h.hexdigest() == self.PATTERNS_SHA256

@@ -2,11 +2,14 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semschema import pattern as pattern_module
 from semschema.errors import PatternError
-from semschema.pattern import compile_pattern, generate_from_pattern
+from semschema.pattern import (
+    Alt, CharClass, CompiledPattern, Dot, Lit, Repeat, Seq, compile_pattern, draw_chars, generate_from_pattern,
+)
 
 DIALECT_SAMPLES = [
     "abc",
@@ -103,3 +106,122 @@ class TestGeneration:
         source = "^[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}$"
         value = generate_from_pattern(source, seed)
         assert re.fullmatch(source[1:-1], value)
+
+
+class TestEmptyPool:
+    """A class that excludes every printable character compiles and matches; only a draw fails."""
+
+    def test_compiles_and_searches(self):
+        pattern = compile_pattern("[^ -~]")
+        assert pattern.search("\u00e9")
+        assert not pattern.search("abc")
+
+    def test_a_draw_names_the_source(self):
+        with pytest.raises(PatternError, match=re.escape("class excludes every printable character in '[^ -~]'")):
+            compile_pattern("[^ -~]").generate(random.Random(0))
+
+    def test_an_unreached_pool_never_raises(self):
+        assert [generate_from_pattern("x[^ -~]{0}", seed) for seed in range(5)] == ["x"] * 5
+
+
+# -- oracle: the AST walk generation used before patterns were compiled ----------
+
+
+def oracle_generate(node, rng: random.Random, source: str) -> str:
+    """A string for `node`, drawing from `rng` in the order the compiled closures must."""
+    if isinstance(node, Lit):
+        return node.char
+    if isinstance(node, Dot):
+        return rng.choice(pattern_module._PRINTABLE)
+    if isinstance(node, CharClass):
+        if node.negated:
+            pool = [c for c in pattern_module._PRINTABLE if c not in node.chars]
+        else:
+            pool = sorted(node.chars)
+        if not pool:
+            raise PatternError(f"class excludes every printable character in {source!r}")
+        return rng.choice(pool)
+    if isinstance(node, Seq):
+        return "".join(oracle_generate(item, rng, source) for item in node.items)
+    if isinstance(node, Alt):
+        return oracle_generate(node.branches[rng.randrange(len(node.branches))], rng, source)
+    if isinstance(node, Repeat):
+        high = node.max if node.max is not None else node.min + CompiledPattern.UNBOUNDED_EXTRA
+        count = rng.randint(node.min, high)
+        return "".join(oracle_generate(node.item, rng, source) for _ in range(count))
+    raise AssertionError(f"unhandled node {node!r}")
+
+
+_LITERALS = "ab9 -:/.*+?()[]{}|^$"
+_CLASS_MEMBERS = "".join(chr(c) for c in range(32, 127))
+
+
+def render(node) -> str:
+    """Dialect source for a tree; groups wrap whatever a quantifier or sequence needs wrapped."""
+    if isinstance(node, Lit):
+        return "\\" + node.char if node.char in ".*+?()[]{}|^$\\" else node.char
+    if isinstance(node, Dot):
+        return "."
+    if isinstance(node, CharClass):
+        body = "".join("\\" + c if c in "\\]^-[" else c for c in sorted(node.chars))
+        return f"[{'^' if node.negated else ''}{body}]"
+    if isinstance(node, Seq):
+        return "".join(f"(?:{render(item)})" if isinstance(item, Alt) else render(item) for item in node.items)
+    if isinstance(node, Alt):
+        return "|".join(render(branch) for branch in node.branches)
+    atom = render(node.item)
+    if not isinstance(node.item, (Lit, Dot, CharClass)):
+        atom = f"(?:{atom})"
+    bounds = {(0, None): "*", (1, None): "+", (0, 1): "?"}.get((node.min, node.max))
+    if bounds is None:
+        bounds = f"{{{node.min}}}" if node.min == node.max else f"{{{node.min},{'' if node.max is None else node.max}}}"
+    return atom + bounds
+
+
+@st.composite
+def repeats(draw, items):
+    low = draw(st.integers(0, 3))
+    high = draw(st.one_of(st.none(), st.integers(low, low + 3)))
+    return Repeat(draw(items), low, high)
+
+
+def trees():
+    leaves = st.one_of(
+        st.sampled_from(_LITERALS).map(Lit),
+        st.just(Dot()),
+        st.builds(CharClass, st.frozensets(st.sampled_from(_CLASS_MEMBERS), min_size=1, max_size=12), st.booleans()),
+        st.sampled_from([CharClass(pattern_module._CLASS_D), CharClass(pattern_module._CLASS_W, True),
+                         CharClass(frozenset(_CLASS_MEMBERS))]),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=4).map(lambda items: Seq(tuple(items))),
+            st.lists(inner, min_size=2, max_size=3).map(lambda items: Alt(tuple(items))),
+            repeats(inner),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=trees(), anchored=st.booleans(), seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+def test_compiled_generation_matches_the_oracle(tree, anchored, seeds):
+    source = f"^{render(tree)}$" if anchored else render(tree)
+    compiled = compile_pattern(source)
+    root = pattern_module._Parser(source).parse()
+    for seed in seeds:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        value = compiled.generate(ours)
+        assert value == oracle_generate(root, theirs, source), source
+        assert ours.getstate() == theirs.getstate(), source
+        assert compiled.search(value), (source, value)
+
+
+@pytest.mark.parametrize("size", range(1, len(pattern_module._PRINTABLE) + 1))
+def test_draw_chars_picks_as_random_choice(size):
+    pool = pattern_module._PRINTABLE[:size]
+    for seed in range(3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert draw_chars(ours, pool, 40) == "".join(theirs.choice(pool) for _ in range(40))
+        assert ours.getstate() == theirs.getstate()
