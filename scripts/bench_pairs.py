@@ -15,7 +15,9 @@ metric that reads 0 on every change run but not on every parent run is
 marked `"measured": false` and never met.  evolution-ci's plan.json holds
 the checkout's path, so its `corpus_digest` never matches between
 checkouts; its rows count `same_plan` instead, the pairs whose two plans
-are equal once the `repo` key is dropped.
+are equal once the `repo` key is dropped.  `src_lines` holds each
+checkout's line total of `src/semschema/**/*.py`, the net line count a
+change reports.
 `--append` adds the new runs to an existing file and recomputes the
 summary, so claim pairs, held-out seeds and `--workload all` pairs can
 share one file.  `--claim workload/metric` copies that row to
@@ -52,6 +54,11 @@ def parse_seeds(text: str) -> list[int]:
 def git_sha(checkout: Path) -> str | None:
     done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def src_lines(checkout: Path) -> int:
+    """The line total of the checkout's `src/semschema/**/*.py`, as `wc -l` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "semschema").rglob("*.py"))
 
 
 def plan_digest(checkout: Path, seed: int, source_digest: str) -> str | None:
@@ -204,6 +211,7 @@ def main(argv=None) -> int:
     doc.update({
         "what": doc.get("what", args.what),
         "parent_sha": git_sha(parent), "change_sha": git_sha(change),
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine(),
                  "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "summary": summarise(runs, *metric_specs(change)),

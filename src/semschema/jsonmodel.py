@@ -206,6 +206,7 @@ class JsonPath:
     # Unquoted steps are identifier-shaped so a rendered path can be
     # pasted into a transform program; anything else gets quoted.
     _PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    _INDEX = re.compile(r"-?[0-9]+")
 
     def render(self) -> str:
         if not self.steps:
@@ -242,7 +243,10 @@ class JsonPath:
                 j = text.find("]", i)
                 if j < 0:
                     raise ValueError(f"unclosed index in path: {text!r}")
-                steps.append(int(text[i + 1 : j]))
+                index = text[i + 1 : j]
+                if not cls._INDEX.fullmatch(index):  # as render writes it; int() also takes "1_0", " 3", "+3", "٣"
+                    raise ValueError(f"bad index in path: {text!r}")
+                steps.append(int(index))
                 i = j + 1
             elif c == '"':
                 value, end = _DECODER.raw_decode(text, i)

@@ -37,6 +37,11 @@ _CLASS_S = frozenset(" \t\n\r\f\v")
 
 _ESCAPABLE = set("\\.*+?()[]{}|^$/:-\"' @#,&!=<>~%;_")
 
+# the escapes that stand for a class, in and outside classes; outside, the
+# upper-case letter negates the class
+_CLASS_ESCAPES = {"d": _CLASS_D, "w": _CLASS_W, "s": _CLASS_S}
+_CHAR_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+
 # The AST nodes are NamedTuples, cheap to define at import. Dispatch on
 # them with isinstance: as tuples, Seq(x) == Alt(x) and Dot() is falsy.
 
@@ -197,34 +202,32 @@ class _Parser:
         return Lit(ch)
 
     def escape(self) -> Node:
+        letter = self.src[self.pos + 1 : self.pos + 2]
+        if letter in ("D", "W", "S"):
+            self.pos += 2
+            return CharClass(_CLASS_ESCAPES[letter.lower()], negated=True)
+        member = self._escaped("")
+        return Lit(member) if isinstance(member, str) else CharClass(member)
+
+    def _escaped(self, where: str) -> str | frozenset:
+        """The backslash escape at the cursor: one character, or a class's members.
+
+        `where` ends the texts of the errors that differ inside a class.
+        """
         self.take()  # backslash
         ch = self.peek()
         if ch is None:
-            raise self.error("dangling backslash")
+            raise self.error("dangling backslash" + where)
         self.take()
-        if ch == "d":
-            return CharClass(_CLASS_D)
-        if ch == "D":
-            return CharClass(_CLASS_D, negated=True)
-        if ch == "w":
-            return CharClass(_CLASS_W)
-        if ch == "W":
-            return CharClass(_CLASS_W, negated=True)
-        if ch == "s":
-            return CharClass(_CLASS_S)
-        if ch == "S":
-            return CharClass(_CLASS_S, negated=True)
-        if ch == "n":
-            return Lit("\n")
-        if ch == "t":
-            return Lit("\t")
-        if ch == "r":
-            return Lit("\r")
+        if ch in _CLASS_ESCAPES:
+            return _CLASS_ESCAPES[ch]
+        if ch in _CHAR_ESCAPES:
+            return _CHAR_ESCAPES[ch]
         if ch.isdigit():
             raise self.error("unsupported construct: back-reference")
         if ch in _ESCAPABLE:
-            return Lit(ch)
-        raise self.error(f"unsupported escape \\{ch}")
+            return ch
+        raise self.error(f"unsupported escape \\{ch}{where}")
 
     def char_class(self) -> Node:
         self.take()  # [
@@ -261,31 +264,8 @@ class _Parser:
             raise self.error("empty character class")
         return CharClass(frozenset(chars), negated=negated)
 
-    def _class_member(self):
-        ch = self.take()
-        if ch != "\\":
-            return ch
-        esc = self.peek()
-        if esc is None:
-            raise self.error("dangling backslash in class")
-        self.take()
-        if esc == "d":
-            return _CLASS_D
-        if esc == "w":
-            return _CLASS_W
-        if esc == "s":
-            return _CLASS_S
-        if esc == "n":
-            return "\n"
-        if esc == "t":
-            return "\t"
-        if esc == "r":
-            return "\r"
-        if esc.isdigit():
-            raise self.error("unsupported construct: back-reference")
-        if esc in _ESCAPABLE:
-            return esc
-        raise self.error(f"unsupported escape \\{esc} in class")
+    def _class_member(self) -> str | frozenset:
+        return self._escaped(" in class") if self.peek() == "\\" else self.take()
 
 
 def draw_chars(rng: random.Random, pool: str, count: int) -> str:

@@ -310,20 +310,23 @@ class Registry:
     """
 
     def __init__(self):
-        self._schemas: dict[str, dict[int, SchemaDoc]] = {}
-        self._kinds: dict[str, str] = {}
-        # (title, version or None for latest) -> flattened form; emptied on every
-        # registration, tombstone or rolled-back registration
-        self._resolved: dict[tuple[str, int | None], ResolvedSchema] = {}
-        # schema id -> compiled checker (see validator); emptied with _resolved
+        # title -> its versions, version n at index n
+        self._schemas: dict[str, list[SchemaDoc]] = {}
+        # schema id -> flattened form.  A parent is an exact id and a stored
+        # SchemaDoc never changes, so an entry holds for the registry's life;
+        # only a rolled-back registration removes one, its own
+        self._resolved: dict[str, ResolvedSchema] = {}
+        # schema id -> compiled checker (see validator).  A $ref binds the
+        # latest version of its target, so every registration, tombstone or
+        # rollback empties it
         self._checkers: dict[str, object] = {}
         self.releases: list[ReleaseTag] = []
 
     def clone(self) -> "Registry":
-        """Independent copy; the immutable SchemaDocs themselves are shared."""
+        """Independent copy; the immutable SchemaDocs and flattened forms are shared."""
         out = Registry()
-        out._schemas = {title: dict(versions) for title, versions in self._schemas.items()}
-        out._kinds = dict(self._kinds)
+        out._schemas = {title: list(docs) for title, docs in self._schemas.items()}
+        out._resolved = dict(self._resolved)
         out.releases = list(self.releases)
         return out
 
@@ -333,45 +336,44 @@ class Registry:
         return sorted(self._schemas)
 
     def kind_of(self, title: str) -> str:
-        self._require_title(title)
-        return self._kinds[title]
+        return self.get(title, 0).kind
 
     def versions(self, title: str) -> list[int]:
-        self._require_title(title)
-        return sorted(self._schemas[title])
+        return list(range(self.latest_version(title) + 1))
 
     def latest_version(self, title: str) -> int:
-        return self.versions(title)[-1]
+        return self.get(title).linear_version
 
     def get(self, title: str, version: int | None = None) -> SchemaDoc:
-        self._require_title(title)
-        if version is None:
-            version = self.latest_version(title)
-        doc = self._schemas[title].get(version)
-        if doc is None:
-            raise UnknownSchemaError(f"no version {version} of {title!r} (latest is {self.latest_version(title)})")
-        return doc
-
-    def _require_title(self, title: str) -> None:
-        if title not in self._schemas:
+        docs = self._schemas.get(title)
+        if docs is None:
             raise UnknownSchemaError(f"unknown schema title {title!r}")
+        if version is None:
+            return docs[-1]
+        if version.__class__ is int and 0 <= version < len(docs):
+            return docs[version]
+        # any other type compares by ==: True and 1.0 find version 1, "1" finds none
+        if version in range(len(docs)):
+            return docs[int(version)]
+        raise UnknownSchemaError(f"no version {version} of {title!r} (latest is {len(docs) - 1})")
+
+    def _kind(self, title: str) -> str | None:
+        docs = self._schemas.get(title)
+        return docs[0].kind if docs else None
 
     # -- resolution ------------------------------------------------------
 
     def resolve(self, title: str, version: int | None = None) -> ResolvedSchema:
         """Flatten the inheritance chain: parent properties overlaid by own.
 
-        Each version is flattened once per registry state.  The result is
-        shared by every caller and must not be mutated.
+        Each version is flattened once for the registry's life, and its
+        clones', and memoized by schema id.  The result is shared by every
+        caller and must not be mutated.
         """
-        resolved = self._resolved.get((title, version))
+        doc = self.get(title, version)
+        resolved = self._resolved.get(doc.id)
         if resolved is None:
-            doc = self.get(title, version)
-            exact = (title, doc.linear_version)
-            resolved = self._resolved.get(exact)
-            if resolved is None:
-                resolved = self._flatten(doc)
-            self._resolved[exact] = self._resolved[(title, version)] = resolved
+            resolved = self._resolved[doc.id] = self._flatten(doc)
         return resolved
 
     def _flatten(self, doc: SchemaDoc) -> ResolvedSchema:
@@ -404,7 +406,7 @@ class Registry:
 
     def resolve_ref(self, ref_title: str) -> ResolvedSchema:
         """References always point at the latest version of the named schema."""
-        if self._kinds.get(ref_title) != "object":
+        if self._kind(ref_title) != "object":
             raise RegistryError(f"$ref target {ref_title!r} is not an object schema")
         return self.resolve(ref_title)
 
@@ -415,15 +417,16 @@ class Registry:
         # load_repo shares one set across its documents, so it walks each title once
         if doc.parent is not None:
             parent_kind, parent_title, parent_version = parse_id(doc.parent)
-            if parent_kind != doc.kind or self._kinds.get(parent_title) not in (None, doc.kind):
+            if parent_kind != doc.kind or self._kind(parent_title) not in (None, doc.kind):
                 raise RegistryError(f"{doc.id}: parent must be another {doc.kind} schema")
             parent = self.get(parent_title, parent_version)  # raises if missing
             if parent.is_tombstone():
                 raise RegistryError(f"{doc.id}: parent {doc.parent} is tombstoned")
         for path, ref in _iter_refs(doc):
-            if self._kinds.get(ref) is None:
+            ref_kind = self._kind(ref)
+            if ref_kind is None:
                 raise RegistryError(f"{doc.id}: {path}: reference to unknown schema {ref!r}")
-            if self._kinds[ref] != "object":
+            if ref_kind != "object":
                 raise RegistryError(f"{doc.id}: {path}: references must target object schemas")
         self.resolve(doc.title, doc.linear_version)  # required-list and cycle checks
         self._check_ref_acyclic(doc.title, set() if acyclic is None else acyclic)
@@ -439,7 +442,7 @@ class Registry:
             if title in visiting:
                 raise RegistryError(f"reference cycle through {title!r}")
             visiting.add(title)
-            for doc in self._schemas.get(title, {}).values():
+            for doc in self._schemas.get(title, ()):
                 for _, ref in _iter_refs(doc):
                     if ref in self._schemas:
                         visit(ref)
@@ -460,10 +463,10 @@ class Registry:
                 raise RegistryError(f"unknown kind {kind!r}")
             version = 0
         else:
-            if kind is not None and kind != self._kinds[title]:
-                raise RegistryError(f"{title!r} is an {self._kinds[title]} schema, not {kind}")
-            kind = self._kinds[title]
-            version = max(existing) + 1
+            if kind is not None and kind != existing[0].kind:
+                raise RegistryError(f"{title!r} is an {existing[0].kind} schema, not {kind}")
+            kind = existing[0].kind
+            version = len(existing)
         expected_id = make_id(kind, title, version)
         body = dict(body)
         body.setdefault("id", expected_id)
@@ -474,18 +477,18 @@ class Registry:
         if doc.title != title:
             raise RegistryError(f"body title {doc.title!r} does not match {title!r}")
         if existing:
-            previous = existing[version - 1]
-            if _same_body(previous, doc):
+            if _same_body(existing[-1], doc):
                 raise RegistryError(f"{title!r}: no change against version {version - 1}")
         self._store(doc)
         try:
             self._check_doc(doc)
         except Exception:
-            del self._schemas[title][version]
-            if not self._schemas[title]:
+            docs = self._schemas[title]
+            docs.pop()
+            if not docs:
                 del self._schemas[title]
-                del self._kinds[title]
-            self._changed()
+            self._resolved.pop(doc.id, None)
+            self._checkers.clear()
             raise
         return version
 
@@ -513,23 +516,18 @@ class Registry:
         else:
             patch += 1
         stamp = (now or datetime.now(timezone.utc)).isoformat()
-        snapshot = tuple((title, max(versions)) for title, versions in sorted(self._schemas.items()))
+        snapshot = tuple((title, len(docs) - 1) for title, docs in sorted(self._schemas.items()))
         tag = ReleaseTag(major, minor, patch, snapshot, stamp)
         self.releases.append(tag)
         return tag
 
     def _store(self, doc: SchemaDoc) -> None:
-        versions = self._schemas.setdefault(doc.title, {})
-        if doc.linear_version in versions:
+        docs = self._schemas.setdefault(doc.title, [])
+        if doc.linear_version < len(docs):
             raise RegistryError(f"{doc.id} registered twice")
-        if doc.linear_version != (max(versions) + 1 if versions else 0):
+        if doc.linear_version != len(docs):
             raise RegistryError(f"{doc.title!r}: versions must be contiguous, got {doc.linear_version}")
-        versions[doc.linear_version] = doc
-        self._kinds[doc.title] = doc.kind
-        self._changed()
-
-    def _changed(self) -> None:
-        self._resolved.clear()
+        docs.append(doc)
         self._checkers.clear()
 
 
@@ -659,7 +657,7 @@ def load_repo(directory: str | Path, files: dict[Path, bytes] | None = None) -> 
         registry.releases = _parse_releases(releases_file, files[releases_file])
         for tag in registry.releases:
             for title, version in tag.snapshot:
-                if title not in registry._schemas or version not in registry._schemas[title]:
+                if version not in range(len(registry._schemas.get(title, ()))):
                     raise RegistryError(
                         f"{releases_file}: tag {tag.version_string} references missing {title!r} version {version}"
                     )

@@ -187,13 +187,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------
 
-    def _send(self, status: int, payload: bytes, content_type="application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
     def _respond(self, route) -> None:
         """Send what `route()` returns, (status, raw bytes or a JSON value).
 
@@ -214,7 +207,11 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:
             self.log_error("internal error on %s %s: %r", self.command, self.path, exc)
             status, payload = 500, _encode({"error": f"internal error: {type(exc).__name__}"})
-        self._send(status, payload)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
 
     def _read_body(self):
         length = self.headers.get("Content-Length")

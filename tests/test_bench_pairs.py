@@ -1,4 +1,4 @@
-"""The verdict rule and the evolution-ci plan check of scripts/bench_pairs.py (the script is run, not installed)."""
+"""The verdict rule, the evolution-ci plan check and the line totals of scripts/bench_pairs.py (the script is run, not installed)."""
 
 import importlib.util
 import json
@@ -78,3 +78,28 @@ def test_evolution_ci_rows_count_the_pairs_with_the_same_plan():
     row = bench_pairs.summarise(runs, {}, {})[0]
     assert (row["pairs"], row["same_plan"]) == (3, 1)
     assert "same_plan" not in bench_pairs.summarise([run(0, "parent", 1.0), run(0, "change", 1.0)], {}, {})[0]
+
+
+def test_src_lines_counts_every_python_file_under_the_package(tmp_path):
+    package = tmp_path / "src" / "semschema"
+    (package / "jslt").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (package / "jslt" / "b.py").write_text("z = 3\n", encoding="utf-8")
+    (package / "fixtures.json").write_text("{}\n{}\n", encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("pass\n", encoding="utf-8")
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_the_output_records_both_checkouts_line_totals(tmp_path, monkeypatch):
+    for side, lines in (("parent", 4), ("change", 2)):
+        (tmp_path / side / "src" / "semschema").mkdir(parents=True)
+        (tmp_path / side / "src" / "semschema" / "m.py").write_text("pass\n" * lines, encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, side, first, seed, args: [])
+    monkeypatch.setattr(bench_pairs, "metric_specs", lambda checkout: ({}, {}))
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "w", "--seeds", "1", "--out", str(out)])
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["src_lines"] == {"parent": 4, "change": 2}
+    assert list(doc)[:4] == ["what", "parent_sha", "change_sha", "src_lines"]

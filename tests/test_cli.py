@@ -360,6 +360,16 @@ class TestImpactTest:
         )
         assert code == 2 and "title" in err[0]["error"]
 
+    def test_a_sample_path_with_a_bad_index_is_a_usage_error(self, capsys, repo_dir, tmp_path):
+        proposal, samples = self.write_inputs(tmp_path)
+        (samples / "guard.json").write_text(json.dumps({"schema": "Provider", "fragment": {".tags[1_0]": "x"}}))
+        code, out, err = run(
+            capsys, "impact-test", "--repo", str(repo_dir),
+            "--proposal", str(proposal), "--samples", str(samples),
+        )
+        assert (code, out) == (2, [])
+        assert err[0]["error"] == f"{samples / 'guard.json'}: bad index in path: '.tags[1_0]'"
+
     def test_no_samples_for_title(self, capsys, repo_dir, tmp_path):
         proposal, samples = self.write_inputs(tmp_path)
         for file in samples.glob("*.json"):

@@ -158,6 +158,16 @@ class TestJsonPath:
         assert JsonPath.parse(".") == JsonPath(())
         assert JsonPath.parse("") == JsonPath(())
 
+    @pytest.mark.parametrize("text, steps", [("a[12]", ("a", 12)), ("a[-1]", ("a", -1)), ("[0][3]", (0, 3))])
+    def test_an_index_is_ascii_digits_with_an_optional_minus(self, text, steps):
+        assert JsonPath.parse(text) == JsonPath(steps)
+
+    @pytest.mark.parametrize("text", ["a[1_0]", "a[ 3]", "a[3 ]", "a[+3]", "a[\u0663]", "a[]", "a[-]", "a[1e2]"])
+    def test_any_other_index_is_refused(self, text):
+        with pytest.raises(ValueError) as raised:
+            JsonPath.parse(text)
+        assert str(raised.value) == f"bad index in path: {text!r}"
+
     def test_prefixes(self):
         root = JsonPath(())
         ab = JsonPath(("a", "b"))

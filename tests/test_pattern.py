@@ -65,6 +65,23 @@ class TestMatching:
         with pytest.raises(PatternError):
             compile_pattern(source)
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (r"\q", r"unsupported escape \q in pattern '\\q' at offset 2"),
+            (r"[\q]", r"unsupported escape \q in class in pattern '[\\q]' at offset 3"),
+            ("a\\", r"dangling backslash in pattern 'a\\' at offset 2"),
+            ("[\\", r"dangling backslash in class in pattern '[\\' at offset 2"),
+            (r"\1", r"unsupported construct: back-reference in pattern '\\1' at offset 2"),
+            (r"[\1]", r"unsupported construct: back-reference in pattern '[\\1]' at offset 3"),
+            (r"[\D]", r"unsupported escape \D in class in pattern '[\\D]' at offset 3"),
+        ],
+    )
+    def test_escape_errors_name_the_escape_and_where_it_stands(self, source, message):
+        with pytest.raises(PatternError) as raised:
+            compile_pattern(source)
+        assert str(raised.value) == message
+
 
 class TestGeneration:
     @pytest.mark.parametrize("source", DIALECT_SAMPLES)

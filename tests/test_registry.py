@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_checker_oracle import registries
+from test_checker_oracle import bodies, registries
 
 from semschema.errors import RegistryError, UnknownSchemaError
 from semschema.jsonmodel import parse_json
@@ -160,6 +160,19 @@ class TestLifecycle:
         registry.register_version("Thing", self.body(), kind="object")
         with pytest.raises(UnknownSchemaError):
             registry.get("Thing", 3)
+
+    @pytest.mark.parametrize("version, found", [(True, 1), (1.0, 1), ("1", None), (-1, None), (2, None)])
+    def test_version_lookups_compare_by_equality(self, version, found):
+        registry = Registry()
+        registry.register_version("Thing", self.body(), kind="object")
+        registry.register_version("Thing", self.body(b={"type": "number"}))
+        if found is not None:
+            assert registry.get("Thing", version) is registry.get("Thing", found)
+            assert registry.resolve("Thing", version) is registry.resolve("Thing", found)
+            return
+        with pytest.raises(UnknownSchemaError) as raised:
+            registry.get("Thing", version)
+        assert str(raised.value) == f"no version {version} of 'Thing' (latest is 1)"
 
     def test_tombstone_and_revive(self):
         registry = Registry()
@@ -362,6 +375,101 @@ class TestResolveCache:
         assert report.proposed_version == 3
         assert registry.resolve("Provider") is before
         assert registry.resolve("Provider").doc.linear_version == 2
+
+
+GHOST = {"properties": {"a": {"type": "string"}}, "required": ["ghost"]}
+KINDS_BY_TITLE = {"Obj A": "object", "Obj B": "object", "Obj C": "object", "Ev": "event"}
+
+
+def model_of(registry):
+    """title -> {version: doc}, read once from a registry that `registries()` built."""
+    model = {}
+    for title in registry.titles():
+        versions, version = {}, 0
+        while True:
+            try:
+                versions[version] = registry.get(title, version)
+            except UnknownSchemaError:
+                break
+            version += 1
+        model[title] = versions
+    return model
+
+
+def assert_agrees(registry, model, memo):
+    """The queries match `model`, each flattened form is fresh-equal, and `memo` entries are kept."""
+    assert registry.titles() == sorted(model)
+    for title, versions in model.items():
+        latest = max(versions)
+        assert registry.versions(title) == sorted(versions)
+        assert registry.latest_version(title) == latest
+        assert registry.kind_of(title) == KINDS_BY_TITLE[title]
+        assert registry.get(title) is versions[latest]
+        with pytest.raises(UnknownSchemaError):
+            registry.get(title, latest + 1)
+        for version, doc in versions.items():
+            assert registry.get(title, version) is doc
+            assert doc.id == make_id(KINDS_BY_TITLE[title], title, version)
+            resolved = registry.resolve(title, version)
+            fresh = registry._flatten(doc)
+            assert (resolved.properties, resolved.required, resolved.overrides) == (
+                fresh.properties, fresh.required, fresh.overrides)
+            assert memo.setdefault(doc.id, resolved) is resolved
+        assert registry.resolve(title) is registry.resolve(title, latest)
+
+
+@st.composite
+def histories(draw):
+    """A registry from `registries()` and up to five steps, with one rejected registration among them."""
+    registry = draw(registries())
+    steps = draw(st.lists(st.tuples(st.sampled_from(["new", "tombstone"]), st.sampled_from(sorted(KINDS_BY_TITLE))),
+                          max_size=5))
+    steps.insert(draw(st.integers(0, len(steps))), ("ghost", draw(st.sampled_from(registry.titles()))))
+    return registry, steps
+
+
+def apply(registry, op, title, versions, data):
+    """Run one step; True when it stored a version."""
+    if op == "ghost":  # stored, then rolled back when flattening finds `ghost` undeclared
+        with pytest.raises(RegistryError, match="ghost"):
+            registry.register_version(title, GHOST)
+        return False
+    try:
+        if op == "tombstone":
+            registry.tombstone(title)
+        else:
+            # a reference may close a cycle, which is rolled back after the new version was flattened
+            refs = [t for t in registry.titles() if KINDS_BY_TITLE[t] == "object"]
+            registry.register_version(title, data.draw(bodies(refs)), kind=None if versions else KINDS_BY_TITLE[title])
+    except (RegistryError, UnknownSchemaError):
+        return False
+    return True
+
+
+class TestVersionStore:
+    @settings(max_examples=40, deadline=None)
+    @given(history=histories(), data=st.data())
+    def test_random_histories_agree_with_a_dict_model(self, history, data):
+        registry, steps = history
+        model = model_of(registry)
+        memo = {}
+        assert_agrees(registry, model, memo)
+        for op, title in steps:
+            versions = model.setdefault(title, {})
+            if apply(registry, op, title, versions, data):
+                versions[len(versions)] = registry.get(title)
+            else:
+                assert make_id(KINDS_BY_TITLE[title], title, len(versions)) not in registry._resolved
+                if not versions:
+                    del model[title]
+            assert_agrees(registry, model, memo)
+        copy = registry.clone()
+        title = data.draw(st.sampled_from(sorted(model)))
+        copy.register_version(title, {"properties": {"cloned": {"type": "number"}}})
+        assert copy.latest_version(title) == max(model[title]) + 1
+        assert_agrees(registry, model, memo)
+        assert copy._resolved.keys() >= memo.keys()
+        assert all(copy.resolve(t, v) is memo[doc.id] for t, versions in model.items() for v, doc in versions.items())
 
 
 class TestReleases:
