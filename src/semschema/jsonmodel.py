@@ -206,7 +206,6 @@ class JsonPath:
     # Unquoted steps are identifier-shaped so a rendered path can be
     # pasted into a transform program; anything else gets quoted.
     _PLAIN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-    _INDEX = re.compile(r"-?[0-9]+")
 
     def render(self) -> str:
         if not self.steps:
@@ -244,7 +243,9 @@ class JsonPath:
                 if j < 0:
                     raise ValueError(f"unclosed index in path: {text!r}")
                 index = text[i + 1 : j]
-                if not cls._INDEX.fullmatch(index):  # as render writes it; int() also takes "1_0", " 3", "+3", "٣"
+                # ASCII digits, as render writes them; int() also takes "1_0", " 3", "+3" and "٣"
+                digits = index[1:] if index.startswith("-") else index
+                if not (digits.isascii() and digits.isdigit()):
                     raise ValueError(f"bad index in path: {text!r}")
                 steps.append(int(index))
                 i = j + 1

@@ -352,7 +352,7 @@ class Registry:
             return docs[-1]
         if version.__class__ is int and 0 <= version < len(docs):
             return docs[version]
-        # any other type compares by ==: True and 1.0 find version 1, "1" finds none
+        # anything else compares by ==: True and 1.0 find version 1, "1" finds none
         if version in range(len(docs)):
             return docs[int(version)]
         raise UnknownSchemaError(f"no version {version} of {title!r} (latest is {len(docs) - 1})")
