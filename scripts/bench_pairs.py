@@ -20,7 +20,8 @@ checkout's line total of `src/semschema/**/*.py`, the net line count a
 change reports.
 `--append` adds the new runs to an existing file and recomputes the
 summary, so claim pairs, held-out seeds and `--workload all` pairs can
-share one file.  `--claim workload/metric` copies that row to
+share one file; `what` lists each invocation's `--what` with its
+workload and seeds.  `--claim workload/metric` copies that row to
 `claim` and marks it met when the change won at least 9 in 10 pairs and
 its median gain exceeds the parent's interquartile range.
 
@@ -201,6 +202,9 @@ def main(argv=None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.append and args.out.exists() else {}
     runs = doc.get("runs", [])
+    what = doc.get("what", [])
+    what = [what] if isinstance(what, str) else what  # a file from before `what` was a list
+    what.append(f"{args.what} (--workload {args.workload} --seeds {args.seeds})")
     for index, seed in enumerate(parse_seeds(args.seeds)):
         order = [("parent", parent), ("change", change)]
         if index % 2:
@@ -209,7 +213,7 @@ def main(argv=None) -> int:
             runs.extend(run_once(checkout, side, order[0][0], seed, args))
             print(f"seed {seed} {side} done", file=sys.stderr, flush=True)
     doc.update({
-        "what": doc.get("what", args.what),
+        "what": what,
         "parent_sha": git_sha(parent), "change_sha": git_sha(change),
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine(),

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import jsonmodel
-from .errors import JsonParseError, SemSchemaError
+from .errors import SemSchemaError
 
 # Every other module is imported by the commands that use it, so that a
 # command loads only what it runs; registry and validator are called
@@ -200,10 +200,7 @@ def cmd_impact_test(args) -> int:
     registry = _load_repo(args.repo)
     from . import evolution, generator
 
-    try:
-        proposal = jsonmodel.parse_json(Path(args.proposal).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, JsonParseError) as exc:
-        raise SemSchemaError(f"{args.proposal}: {exc}") from None
+    proposal = jsonmodel.read_file(args.proposal, jsonmodel.parse_json, SemSchemaError)
     if not isinstance(proposal, dict) or not isinstance(proposal.get("title"), str):
         raise SemSchemaError(f"{args.proposal}: proposal file must be a schema document with a title")
     title = proposal["title"]
@@ -224,10 +221,7 @@ def cmd_impact_test(args) -> int:
 def cmd_jslt_run(args) -> int:
     from . import jslt
 
-    try:
-        program = jslt.compile(Path(args.program).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, SemSchemaError) as exc:
-        raise SemSchemaError(f"{args.program}: {exc}") from None
+    program = jsonmodel.read_file(args.program, jslt.compile, SemSchemaError)
     return _each_line(args.input, lambda value: _out(program.evaluate(value)))
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import jslt, jsonmodel
-from .errors import JsltRuntimeError, JsonParseError, SemSchemaError
+from .errors import JsltRuntimeError, SemSchemaError
 from .jslt.functions import is_truthy
 
 if TYPE_CHECKING:
@@ -72,7 +72,7 @@ def parse_module(owner: str, raw: dict, where: str = "check module") -> CheckMod
         try:
             filter_program = jslt.compile(record["filter"])
             check_program = jslt.compile(record["check"])
-        except Exception as exc:
+        except SemSchemaError as exc:
             raise DqtError(f"{where}: check {name!r}: {exc}") from None
         description, solution_url = record.get("description", ""), record.get("solutionUrl", "")
         checks.append(CheckDef(name, description, solution_url, filter_program, check_program))
@@ -86,10 +86,7 @@ def load_modules(directory: str | Path) -> list[CheckModule]:
     modules = []
     defined_in: dict[str, Path] = {}  # check name -> the file that defines it
     for file in sorted(root.glob("*.json")):
-        try:
-            raw = jsonmodel.parse_json(file.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, JsonParseError) as exc:
-            raise DqtError(f"{file}: {exc}") from None
+        raw = jsonmodel.read_file(file, jsonmodel.parse_json, DqtError)
         module = parse_module(file.stem, raw, where=str(file))
         for check in module.checks:
             # counters are keyed by check name, so two teams' checks of one name would mix

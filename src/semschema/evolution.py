@@ -9,20 +9,15 @@ step; non-breaking steps get an automatic identity transform.
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 from typing import NamedTuple
 
-from . import jslt
-from .errors import (
-    ChainValidationError,
-    EvolutionError,
-    JsonParseError,
-    MissingTransformError,
-    UnsatisfiableError,
-)
-from .jsonmodel import JsonPath, parse_json
-from .registry import PropertyDef, Registry, file_text, parse_id, read_transforms, slug_to_title
+from . import jslt, jsonmodel
+from .errors import ChainValidationError, EvolutionError, MissingTransformError, UnsatisfiableError
+from .jsonmodel import JsonPath
+from .registry import PropertyDef, Registry, parse_id, read_transforms, slug_to_title
 from .validator import ValidationTarget, validate
 
 ADD = "Add"
@@ -206,10 +201,7 @@ class TransformSet:
                 raise EvolutionError(f"{file}: {title!r} has no version {to_version}")
             if (title, from_version) in programs:
                 raise EvolutionError(f"{file}: a second transform for {title!r} {from_version} -> {to_version}")
-            try:
-                programs[(title, from_version)] = jslt.compile(file_text(data))
-            except Exception as exc:
-                raise EvolutionError(f"{file}: {exc}") from None
+            programs[(title, from_version)] = jsonmodel.read_file(file, jslt.compile, EvolutionError, data)
         return cls(registry, programs)
 
     def compose_chain(self, title: str, from_version: int) -> tuple[ChainStep, ...]:
@@ -385,28 +377,20 @@ def load_samples(directory: str | Path) -> list[ConsumerSample]:
 
     consumer defaults to the file stem, polarity to must-stay-valid.
     """
-    samples = []
-    root = Path(directory)
-    for file in sorted(root.glob("*.json")):
-        try:
-            raw = parse_json(file.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, JsonParseError) as exc:
-            raise EvolutionError(f"{file}: {exc}") from None
-        if not isinstance(raw, dict) or not isinstance(raw.get("fragment"), dict):
-            raise EvolutionError(f"{file}: expected an object with a fragment mapping")
-        unknown = set(raw) - {"consumer", "schema", "polarity", "fragment"}
-        if unknown:
-            raise EvolutionError(f"{file}: unknown fields {sorted(unknown)}")
-        try:
-            fragment = tuple((JsonPath.parse(path), value) for path, value in raw["fragment"].items())
-            samples.append(
-                ConsumerSample(
-                    consumer=raw.get("consumer", file.stem),
-                    title=raw.get("schema", ""),
-                    fragment=fragment,
-                    polarity=raw.get("polarity", MUST_STAY_VALID),
-                )
-            )
-        except (ValueError, EvolutionError) as exc:  # a path that does not parse, an unknown polarity
-            raise EvolutionError(f"{file}: {exc}") from None
-    return samples
+    return [jsonmodel.read_file(file, functools.partial(_parse_sample, file.stem), EvolutionError)
+            for file in sorted(Path(directory).glob("*.json"))]
+
+
+def _parse_sample(stem: str, text: str) -> ConsumerSample:
+    raw = jsonmodel.parse_json(text)
+    if not isinstance(raw, dict) or not isinstance(raw.get("fragment"), dict):
+        raise EvolutionError("expected an object with a fragment mapping")
+    unknown = set(raw) - {"consumer", "schema", "polarity", "fragment"}
+    if unknown:
+        raise EvolutionError(f"unknown fields {sorted(unknown)}")
+    try:
+        fragment = tuple((JsonPath.parse(path), value) for path, value in raw["fragment"].items())
+    except ValueError as exc:  # a path that does not parse
+        raise EvolutionError(str(exc)) from None
+    return ConsumerSample(raw.get("consumer", stem), raw.get("schema", ""), fragment,
+                          raw.get("polarity", MUST_STAY_VALID))

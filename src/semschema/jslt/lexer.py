@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
+from json.decoder import JSONDecodeError, scanstring
 from typing import NamedTuple
 
 from ..errors import JsltCompileError
+from ..jsonmodel import finite_float
 
 KEYWORDS = {"let", "def", "if", "else", "for", "and", "or", "true", "false", "null"}
 
@@ -17,8 +19,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*")
 # ASCII digits only, as in JSON; str.isdigit and \d also take "²" and "٣"
 _NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _VAR_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
-
-_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 
 
 class Token(NamedTuple):
@@ -58,14 +58,17 @@ def tokenize(source: str) -> list[Token]:
             continue
         tok_line, tok_col = line, col()
         if ch == '"':
-            text, value, end_pos = _scan_string(source, pos, line, col())
-            tokens.append(Token("string", text, value, tok_line, tok_col))
-            pos = end_pos
+            value, end = _scan_string(source, pos, tok_line, tok_col)
+            tokens.append(Token("string", source[pos:end], value, tok_line, tok_col))
+            pos = end
             continue
         if "0" <= ch <= "9":
             m = _NUMBER_RE.match(source, pos)
             text = m.group(0)
-            value = int(text) if text.isdigit() else float(text)
+            try:
+                value = int(text) if text.isdigit() else finite_float(text)
+            except ValueError as exc:  # beyond a double's range, or more digits than int() takes
+                fail(str(exc))
             tokens.append(Token("number", text, value, tok_line, tok_col))
             pos = m.end()
             continue
@@ -94,35 +97,17 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, str, int]:
-    start = pos
-    pos += 1
-    out: list[str] = []
-    n = len(source)
-    while True:
-        if pos >= n:
-            raise JsltCompileError("unterminated string literal", line, col)
-        ch = source[pos]
-        if ch == '"':
-            pos += 1
-            return source[start:pos], "".join(out), pos
-        if ch == "\n":
-            raise JsltCompileError("newline inside string literal", line, col)
-        if ch == "\\":
-            if pos + 1 >= n:
-                raise JsltCompileError("unterminated escape", line, col)
-            esc = source[pos + 1]
-            if esc in _ESCAPES:
-                out.append(_ESCAPES[esc])
-                pos += 2
-                continue
-            if esc == "u":
-                hex_digits = source[pos + 2 : pos + 6]
-                if len(hex_digits) != 4 or not all(c in "0123456789abcdefABCDEF" for c in hex_digits):
-                    raise JsltCompileError("bad \\u escape", line, col)
-                out.append(chr(int(hex_digits, 16)))
-                pos += 6
-                continue
-            raise JsltCompileError(f"unknown escape \\{esc}", line, col)
-        out.append(ch)
-        pos += 1
+def _scan_string(source: str, pos: int, line: int, col: int) -> tuple[str, int]:
+    """The value and end of the JSON string at `pos`, with no raw newline; any error is at `line`:`col`."""
+    try:
+        value, end = scanstring(source, pos + 1, False)
+        message = None
+    except JSONDecodeError as exc:
+        # a bad escape stops the scan at exc.pos; an unterminated literal (exc.pos is its quote) ran to the end
+        value, end = None, exc.pos if exc.pos > pos else len(source)
+        message = exc.msg.removesuffix(" at")  # "Unterminated string starting at" reads on into "1:5"
+    if source.find("\n", pos, end) >= 0:
+        message = "newline inside string literal"
+    if message:
+        raise JsltCompileError(message, line, col)
+    return value, end

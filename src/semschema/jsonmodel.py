@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Iterable, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
 
-from .errors import JsonParseError
+from .errors import JsonParseError, SemSchemaError
 
 # A JsonValue is None | bool | int | float | str | list | dict.
 JsonValue = Any
@@ -33,7 +34,8 @@ def _reject_constant(name: str):
     raise ValueError(f"JSON does not allow {name}")
 
 
-def _finite_float(text: str) -> float:
+def finite_float(text: str) -> float:
+    """`float(text)`, refusing a number beyond a double's range as parse_json does."""
     value = float(text)
     if math.isinf(value):
         raise ValueError(f"number out of range: {text}")
@@ -56,7 +58,7 @@ def _check_depth(text: str) -> None:
 # One decoder and one compact encoder for the process: json.loads and
 # json.dumps would build a new one per call for these settings.  Both are
 # stateless between calls, so threads can share them.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=finite_float)
 _COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -89,6 +91,19 @@ def parse_json(text: str) -> JsonValue:
         raise JsonParseError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
         raise JsonParseError(str(exc), 1, 1) from exc
+
+
+def read_file(path: str | Path, parse: Callable[[str], Any], error: type[Exception], data: bytes | None = None):
+    """`parse` of the file's text, UTF-8 with universal newlines; `data` holds its bytes if read already.
+
+    Bytes that are not UTF-8, or a SemSchemaError from `parse`, raise `error("<path>: <reason>")`.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        return parse(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except (UnicodeDecodeError, SemSchemaError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def _normalize(value: JsonValue) -> JsonValue:
@@ -250,11 +265,8 @@ class JsonPath:
                 steps.append(int(index))
                 i = j + 1
             elif c == '"':
-                value, end = _DECODER.raw_decode(text, i)
-                if not isinstance(value, str):
-                    raise ValueError(f"bad quoted step in path: {text!r}")
+                value, i = json.decoder.scanstring(text, i + 1)
                 steps.append(value)
-                i = end
             else:
                 j = i
                 while j < n and text[j] not in ".[":

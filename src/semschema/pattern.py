@@ -76,10 +76,17 @@ class Repeat(NamedTuple):
 Node = Union[Lit, CharClass, Dot, Seq, Alt, Repeat]
 
 
+# The parser, re.compile and generation recurse per group level (246 levels
+# exhaust the default recursion limit); at this bound a pattern still fits
+# in a schema nested as deep as jsonmodel.MAX_DEPTH allows.
+MAX_GROUP_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0  # groups open at the cursor
 
     def error(self, message: str) -> PatternError:
         return PatternError(f"{message} in pattern {self.src!r} at offset {self.pos}")
@@ -173,6 +180,8 @@ class _Parser:
     def atom(self) -> Node:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_GROUP_DEPTH:
+                raise self.error(f"groups nested deeper than {MAX_GROUP_DEPTH}")
             self.take()
             if self.peek() == "?":
                 self.take()
@@ -180,7 +189,9 @@ class _Parser:
                     self.take()
                 else:
                     raise self.error("unsupported construct: lookaround or named group")
+            self.depth += 1
             inner = self.alternation()
+            self.depth -= 1
             if self.peek() != ")":
                 raise self.error("unclosed group")
             self.take()
@@ -313,7 +324,7 @@ class CompiledPattern:
         root = _Parser(source).parse()
         try:
             self._regex = re.compile(source)
-        except re.error as exc:  # pragma: no cover - dialect parse should catch first
+        except (re.error, OverflowError) as exc:  # OverflowError: a repeat count of 2**32 - 1 or more
             raise PatternError(f"pattern rejected by matcher: {exc}") from exc
         self._generate = self._compile(root)
 

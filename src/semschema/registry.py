@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import jsonmodel
-from .errors import JsonParseError, PatternError, RegistryError, UnknownSchemaError
+from .errors import PatternError, RegistryError, UnknownSchemaError
 from .pattern import compile_pattern
 
 HOST = "https://schema.example.com"
@@ -606,11 +606,6 @@ def _read_slug_dirs(root: Path, suffix: str, key=None) -> dict[Path, bytes]:
     return files
 
 
-def file_text(data: bytes) -> str:
-    """A file's text as `Path.read_text` gives it: UTF-8, with universal newlines."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-
-
 def load_repo(directory: str | Path, files: dict[Path, bytes] | None = None) -> Registry:
     """Load every schema version and the release history from a directory.
 
@@ -629,13 +624,8 @@ def load_repo(directory: str | Path, files: dict[Path, bytes] | None = None) -> 
         kind, slug, _ = parts
         if _file_version(file) < 0:
             raise RegistryError(f"{file}: file name must be <version>.json")
-        try:
-            raw = jsonmodel.parse_json(file_text(data))
-            doc = _parse_doc(raw, kind, where=str(file))
-        except RegistryError:
-            raise
-        except Exception as exc:
-            raise RegistryError(f"{file}: {exc}") from None
+        raw = jsonmodel.read_file(file, jsonmodel.parse_json, RegistryError, data)
+        doc = _parse_doc(raw, kind, where=str(file))
         if doc.title != slug_to_title(slug):
             raise RegistryError(f"{file}: title {doc.title!r} does not match directory {slug!r}")
         if doc.linear_version != _file_version(file):
@@ -654,7 +644,7 @@ def load_repo(directory: str | Path, files: dict[Path, bytes] | None = None) -> 
             raise RegistryError(f"{file}: {exc}") from None
     releases_file = root / "releases.json"
     if releases_file in files:
-        registry.releases = _parse_releases(releases_file, files[releases_file])
+        registry.releases = jsonmodel.read_file(releases_file, _parse_releases, RegistryError, files[releases_file])
         for tag in registry.releases:
             for title, version in tag.snapshot:
                 if version not in range(len(registry._schemas.get(title, ()))):
@@ -670,13 +660,10 @@ def _file_version(path: Path) -> int:
     return int(stem) if stem.isascii() and stem.isdigit() else -1
 
 
-def _parse_releases(file: Path, data: bytes) -> list[ReleaseTag]:
-    try:
-        raw = jsonmodel.parse_json(file_text(data))
-    except (UnicodeDecodeError, JsonParseError) as exc:
-        raise RegistryError(f"{file}: {exc}") from None
+def _parse_releases(text: str) -> list[ReleaseTag]:
+    raw = jsonmodel.parse_json(text)
     if not isinstance(raw, list):
-        raise RegistryError(f"{file}: expected a list of release tags")
+        raise RegistryError("expected a list of release tags")
     releases: list[ReleaseTag] = []
     for entry in raw:
         try:
@@ -687,10 +674,10 @@ def _parse_releases(file: Path, data: bytes) -> list[ReleaseTag]:
                 raise TypeError
             releases.append(ReleaseTag(major, minor, patch, snapshot, entry["timestamp"]))
         except (KeyError, ValueError, AttributeError, TypeError):
-            raise RegistryError(f"{file}: malformed release entry: {jsonmodel.dumps(entry)}") from None
+            raise RegistryError(f"malformed release entry: {jsonmodel.dumps(entry)}") from None
     for earlier, later in zip(releases, releases[1:]):
         if (earlier.major, earlier.minor, earlier.patch) >= (later.major, later.minor, later.patch):
-            raise RegistryError(f"{file}: release versions must strictly increase")
+            raise RegistryError("release versions must strictly increase")
     return releases
 
 

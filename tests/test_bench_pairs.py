@@ -103,3 +103,19 @@ def test_the_output_records_both_checkouts_line_totals(tmp_path, monkeypatch):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["src_lines"] == {"parent": 4, "change": 2}
     assert list(doc)[:4] == ["what", "parent_sha", "change_sha", "src_lines"]
+
+
+def test_append_records_every_invocations_what(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, side, first, seed, args: [])
+    monkeypatch.setattr(bench_pairs, "metric_specs", lambda checkout: ({}, {}))
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"what": "written before what was a list", "runs": []}), encoding="utf-8")
+    for workload, seeds, what in (("w", "1-3", "claim pairs"), ("all", "7", "held-out pair")):
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--workload", workload, "--seeds", seeds, "--out", str(out), "--append", "--what", what])
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert list(doc)[0] == "what"
+    assert doc["what"] == ["written before what was a list", "claim pairs (--workload w --seeds 1-3)",
+                           "held-out pair (--workload all --seeds 7)"]

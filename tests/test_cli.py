@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from semschema import cli
-from semschema.jsonmodel import MAX_DEPTH
+from semschema.errors import JsonParseError
+from semschema.jsonmodel import MAX_DEPTH, parse_json
 from semschema.registry import make_id
 
 
@@ -713,6 +714,65 @@ class TestEvaluationDepth:
         assert {name: counts.get(f"w.{name}") for name in ("applicable", "valid", "invalid", "error")} == {
             "applicable": 3, "valid": 2, "invalid": None, "error": 1,
         }
+
+
+class TestDeepPatterns:
+    """A pattern nested past MAX_GROUP_DEPTH is one usage error naming its file; at the bound it still
+    works in a schema nested as deep as MAX_DEPTH allows. Fresh interpreters: validate and schema load
+    run at the default recursion limit, as they never import jslt."""
+
+    @staticmethod
+    def nested(depth):
+        return "(" * depth + "a" + ")" * depth
+
+    def test_jslt_run_refuses_a_deep_test_pattern(self, tmp_path):
+        program, data = tmp_path / "deep.jslt", tmp_path / "in.ndjson"
+        program.write_text(f'test(., "{self.nested(8_000)}")')
+        data.write_text('"a"\n')
+        done = fresh_cli(["jslt", "run", program, "--input", data])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [{"error": (
+            f"{program}: test: groups nested deeper than 64 in pattern {self.nested(8_000)!r} at offset 64 at 1:9")}]
+
+    def test_schema_load_refuses_a_deep_schema_pattern(self, scratch_repo):
+        file = scratch_repo / "object" / "Provider" / "0.json"
+        doc = json.loads(file.read_text())
+        doc["properties"]["code"] = {"type": "string", "pattern": self.nested(500)}
+        file.write_text(json.dumps(doc))
+        done = fresh_cli(["schema", "load", scratch_repo])
+        assert (done.returncode, done.stdout) == (2, "")
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [{"error": (
+            f"{file}.code: bad pattern: groups nested deeper than 64 in pattern {self.nested(500)!r} at offset 64")}]
+
+    def test_a_pattern_at_the_bound_in_the_deepest_schema_loads_and_validates(self, tmp_path):
+        levels = (MAX_DEPTH - 3) // 2  # each compound level is two JSON levels: its definition and its properties
+        schema_id = make_id("event", "Deep", 0)
+
+        def schema(levels):
+            definition = {"type": "string", "pattern": "^" + self.nested(64) + "$"}
+            for _ in range(levels):
+                definition = {"type": "object", "properties": {"p": definition}}
+            return json.dumps({"id": schema_id, "title": "Deep",
+                               "properties": {"schema": {"type": "string"}, "p": definition}})
+
+        with pytest.raises(JsonParseError, match="nesting deeper than"):  # one level more is refused
+            parse_json(schema(levels + 1))
+        (tmp_path / "event" / "Deep").mkdir(parents=True)
+        (tmp_path / "event" / "Deep" / "0.json").write_text(schema(levels))
+
+        def event(leaf):
+            for _ in range(levels + 1):
+                leaf = {"p": leaf}
+            return json.dumps({"schema": schema_id, **leaf})
+
+        events = tmp_path / "events.ndjson"
+        events.write_text(event("a") + "\n" + event("b") + "\n")
+        done = fresh_cli(["schema", "load", tmp_path])
+        assert (done.returncode, done.stderr) == (0, "")
+        done = fresh_cli(["validate", events, "--repo", tmp_path])
+        assert done.returncode == 1
+        ((line, mismatch),) = [(d["line"], d["kind"]) for d in map(json.loads, done.stderr.splitlines())]
+        assert (line, mismatch) == (2, "pattern-failed")
 
 
 class TestDqtRun:

@@ -4,12 +4,12 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semschema import jslt
-from semschema.errors import JsltCompileError, JsltRuntimeError
-from semschema.jsonmodel import json_equal
+from semschema.errors import JsltCompileError, JsltRuntimeError, JsonParseError
+from semschema.jsonmodel import json_equal, parse_json
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max_size=10),
@@ -301,6 +301,12 @@ class TestBuiltins:
         with pytest.raises(JsltRuntimeError):
             program.evaluate({"x": "a", "p": "("})
 
+    @pytest.mark.parametrize("pattern", ["a{4294967296}", "(" * 65 + ")" * 65])
+    def test_a_dynamic_pattern_past_a_bound_fails_at_runtime(self, pattern):
+        # a repeat count the matcher refuses, and groups nested past MAX_GROUP_DEPTH
+        with pytest.raises(JsltRuntimeError, match="^test: "):
+            jslt.compile("test(.x, .p)").evaluate({"x": "a", "p": pattern})
+
 
 class TestParseTime:
     FMT = '"yyyy-MM-dd\'T\'HH:mm:ssX"'
@@ -398,6 +404,84 @@ class TestCompileErrors:
         with pytest.raises(JsltCompileError) as err:
             jslt.compile("1 +\n  bogus")
         assert err.value.line == 2
+
+
+class TestStringLiterals:
+    """A string literal is read as a JSON string, by the scanner parse_json uses, but for a raw newline."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters(exclude_categories=())), st.booleans())  # lone surrogates included
+    def test_a_json_string_literal_gives_its_text(self, text, ensure_ascii):
+        assert run(json.dumps(text, ensure_ascii=ensure_ascii)) == text
+
+    @pytest.mark.parametrize("literal, value", [
+        (r'"\""', '"'), (r'"\\"', "\\"), (r'"\/"', "/"), (r'"\b"', "\b"), (r'"\f"', "\f"),
+        (r'"\n"', "\n"), (r'"\r"', "\r"), (r'"\t"', "\t"), (r'"\u00e9\u00C9"', "éÉ"),
+        (r'"\ud83d\ude00"', "\U0001f600"),  # an escaped pair is one character, as in parse_json
+        (r'"\ud800"', "\ud800"), (r'"\udc00\ud800"', "\udc00\ud800"),  # lone surrogates stay lone
+    ])
+    def test_each_escape(self, literal, value):
+        assert run(literal) == value == parse_json(literal)
+
+    def test_a_raw_control_character_other_than_newline_is_kept(self):
+        assert run('"a\tb\rc\x01"') == "a\tb\rc\x01"
+
+    @pytest.mark.parametrize("source, message", [
+        ('. + "ab', "Unterminated string starting at 1:5"),
+        ('. + "ab\\', "Unterminated string starting at 1:5"),
+        ('. + "a\\qb"', "Invalid \\escape at 1:5"),
+        ('. + "a\\u12g4"', "Invalid \\uXXXX escape at 1:5"),
+        ('. + "a\\u12"', "Invalid \\uXXXX escape at 1:5"),
+        ('. + "a\nb"', "newline inside string literal at 1:5"),
+        ('. + "a\nb', "newline inside string literal at 1:5"),  # unterminated, but the newline comes first
+        ('. + "a\nb\\q', "newline inside string literal at 1:5"),
+        ('. + "a\\q\nb"', "Invalid \\escape at 1:5"),
+        ('1 +\n  "ab', "Unterminated string starting at 2:3"),
+    ])
+    def test_every_error_stands_at_the_opening_quote(self, source, message):
+        with pytest.raises(JsltCompileError) as err:
+            jslt.compile(source)
+        assert str(err.value) == message
+
+
+# tokens of the language, a few it refuses, and literals the lexer reads by JSON's rules
+JSLT_PIECES = [
+    ".", ".a", '."b c"', "[", "]", "{", "}", "(", ")", ",", ":", "*", "/", "+", "-", "<", "==", "!=", " ", "\n",
+    "// c\n", "$x", "let x = 1", "def f(y) $y", "if", "else", "for", "and", "or", "true", "false", "null",
+    "test(", "parse-time(", "size(", "f(", '"x"', '"\\q"', '"\\ud800"', '"\\u12"', '"a\nb"', '"(((("',
+    '"a{4294967296}"', '"yyyy-QQ"', "1", "007", "1.5", "1e400", "1" * 5000, "²", "#", "$",
+]
+
+
+class TestCompileRaisesOnlyCompileErrors:
+    """A program file is read through jsonmodel.read_file, which names the file only for a SemSchemaError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(JSLT_PIECES), max_size=12).map("".join) | st.text(max_size=20))
+    @example('test(., "a{4294967296}")')
+    @example("1" * 5000)
+    def test_any_text_compiles_or_raises_a_compile_error(self, source):
+        try:
+            jslt.compile(source)
+        except JsltCompileError:
+            pass
+
+
+class TestNumberLiterals:
+    def test_a_number_beyond_a_double_is_a_compile_error_as_in_parse_json(self):
+        with pytest.raises(JsltCompileError) as err:
+            jslt.compile("[1, 1e400]")
+        assert str(err.value) == "number out of range: 1e400 at 1:5"
+        with pytest.raises(JsonParseError, match="number out of range: 1e400"):
+            parse_json("[1, 1e400]")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() takes any length before 3.11")
+    def test_an_integer_longer_than_int_takes_is_a_compile_error(self):
+        with pytest.raises(JsltCompileError, match="^Exceeds the limit .* at 1:1$"):
+            jslt.compile("1" * 5000)
+
+    def test_numbers_in_range_keep_their_values(self):
+        assert run("[1e308, 1.5e-400, 007, 12]") == [1e308, 0.0, 7, 12]
 
 
 class TestErrorOrder:

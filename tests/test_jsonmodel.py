@@ -168,6 +168,17 @@ class TestJsonPath:
             JsonPath.parse(text)
         assert str(raised.value) == f"bad index in path: {text!r}"
 
+    @pytest.mark.parametrize("text, steps", [
+        ('."a b".c', ("a b", "c")), ('."\\u00e9\\"x"[0]', ('é"x', 0)), ('."\\ud83d\\ude00"', ("\U0001f600",)),
+    ])
+    def test_a_quoted_step_is_a_json_string(self, text, steps):
+        assert JsonPath.parse(text) == JsonPath(steps)
+
+    @pytest.mark.parametrize("text", ['."a', '."a\\q"', '."a\tb"'])
+    def test_a_bad_quoted_step_is_refused(self, text):
+        with pytest.raises(ValueError):
+            JsonPath.parse(text)
+
     def test_prefixes(self):
         root = JsonPath(())
         ab = JsonPath(("a", "b"))
@@ -192,6 +203,42 @@ class TestJsonPath:
             set_path([1], JsonPath((4,)), 5)
         with pytest.raises(ValueError):
             set_path({"a": 1}, JsonPath((0,)), 5)
+
+
+class TestReadFile:
+    """The one reader of JSON and JSLT files: UTF-8, universal newlines, and errors that name the file."""
+
+    def test_the_text_has_universal_newlines(self, tmp_path):
+        file = tmp_path / "f.json"
+        file.write_bytes(b'{"a":\r\n1,\r"b": "\xc3\xa9"}\n')
+        assert jsonmodel.read_file(file, str, ValueError) == '{"a":\n1,\n"b": "\u00e9"}\n'
+        assert jsonmodel.read_file(file, parse_json, ValueError) == {"a": 1, "b": "\u00e9"}
+
+    def test_bytes_already_read_are_parsed_without_opening_the_path(self, tmp_path):
+        assert jsonmodel.read_file(tmp_path / "absent.json", parse_json, ValueError, b"[1,\r2]") == [1, 2]
+
+    @pytest.mark.parametrize("data, reason", [
+        (b'["\xff"]', "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+        (b"[1,", "Expecting value (line 1, column 4)"),
+        (b"\xef\xbb\xbf[1]", "Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"),
+    ])
+    def test_a_refused_file_is_one_error_naming_the_path_as_given(self, data, reason):
+        class Refused(Exception):
+            pass
+
+        with pytest.raises(Refused) as raised:
+            jsonmodel.read_file("dir/f.json", parse_json, Refused, data)
+        assert str(raised.value) == f"dir/f.json: {reason}"
+        assert raised.value.__cause__ is None and raised.value.__suppress_context__
+
+    def test_other_errors_pass_through(self, tmp_path):
+        def parse(text):
+            raise KeyError(text)
+
+        with pytest.raises(KeyError):
+            jsonmodel.read_file("f.json", parse, ValueError, b"x")
+        with pytest.raises(FileNotFoundError):
+            jsonmodel.read_file(tmp_path / "absent.json", parse_json, ValueError)
 
 
 class TestNdjson:

@@ -125,6 +125,32 @@ class TestGeneration:
         assert re.fullmatch(source[1:-1], value)
 
 
+class TestGroupDepth:
+    """Group nesting is bounded, so compiling and drawing never run out of frames."""
+
+    BOUND = pattern_module.MAX_GROUP_DEPTH
+
+    @pytest.mark.parametrize("opening", ["(", "(?:"])
+    def test_the_bound_compiles_matches_and_generates(self, opening):
+        pattern = compile_pattern("^" + opening * self.BOUND + "ab|c" + ")" * self.BOUND + "$")
+        assert pattern.search("ab") and not pattern.search("b")
+        assert pattern.generate(random.Random(0)) in ("ab", "c")
+
+    @pytest.mark.parametrize("extra", [1, 500])
+    def test_one_level_past_it_is_refused_at_its_group(self, extra):
+        source = "x(" + "(" * (self.BOUND - 1) + "(?:" * extra + "a" + ")" * (self.BOUND + extra)
+        with pytest.raises(PatternError) as raised:
+            compile_pattern(source)
+        assert str(raised.value) == f"groups nested deeper than 64 in pattern {source!r} at offset {self.BOUND + 1}"
+
+    def test_sibling_groups_do_not_add_up(self):
+        assert compile_pattern("(a)" * 200).search("a" * 200)
+
+    def test_a_repeat_count_the_matcher_refuses_is_a_pattern_error(self):
+        with pytest.raises(PatternError, match="pattern rejected by matcher: the repetition number is too large"):
+            compile_pattern("a{4294967296}")
+
+
 class TestEmptyPool:
     """A class that excludes every printable character compiles and matches; only a draw fails."""
 

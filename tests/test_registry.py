@@ -3,14 +3,16 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_checker_oracle import bodies, registries
 
 from semschema.errors import RegistryError, UnknownSchemaError
 from semschema.jsonmodel import parse_json
 from semschema.registry import (
+    KINDS,
     Registry,
+    _parse_doc,
     load_repo,
     make_id,
     parse_id,
@@ -104,6 +106,50 @@ class TestPropertyParsing:
         )
         assert deep_a.same_definition(deep_b)
         assert not a.same_definition(parse_property({"type": "number"}))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+# patterns the matcher or the group bound refuses, then dialect text
+patterns = st.sampled_from(["a{4294967296}", "(" * 65 + "a" + ")" * 65, "(?:" * 300 + ")" * 300, "(?=a)"]) | st.text(
+    alphabet="()[]{}|*+?^$\\.-,:09adwsDq", max_size=12)
+definitions = st.recursive(
+    st.fixed_dictionaries({"type": st.sampled_from(["string", "number", "array", "object", "boolean"]) | json_values},
+                          optional={"pattern": patterns | json_values, "description": json_values})
+    | st.fixed_dictionaries({}, optional={
+        "enum": st.lists(st.text(max_size=3), max_size=3) | json_values,
+        "$ref": st.sampled_from(["Base Object", "bad-title"]) | json_values, "type": json_values}),
+    lambda children: st.fixed_dictionaries({"type": st.sampled_from(["object", "array"])}, optional={
+        "properties": st.dictionaries(st.text(max_size=4), children, max_size=3), "items": children}),
+    max_leaves=6,
+)
+schema_docs = st.fixed_dictionaries({
+    "id": st.just(make_id("event", "T", 0)) | json_values,
+    "title": st.just("T") | json_values,
+    "properties": st.dictionaries(st.sampled_from(["a", "b", "custom"]) | st.text(max_size=4), definitions,
+                                  max_size=3) | json_values,
+}, optional={
+    "allOf": st.sampled_from([make_id("event", "P", 0), "nope"]) | json_values,
+    "required": st.lists(st.sampled_from(["a", "b"]), max_size=3) | json_values,
+    "description": json_values,
+}) | json_values
+
+
+class TestParseDoc:
+    @settings(max_examples=150, deadline=None)
+    @given(schema_docs, st.sampled_from(KINDS))
+    @example({"id": make_id("event", "T", 0), "title": "T",
+              "properties": {"a": {"type": "string", "pattern": "a{4294967296}"}}}, "event")
+    def test_any_json_value_parses_or_raises_a_registry_error(self, raw, kind):
+        """load_repo catches only SemSchemaError around a schema file, so nothing else may escape."""
+        try:
+            doc = _parse_doc(raw, kind, where="f.json")
+        except RegistryError:
+            return
+        assert doc.kind == kind and doc.title == raw["title"]
 
 
 class TestLifecycle:

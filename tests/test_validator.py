@@ -448,7 +448,7 @@ class TestDepth:
 
         shallow, deep = event(2_000, "x"), event(8_000, "x")
         best = {2_000: [], 8_000: []}
-        for _ in range(3):  # interleaved, so host speed drifts alike for both
+        for _ in range(7):  # interleaved, so host speed drifts alike for both; best of 7 rides out a busy host
             for depth, value in ((2_000, shallow), (8_000, deep)):
                 started = time.perf_counter()
                 assert validate(registry, value) == []
