@@ -1,5 +1,8 @@
 """Every command's output pinned: one sha256 per case over its exit code, stdout and stderr.
 
+The server's bytes are pinned the same way, one sha256 per request script
+(see `SERVER_SCRIPTS`).
+
 The inputs are built here from the bundled fixtures: seeded events of every
 event title and version, events with planted mismatches, bad lines, proposals
 and samples, and copies of the repository and check modules with one file
@@ -17,6 +20,8 @@ import io
 import json
 import re
 import shutil
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,7 @@ from semschema import cli
 from semschema.generator import GenConfig, generate_valid
 from semschema.jsonmodel import JsonPath, set_path
 from semschema.registry import load_repo, make_id, parse_id
+from semschema.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, SchemaServer, ServerConfig
 
 FIXTURES = Path(semschema.__file__).parent / "fixtures"
 TRANSFORMS = sorted(path.relative_to(FIXTURES) for path in (FIXTURES / "repo" / "transforms").glob("*/*.jslt"))
@@ -376,3 +382,152 @@ def test_output_is_pinned(corpus, monkeypatch, case):
 
 def test_every_case_has_a_digest():
     assert sorted(DIGESTS) == sorted(CASES)
+
+
+# -- the server ------------------------------------------------------------
+#
+# A script is a list of connections to an in-process `SchemaServer` on the
+# corpus repository; a connection is a list of steps, each the bytes sent and
+# the number of responses read before the next step.  After its last step a
+# connection is read until the server closes it, so each one ends with a
+# request that closes it.  The first connection of "serve-writable" is one
+# keep-alive connection through every route; each refused head, which closes
+# its connection, gets one of its own.  The digest is over the raw response
+# bytes, with the `Date` value and the Python version in `Server` masked.
+
+
+def _request(method: str, path: str, body: bytes | None = None, *fields: str, version: str = "HTTP/1.1") -> bytes:
+    lines = [f"{method} {path} {version}", "Host: t", *fields]
+    if body is not None:
+        lines.append(f"Content-Length: {len(body)}")
+    return "".join(f"{line}\r\n" for line in lines + [""]).encode("latin-1") + (body or b"")
+
+
+def _json(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+def server_scripts(registry) -> dict[str, tuple[bool, list[list[tuple[bytes, int]]]]]:
+    """Script name -> (read-only, connections)."""
+    valid = generate_valid(registry, "View Item", 2, GenConfig(seed=4))
+    old = generate_valid(registry, "View Item", 0, GenConfig(seed=6))
+    latest = generate_valid(registry, "Post Item", 2, GenConfig(seed=6))
+    health = _request("GET", "/health")
+    close = _request("GET", "/health", None, "Connection: close")
+    validate = _request("POST", "/validate", _json({"event": valid, "target": None}))
+    expect = _request("POST", "/validate", None, "Expect: 100-continue", f"Content-Length: {len(_json({'event': valid}))}")
+    keep_alive = [(request, 1) for request in (
+        health,
+        _request("GET", "/schemas/event/View-Item/1"),
+        _request("GET", "/schemas/object/Provider/latest"),
+        _request("GET", "/schemas/event/No-Such/0"),
+        _request("GET", "/schemas/object/View-Item/0"),
+        _request("GET", "/schemas/event/View-Item/9"),
+        _request("GET", "/nope"),
+        _request("GET", "//health"),
+        validate,
+        _request("POST", "/validate", _json({"event": {**valid, "stray": 1}, "target": "View Item@2"})),
+        _request("POST", "/validate", _json({"event": valid, "target": "View Item"})),
+        _request("POST", "/validate", _json({"event": {}, "target": "No Such"})),
+        _request("POST", "/validate", _json({"event": {}, "target": "View Item@x"})),
+        _request("POST", "/validate", _json({"target": "View Item"})),
+        _request("POST", "/validate", b"{not json"),
+        _request("POST", "/transform", _json(old)),
+        _request("POST", "/transform", _json(latest)),
+        _request("POST", "/transform", _json({"x": 1})),
+        _request("POST", "/transform", _json({"schema": make_id("event", "No Such", 0)})),
+        _request("POST", "/reload", b'{"x": 1}'),
+        _request("POST", "/reload"),
+        _request("POST", "/nowhere", b"{}"),
+        _request("GET", "/health", None, "Connection: keep-alive", version="HTTP/1.0"),
+    )]
+    keep_alive += [(expect, 1), (_json({"event": valid}), 1)]
+    pipelined = [health, validate, _request("GET", "/schemas/event/View-Item/2"), _request("POST", "/transform", _json(old)),
+                 _request("GET", "/nope")]
+    keep_alive += [(b"".join(pipelined), len(pipelined)), (close, 0)]
+    refused = [
+        b"GET /health HTTP/1.x\r\nHost: t\r\n\r\n",
+        b"GET /a b HTTP/1.1\r\nHost: t\r\n\r\n",
+        b"GET /health HTTP/2.0\r\nHost: t\r\n\r\n",
+        b"POST /validate\r\n",
+        b"GET /health\r\n",
+        b"\r\n",
+        _request("GET", "/health", None, *(f"X-Field-{i}: {i}" for i in range(MAX_HEADERS + 1))),
+        _request("GET", "/health", None, "X-Long: " + "a" * (MAX_LINE_BYTES - len("X-Long: \r\n") + 1)),
+        _request("GET", "/health", None, "X-Folded: a", " b"),
+        _request("GET", "/health", None, "Host : t"),
+        _request("POST", "/validate", b"{}", "Content-Length: 3"),
+        _request("POST", "/validate", None, "Content-Length: 1x") + b"{}",
+        _request("POST", "/validate", None, f"Content-Length: {MAX_BODY_BYTES + 1}"),
+        _request("POST", "/reload", None, "Content-Length: \xb2") + b"{}",
+        _request("GET", "/health", version="HTTP/1.0"),
+    ]
+    return {
+        "serve-writable": (False, [keep_alive] + [[(request, 0)] for request in refused]),
+        "serve-read-only": (True, [[(_request("POST", "/reload", b"{}"), 1), (close, 0)]]),
+    }
+
+
+def _read_response(sock: socket.socket, buffer: bytearray) -> bytes:
+    """One response read from `sock`, after what `buffer` already holds; `buffer` keeps what follows it."""
+    while b"\r\n\r\n" not in buffer:
+        buffer += sock.recv(65_536) or b"\r\n\r\n"
+    end = buffer.index(b"\r\n\r\n") + 4
+    lengths = [line[15:] for line in bytes(buffer[:end]).lower().split(b"\r\n") if line.startswith(b"content-length:")]
+    end += int(lengths[0]) if lengths else 0
+    while len(buffer) < end:
+        buffer += sock.recv(65_536)
+    response = bytes(buffer[:end])
+    del buffer[:end]
+    return response
+
+
+def run_connection(port: int, steps: list[tuple[bytes, int]]) -> bytes:
+    received = []
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        buffer = bytearray()
+        for data, responses in steps:
+            sock.sendall(data)
+            received += [_read_response(sock, buffer) for _ in range(responses)]
+        try:
+            while chunk := sock.recv(65_536):
+                buffer += chunk
+        except ConnectionResetError:  # a refused head's unread bytes reset the connection after its response
+            pass
+    return b"".join(received) + buffer
+
+
+_MASKS = ((re.compile(rb"\r\nDate: [^\r\n]*"), rb"\r\nDate: -"), (re.compile(rb" Python/[0-9.]+\r\n"), rb" Python/-\r\n"))
+
+
+def server_outcome(root: Path, read_only: bool, connections) -> bytes:
+    """What each connection received, masked, one connection after another."""
+    httpd = SchemaServer(ServerConfig(str(root / "repo"), port=0, read_only=read_only))
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        received = [run_connection(httpd.server_address[1], steps) for steps in connections]
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    outcome = b"\n--\n".join(received)
+    for pattern, mask in _MASKS:
+        outcome = pattern.sub(mask, outcome)
+    return outcome
+
+
+SERVER_DIGESTS = {
+    "serve-read-only": "1c42a3c5be7ff0d55b35c3a42d5455637152d14ae6e0f39a629ec1ae2706b25c",
+    "serve-writable": "f416e2eb9afb65db96e4436f114b5228c5a628240d666e9f8cb76a5d1c2af24f",
+}
+
+
+@pytest.mark.parametrize("script", sorted(SERVER_DIGESTS))
+def test_server_bytes_are_pinned(corpus, script):
+    read_only, connections = server_scripts(load_repo(corpus / "repo"))[script]
+    outcome = server_outcome(corpus, read_only, connections)
+    assert hashlib.sha256(outcome).hexdigest() == SERVER_DIGESTS[script], outcome[:3000]
+
+
+def test_every_server_script_has_a_digest(registry):
+    assert sorted(SERVER_DIGESTS) == sorted(server_scripts(registry))
