@@ -80,6 +80,8 @@ Node = Union[Lit, CharClass, Dot, Seq, Alt, Repeat]
 # exhaust the default recursion limit); at this bound a pattern still fits
 # in a schema nested as deep as jsonmodel.MAX_DEPTH allows.
 MAX_GROUP_DEPTH = 64
+# an error quotes at most this many characters of the pattern, and its offset
+_QUOTED_CHARS = 64
 
 
 class _Parser:
@@ -89,7 +91,8 @@ class _Parser:
         self.depth = 0  # groups open at the cursor
 
     def error(self, message: str) -> PatternError:
-        return PatternError(f"{message} in pattern {self.src!r} at offset {self.pos}")
+        quoted = repr(self.src[:_QUOTED_CHARS]) + ("..." if len(self.src) > _QUOTED_CHARS else "")
+        return PatternError(f"{message} in pattern {quoted} at offset {self.pos}")
 
     def peek(self) -> str | None:
         return self.src[self.pos] if self.pos < len(self.src) else None

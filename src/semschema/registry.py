@@ -253,6 +253,14 @@ class ReleaseTag(NamedTuple):
         }
 
 
+def _parse_id_at(schema_id, where: str) -> tuple[str, str, int]:
+    """`parse_id`, with its error prefixed by `where`."""
+    try:
+        return parse_id(schema_id)
+    except RegistryError as exc:
+        raise RegistryError(f"{where}: {exc}") from None
+
+
 def _parse_doc(raw, kind: str, where: str) -> SchemaDoc:
     if not isinstance(raw, dict):
         raise RegistryError(f"{where}: schema file must hold a JSON object")
@@ -266,7 +274,7 @@ def _parse_doc(raw, kind: str, where: str) -> SchemaDoc:
     schema_id = raw.get("id")
     if not isinstance(schema_id, str):
         raise RegistryError(f"{where}: id is required")
-    id_kind, id_title, id_version = parse_id(schema_id)
+    id_kind, id_title, id_version = _parse_id_at(schema_id, where)
     if id_kind != kind or id_title != title:
         raise RegistryError(f"{where}: id {schema_id!r} does not encode kind {kind!r} and title {title!r}")
     description = raw.get("description")
@@ -274,7 +282,7 @@ def _parse_doc(raw, kind: str, where: str) -> SchemaDoc:
         raise RegistryError(f"{where}: description must be a string")
     parent = raw.get("allOf")
     if parent is not None:
-        parse_id(parent)
+        _parse_id_at(parent, where)
     props_raw = raw.get("properties")
     if not isinstance(props_raw, dict):
         raise RegistryError(f"{where}: properties mapping is required (may be empty)")
@@ -580,8 +588,10 @@ def _read_schema_files(root: Path) -> dict[Path, bytes]:
     for kind in KINDS:
         files |= _read_slug_dirs(root / kind, ".json", _file_version)
     releases_file = root / "releases.json"
-    if releases_file.exists():
-        files[releases_file] = releases_file.read_bytes()
+    try:
+        files[releases_file] = jsonmodel.read_bytes(releases_file)
+    except FileNotFoundError:
+        pass
     return files
 
 
@@ -602,7 +612,7 @@ def _read_slug_dirs(root: Path, suffix: str, key=None) -> dict[Path, bytes]:
         with os.scandir(slug_dir) as entries:
             slug_files = sorted((Path(entry.path) for entry in entries if entry.name.endswith(suffix)), key=key)
         for file in slug_files:
-            files[file] = file.read_bytes()
+            files[file] = jsonmodel.read_bytes(file)
     return files
 
 

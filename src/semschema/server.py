@@ -25,13 +25,21 @@ does not load and a breaking step with no transform are both refused
 with 400 `reload failed: ...`, and the old snapshot keeps serving.
 
 `_Handler.parse_request` reads the request head in one pass (RFC 9112
-sections 3 and 5), without `email.parser`.
+sections 3 and 5), without `email.parser`.  A connection's socket stays
+blocking, with the kernel's receive and send timeouts, and `_respond`
+writes a response in one `wfile.write`, so a request that arrives in one
+segment costs one `recv` and one `send`.
 """
 
 from __future__ import annotations
 
+import email.utils
+import io
 import re
+import socket
+import struct
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import NamedTuple
@@ -70,6 +78,8 @@ class SchemaServer(ThreadingHTTPServer):
         self.directory = Path(cfg.directory)
         self.verbose = verbose
         self._reloading = threading.Lock()
+        # (the second, its Date header value), formatted at most once a second
+        self._date = (-1, "")
         self._files = read_repo(self.directory)
         self.transforms = self._load(self._files)
         super().__init__((cfg.host, cfg.port), _Handler)
@@ -99,21 +109,79 @@ class Headers(dict):
         return dict.get(self, name.lower(), default)
 
 
+class _SocketIO(io.RawIOBase):
+    """A blocking socket as a raw stream: a read is one `recv`, a write one `sendall`.
+
+    The socket's timeouts are the kernel's (SO_RCVTIMEO and SO_SNDTIMEO), so
+    no call polls first.  An expired one fails the call with EAGAIN, which
+    Python raises as BlockingIOError; it is raised here as the TimeoutError
+    on which `handle_one_request` closes the connection without a response.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._recv_into, self._sendall = sock.recv_into, sock.sendall
+
+    def readable(self) -> bool:
+        return True
+
+    def writable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        try:
+            return self._recv_into(buffer)
+        except BlockingIOError:
+            raise TimeoutError("timed out") from None
+
+    def write(self, data) -> int:
+        try:
+            self._sendall(data)
+        except BlockingIOError:
+            raise TimeoutError("timed out") from None
+        return len(data)
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "semschema"
     # seconds a connection may stay silent, mid-head or mid-body included,
     # before it is closed
     timeout = 30
-    # headers and body go out in two writes; the body must not wait for the
-    # client's delayed ACK of the headers (RFC 896; RFC 1122 section 4.2.3.2)
-    disable_nagle_algorithm = True
     server: SchemaServer
     headers: Headers
+
+    def setup(self) -> None:
+        """Read and write the connection through one `_SocketIO`, with the kernel's timeouts.
+
+        A Python-level timeout (`socket.settimeout`) would poll before every
+        `recv` and `send`, and each blocking call hands the interpreter lock
+        to another connection's thread.  The timeouts are a POSIX `struct
+        timeval`, two C longs.  Nagle's algorithm is off: `send_error` and a
+        `100 Continue` still answer in more than one write, and the last
+        segment of a long response must not wait for the client's delayed
+        ACK (RFC 896; RFC 1122 section 4.2.3.2).
+        """
+        self.connection = sock = self.request
+        timeval = struct.pack("@ll", *divmod(round(self.timeout * 1_000_000), 1_000_000))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        raw = _SocketIO(sock)
+        self.rfile, self.wfile = io.BufferedReader(raw), raw
 
     def log_message(self, format, *args):  # noqa: A002 - base class signature
         if self.server.verbose:
             super().log_message(format, *args)
+
+    def date_time_string(self, timestamp=None) -> str:
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        now = int(time.time())
+        second, text = self.server._date
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            self.server._date = (now, text)
+        return text
 
     # -- request head ----------------------------------------------------
 
@@ -207,10 +275,11 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:
             self.log_error("internal error on %s %s: %r", self.command, self.path, exc)
             status, payload = 500, _encode({"error": f"internal error: {type(exc).__name__}"})
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
+        # the bytes of send_response, two send_header calls and end_headers,
+        # in one write with the body; HTTP/0.9 gets the body alone
+        self.log_request(status)
+        if self.request_version != "HTTP/0.9":
+            payload = (_HEADS[status] % (self.date_time_string(), len(payload))).encode("latin-1") + payload
         self.wfile.write(payload)
 
     def _read_body(self):
@@ -279,6 +348,14 @@ class _Handler(BaseHTTPRequestHandler):
         except (RegistryError, EvolutionError, OSError) as exc:
             return 400, {"error": f"reload failed: {exc}"}
         return 200, {"reloaded": True, "titles": len(transforms.registry.titles())}
+
+
+# one response head per status, with the Date value and Content-Length left to fill
+_HEADS = {
+    status: f"{_Handler.protocol_version} {status:d} {phrase}\r\nServer: {_Handler.server_version} {_Handler.sys_version}"
+    "\r\nDate: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+    for status, (phrase, _) in _Handler.responses.items()
+}
 
 
 def _encode(value) -> bytes:

@@ -82,6 +82,14 @@ class TestMatching:
             compile_pattern(source)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("length", [64, 65, 16_001])
+    def test_an_error_quotes_at_most_64_characters_of_the_pattern(self, length):
+        source = "a" * (length - 2) + "\\q"
+        with pytest.raises(PatternError) as raised:
+            compile_pattern(source)
+        quoted = repr(source) if length <= 64 else f"{source[:64]!r}..."
+        assert str(raised.value) == f"unsupported escape \\q in pattern {quoted} at offset {length}"
+
 
 class TestGeneration:
     @pytest.mark.parametrize("source", DIALECT_SAMPLES)
@@ -141,7 +149,8 @@ class TestGroupDepth:
         source = "x(" + "(" * (self.BOUND - 1) + "(?:" * extra + "a" + ")" * (self.BOUND + extra)
         with pytest.raises(PatternError) as raised:
             compile_pattern(source)
-        assert str(raised.value) == f"groups nested deeper than 64 in pattern {source!r} at offset {self.BOUND + 1}"
+        quoted = f"{source[:64]!r}..."  # a pattern longer than 64 characters is quoted in part; the offset locates it
+        assert str(raised.value) == f"groups nested deeper than 64 in pattern {quoted} at offset {self.BOUND + 1}"
 
     def test_sibling_groups_do_not_add_up(self):
         assert compile_pattern("(a)" * 200).search("a" * 200)

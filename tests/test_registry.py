@@ -613,6 +613,20 @@ class TestRepoIO:
         with pytest.raises(RegistryError, match="malformed release entry"):
             load_repo(scratch_repo)
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("allOf", "nope", "not a schema id: 'nope'"),
+        ("id", "https://schema.example.com/schemas/object/Provider/x", "malformed schema id: "
+         "'https://schema.example.com/schemas/object/Provider/x'"),
+    ])
+    def test_a_malformed_id_names_its_file(self, scratch_repo, field, value, reason):
+        file = scratch_repo / "object" / "Provider" / "1.json"
+        raw = parse_json(file.read_text())
+        raw[field] = value
+        file.write_text(json.dumps(raw))
+        with pytest.raises(RegistryError) as raised:
+            load_repo(scratch_repo)
+        assert str(raised.value) == f"{file}: {reason}"
+
     @staticmethod
     def write_object(root, title, version, properties):
         doc = {"id": make_id("object", title, version), "title": title, "properties": properties}

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semschema
+from semschema import jsonmodel
 from semschema.evolution import TransformSet
 from semschema.generator import GenConfig, generate_valid
 from semschema.jsonmodel import MAX_DEPTH
@@ -393,13 +395,14 @@ class TestReload:
     def test_compared_files_are_the_files_the_loaders_open(self, writable_server, monkeypatch):
         httpd, scratch = writable_server
         opened = []
-        open_file = Path.open
+        read_bytes = jsonmodel.read_bytes
 
-        def recording_open(path, *args, **kwargs):
+        def recording_read(path):
             opened.append(path)
-            return open_file(path, *args, **kwargs)
+            return read_bytes(path)
 
-        monkeypatch.setattr(Path, "open", recording_open)
+        # every file the loaders take is read through jsonmodel.read_bytes
+        monkeypatch.setattr(jsonmodel, "read_bytes", recording_read)
         httpd._load(httpd._files)
         assert opened == []  # the server's loads parse the bytes it compared
         TransformSet.load(load_repo(scratch), scratch / "transforms")
@@ -576,6 +579,42 @@ class TestKeepAlive:
         responses = exchange(server, bad + b'{"event": {}}', HEALTH)
         assert [(s, json.loads(p)) for s, p in responses] == [(400, {"error": "bad Content-Length"})]
 
+    def test_a_response_leaves_in_one_write(self, server, registry, monkeypatch):
+        # the server's side of each connection sends each response in one sendall
+        port, sent = server.server_address[1], []
+        sendall = socket.socket.sendall
+
+        def recording_sendall(sock, data, *args):
+            if sock.getsockname()[1] == port:
+                sent.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        event = generate_valid(registry, "View Item", 0, GenConfig(seed=6))
+        requests = [HEALTH, post("/validate", json.dumps({"event": event}).encode()),
+                    post("/transform", json.dumps(event).encode()), b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n"]
+        responses = exchange(server, *requests)
+        assert [status for status, _ in responses] == [200, 200, 200, 404]
+        assert len(sent) == len(requests)
+        assert all(data.startswith(b"HTTP/1.1 ") and data.endswith(payload) for data, (_, payload) in zip(sent, responses))
+
+    def test_the_socket_blocks_with_the_kernel_timeouts(self, server, monkeypatch):
+        # a Python-level timeout would poll before each recv and send
+        seen = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            sock = handler.connection
+            seen.append((sock.gettimeout(), *(struct.unpack("@ll", sock.getsockopt(socket.SOL_SOCKET, option, 16))
+                                                for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO)),
+                         sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        assert [status for status, _ in exchange(server, HEALTH)] == [200]
+        assert _Handler.timeout == 30
+        assert seen == [(None, (30, 0), (30, 0), 1)]
+
     def test_stalled_body_times_out(self, server, monkeypatch):
         assert 0 < _Handler.timeout <= 60
         monkeypatch.setattr(_Handler, "timeout", 0.3)
@@ -697,6 +736,20 @@ class TestRequestHead:
         with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
             sock.sendall(b"GET /health HTTP/1.1\r\nHost: t\r\n")
             assert sock.recv(1024) == b""  # closed without a response
+
+    @pytest.mark.parametrize("sent", [b"GET /health HTTP/1.1\r\nHost: t\r\n", post("/validate", b'{"event"', length=100)],
+                             ids=["head", "body"])
+    def test_a_stall_is_a_timeout_not_an_error(self, server, monkeypatch, sent):
+        # the kernel's expired receive timeout reaches handle_one_request as TimeoutError,
+        # which closes the connection; nothing reaches the server's handle_error
+        logged, errors = [], []
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        monkeypatch.setattr(_Handler, "log_error", lambda handler, format, *args: logged.append(format % args))
+        monkeypatch.setattr(server, "handle_error", lambda *args: errors.append(args))
+        with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=5) as sock:
+            sock.sendall(sent)
+            assert sock.recv(1024) == b""
+        assert logged == ["Request timed out: TimeoutError('timed out')"] and errors == []
 
     def test_expect_100_continue_is_answered_before_the_body(self, server):
         # the client sends its body only once it has read the interim response
