@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -94,38 +93,13 @@ def parse_json(text: str) -> JsonValue:
         raise JsonParseError(str(exc), 1, 1) from exc
 
 
-# bytes asked of each os.read; a file this size or smaller takes one read and the empty one at its end.
-# A read allocates the whole chunk and shrinks it to the bytes read.  Asking os.fstat for the size
-# first would allocate exactly, but the extra call per file cost about 5% of the server's
-# serve-mixed closed-loop throughput (2-CPU host) for 0.2 MB less peak RSS.
-_READ_CHUNK = 1 << 16
-
-
-def read_bytes(path: str | Path) -> bytes:
-    """The file's bytes, as `Path.read_bytes` gives them and raises, from `os.open`, `os.read` and `os.close` alone.
-
-    A file of up to `_READ_CHUNK` bytes costs four system calls; `Path.read_bytes`
-    also stats the file, asks whether it is a terminal and seeks.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
-    except OSError as exc:  # a directory opens, and its first read fails without naming it
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
-
-
 def read_file(path: str | Path, parse: Callable[[str], Any], error: type[Exception], data: bytes | None = None):
     """`parse` of the file's text, UTF-8 with universal newlines; `data` holds its bytes if read already.
 
     Bytes that are not UTF-8, or a SemSchemaError from `parse`, raise `error("<path>: <reason>")`.
     """
     if data is None:
-        data = read_bytes(path)
+        data = Path(path).read_bytes()
     try:
         return parse(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except (UnicodeDecodeError, SemSchemaError) as exc:

@@ -588,10 +588,8 @@ def _read_schema_files(root: Path) -> dict[Path, bytes]:
     for kind in KINDS:
         files |= _read_slug_dirs(root / kind, ".json", _file_version)
     releases_file = root / "releases.json"
-    try:
-        files[releases_file] = jsonmodel.read_bytes(releases_file)
-    except FileNotFoundError:
-        pass
+    if releases_file.exists():
+        files[releases_file] = releases_file.read_bytes()
     return files
 
 
@@ -612,7 +610,7 @@ def _read_slug_dirs(root: Path, suffix: str, key=None) -> dict[Path, bytes]:
         with os.scandir(slug_dir) as entries:
             slug_files = sorted((Path(entry.path) for entry in entries if entry.name.endswith(suffix)), key=key)
         for file in slug_files:
-            files[file] = jsonmodel.read_bytes(file)
+            files[file] = file.read_bytes()
     return files
 
 

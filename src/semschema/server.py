@@ -33,13 +33,11 @@ segment costs one `recv` and one `send`.
 
 from __future__ import annotations
 
-import email.utils
 import io
 import re
 import socket
 import struct
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import NamedTuple
@@ -78,8 +76,6 @@ class SchemaServer(ThreadingHTTPServer):
         self.directory = Path(cfg.directory)
         self.verbose = verbose
         self._reloading = threading.Lock()
-        # (the second, its Date header value), formatted at most once a second
-        self._date = (-1, "")
         self._files = read_repo(self.directory)
         self.transforms = self._load(self._files)
         super().__init__((cfg.host, cfg.port), _Handler)
@@ -172,16 +168,6 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - base class signature
         if self.server.verbose:
             super().log_message(format, *args)
-
-    def date_time_string(self, timestamp=None) -> str:
-        if timestamp is not None:
-            return super().date_time_string(timestamp)
-        now = int(time.time())
-        second, text = self.server._date
-        if second != now:
-            text = email.utils.formatdate(now, usegmt=True)
-            self.server._date = (now, text)
-        return text
 
     # -- request head ----------------------------------------------------
 

@@ -241,27 +241,6 @@ class TestReadFile:
             jsonmodel.read_file(tmp_path / "absent.json", parse_json, ValueError)
 
 
-class TestReadBytes:
-    """The one file reader (`jsonmodel.read_bytes`) against `Path.read_bytes`: the same bytes and the same errors."""
-
-    @pytest.mark.parametrize("size", [0, 1, jsonmodel._READ_CHUNK, 2 * jsonmodel._READ_CHUNK + 7])
-    def test_same_bytes(self, tmp_path, size):
-        file = tmp_path / "f.json"
-        file.write_bytes(bytes(i % 251 for i in range(size)))
-        assert jsonmodel.read_bytes(file) == file.read_bytes()
-        assert jsonmodel.read_bytes(str(file)) == file.read_bytes()
-
-    @pytest.mark.parametrize("name", ["absent.json", "."], ids=["missing", "directory"])
-    def test_same_error(self, tmp_path, name):
-        path = tmp_path / name
-        with pytest.raises(OSError) as expected:
-            path.read_bytes()
-        with pytest.raises(OSError) as raised:
-            jsonmodel.read_bytes(path)
-        assert (type(raised.value), str(raised.value)) == (type(expected.value), str(expected.value))
-        assert type(raised.value) in (FileNotFoundError, IsADirectoryError)
-
-
 class TestNdjson:
     def test_values_errors_and_blanks(self):
         lines = ['{"a": 1}', "", "  ", "oops", "[2]"]

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semschema
-from semschema import jsonmodel
 from semschema.evolution import TransformSet
 from semschema.generator import GenConfig, generate_valid
 from semschema.jsonmodel import MAX_DEPTH
@@ -395,14 +394,13 @@ class TestReload:
     def test_compared_files_are_the_files_the_loaders_open(self, writable_server, monkeypatch):
         httpd, scratch = writable_server
         opened = []
-        read_bytes = jsonmodel.read_bytes
+        open_file = Path.open
 
-        def recording_read(path):
+        def recording_open(path, *args, **kwargs):
             opened.append(path)
-            return read_bytes(path)
+            return open_file(path, *args, **kwargs)
 
-        # every file the loaders take is read through jsonmodel.read_bytes
-        monkeypatch.setattr(jsonmodel, "read_bytes", recording_read)
+        monkeypatch.setattr(Path, "open", recording_open)
         httpd._load(httpd._files)
         assert opened == []  # the server's loads parse the bytes it compared
         TransformSet.load(load_repo(scratch), scratch / "transforms")
