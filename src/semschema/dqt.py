@@ -302,9 +302,9 @@ class StreamSummary:
             "total": self.total,
             "sampled": self.sampled,
             "parse_errors": self.parse_errors,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "events_per_second": round(self.events_per_second, 1),
-            "valid_percentages": {k: round(v, 3) for k, v in self.valid_percentages().items()},
+            "elapsed_seconds": jsonmodel.canonical_number(round(self.elapsed_seconds, 6)),
+            "events_per_second": jsonmodel.canonical_number(round(self.events_per_second, 1)),
+            "valid_percentages": {k: jsonmodel.canonical_number(round(v, 3)) for k, v in self.valid_percentages().items()},
         }
 
 

@@ -15,7 +15,7 @@ import string as _string
 from typing import NamedTuple
 
 from .errors import GenerationError, UnsatisfiableError
-from .jsonmodel import JsonPath, set_path
+from .jsonmodel import JsonPath, canonical_number, set_path
 from .pattern import compile_pattern, draw_chars, generate_from_pattern
 from .registry import PropertyDef, Registry, ResolvedSchema
 from .validator import ValidationTarget, validate
@@ -84,7 +84,7 @@ def _gen_value(registry, prop: PropertyDef, rng, cfg):
     if kind == "number":
         if rng.random() < 0.5:
             return rng.randint(-1000, 1000)
-        return round(rng.uniform(-1000.0, 1000.0), 3)
+        return canonical_number(round(rng.uniform(-1000.0, 1000.0), 3))
     if kind == "string":
         if prop.pattern is not None:
             return compile_pattern(prop.pattern).generate(rng)

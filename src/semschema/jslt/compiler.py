@@ -315,7 +315,7 @@ def binary(pos, op: str, left, right):
             if isinstance(a, str) or isinstance(b, str):
                 return _stringify(pos, a) + _stringify(pos, b)
             if _is_number(a) and _is_number(b):
-                return a + b
+                return jsonmodel.canonical_number(a + b)
             if isinstance(a, list) and isinstance(b, list):
                 return a + b
             if isinstance(a, dict) and isinstance(b, dict):
@@ -335,6 +335,6 @@ def binary(pos, op: str, left, right):
             raise _error(pos, f"cannot apply {op!r} to {_stringify(pos, a)} and {_stringify(pos, b)}")
         if op == "/" and b == 0:
             raise _error(pos, "division by zero")
-        return apply(a, b)
+        return jsonmodel.canonical_number(apply(a, b))
 
     return arithmetic

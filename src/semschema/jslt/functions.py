@@ -173,9 +173,7 @@ def _parse_time(fmt: TimeFormat, args):
         if len(args) == 3:
             return args[2]
         raise JsltRuntimeError(f"parse-time: {exc}") from None
-    if isinstance(stamp, float) and stamp.is_integer():
-        return int(stamp)
-    return stamp
+    return jsonmodel.canonical_number(stamp)
 
 
 def fn_boolean(args):
@@ -207,6 +205,10 @@ def fn_string(args):
     return to_string(args[0])
 
 
+# a JSON number (RFC 8259 section 6) in ASCII digits; the groups are its fraction and exponent
+_NUMBER = _re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
 def fn_number(args):
     value = args[0]
     fallback = args[1] if len(args) == 2 else None
@@ -221,13 +223,11 @@ def fn_number(args):
         return value
     if isinstance(value, str):
         try:
-            if _re.fullmatch(r"-?\d+", value):
-                return int(value)
-            result = float(value)
-            if math.isnan(result) or math.isinf(result):
+            match = _NUMBER.fullmatch(value)
+            if match is None:
                 raise ValueError(value)
-            return result
-        except ValueError:
+            return int(value) if match.lastindex is None else jsonmodel.finite_float(value)
+        except ValueError:  # not the grammar, beyond a double's range, or more digits than int() takes
             if has_fallback:
                 return fallback
             raise JsltRuntimeError(f"number: cannot parse {value!r}") from None

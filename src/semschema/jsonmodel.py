@@ -2,10 +2,11 @@
 
 Values are plain Python objects (None, bool, int, float, str, list, dict).
 Dicts keep insertion order, which the serializer preserves, so files written
-by the toolkit mirror the order in which they were authored. Numbers are the
-one place Python is stricter than JSON: ints carry the "integral" exactness
-bit, and floats whose value is integral are normalized to ints when
-serialized, so `2.0` prints as `2`.
+by the toolkit mirror the order in which they were authored. JSON has one
+number type and Python two, so a number is made canonical where it is made:
+`canonical_number` turns a float with an integral value of magnitude at most
+2**53 into an int, so `2.0` and `-0.0` parse as `2` and `0`, and `dumps`
+writes each number as Python does.
 """
 
 from __future__ import annotations
@@ -34,12 +35,19 @@ def _reject_constant(name: str):
     raise ValueError(f"JSON does not allow {name}")
 
 
-def finite_float(text: str) -> float:
-    """`float(text)`, refusing a number beyond a double's range as parse_json does."""
+def canonical_number(value: int | float) -> int | float:
+    """`value` as an int if it is a float with an integral value of magnitude at most 2**53, where ints are exact."""
+    if value.__class__ is float and value.is_integer() and -_MAX_EXACT_INT <= value <= _MAX_EXACT_INT:
+        return int(value)
+    return value
+
+
+def finite_float(text: str) -> int | float:
+    """The canonical number of `float(text)`, refusing a number beyond a double's range as parse_json does."""
     value = float(text)
     if math.isinf(value):
         raise ValueError(f"number out of range: {text}")
-    return value
+    return canonical_number(value)
 
 
 def _check_depth(text: str) -> None:
@@ -55,11 +63,14 @@ def _check_depth(text: str) -> None:
             depth -= 1
 
 
-# One decoder and one compact encoder for the process: json.loads and
-# json.dumps would build a new one per call for these settings.  Both are
-# stateless between calls, so threads can share them.
+# One decoder and two encoders for the process: json.loads and json.dumps
+# would build a new one per call for these settings.  They are stateless
+# between calls, so threads can share them.  With no check for cycles, a
+# circular value runs out of frames as a too deep one does.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=finite_float)
-_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False, check_circular=False)
+_INDENTED = json.JSONEncoder(ensure_ascii=False, indent=2, separators=(",", ": "), allow_nan=False,
+                             check_circular=False)
 
 
 def parse_json(text: str) -> JsonValue:
@@ -106,21 +117,6 @@ def read_file(path: str | Path, parse: Callable[[str], Any], error: type[Excepti
         raise error(f"{path}: {exc}") from None
 
 
-def _normalize(value: JsonValue) -> JsonValue:
-    if isinstance(value, (str, int)) or value is None:  # bool is an int
-        return value
-    if isinstance(value, dict):
-        return {k: _normalize(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_normalize(v) for v in value]
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError("cannot serialize NaN or infinity")
-        if value.is_integer() and abs(value) <= _MAX_EXACT_INT:
-            return int(value)
-    return value
-
-
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 # a str in, its JSON string literal out: what _COMPACT.encode does with a
@@ -136,23 +132,21 @@ def escape_surrogates(text: str) -> str:
 
 
 def dumps(value: JsonValue, indent: int | None = None) -> str:
-    """Serialize a value; integral floats print without a decimal point.
+    """Serialize a value on one line, or with any `indent` two spaces a level; numbers print as Python writes them.
 
     Non-ASCII text is written as is, except a lone surrogate (which no
     UTF-8 output can hold), written as its \\uXXXX escape.
 
     Raises:
         ValueError: on NaN or infinity, and on nesting deeper than the
-            interpreter's recursion limit allows.
+            interpreter's recursion limit allows (a circular value too).
     """
     try:
-        value = _normalize(value)
-        if indent is None:
-            text = _COMPACT.encode(value)
-        else:
-            text = json.dumps(value, indent=indent, separators=(",", ": "), ensure_ascii=False)
+        text = (_COMPACT if indent is None else _INDENTED).encode(value)
     except RecursionError:
         raise ValueError("nesting too deep") from None
+    except ValueError as exc:  # the encoders' "Out of range float values...", or an int too long to write
+        raise ValueError("cannot serialize NaN or infinity" if "float" in str(exc) else str(exc)) from None
     return escape_surrogates(text)
 
 

@@ -677,7 +677,7 @@ def _parse_releases(text: str) -> list[ReleaseTag]:
         try:
             major, minor, patch = (int(part) for part in entry["version"].split("."))
             snapshot = tuple(sorted(entry["snapshot"].items()))
-            # titles are object keys, so strings; a version must be an int, not a bool or 1.0
+            # titles are object keys, so strings; a version must be an int, not a bool (1.0 parses as 1)
             if any(type(version) is not int for _, version in snapshot):
                 raise TypeError
             releases.append(ReleaseTag(major, minor, patch, snapshot, entry["timestamp"]))

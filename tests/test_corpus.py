@@ -4,11 +4,13 @@ The server's bytes are pinned the same way, one sha256 per request script
 (see `SERVER_SCRIPTS`).
 
 The inputs are built here from the bundled fixtures: seeded events of every
-event title and version, events with planted mismatches, bad lines, proposals
-and samples, and copies of the repository and check modules with one file
-refused. Each case runs `cli.main` in process, in the directory that holds
-them, so every path in an output is relative. `dqt run`'s summary carries two
-timings, `elapsed_seconds` and `events_per_second`; they are masked.
+event title and version, events with planted mismatches, the same events and
+some arithmetic operands with their numbers written as floats, bad lines,
+proposals and samples, and copies of the repository and check modules with
+one file refused. Each case runs `cli.main` in process, in the directory that
+holds them, so every path in an output is relative. `dqt run`'s summary
+carries two timings, `elapsed_seconds` and `events_per_second`; they are
+masked.
 
 A change that means to alter an output updates that case's digest here and
 says why in CHANGES.md.
@@ -17,6 +19,7 @@ says why in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
 import shutil
@@ -108,6 +111,50 @@ BAD_LINES = [
 ]
 
 
+# float texts planted in events: integral floats in several spellings,
+# negative zero, and numbers past 2**53 that stay as written
+FLOATS = ("2.0", "-0.0", "1E2", "10e-1", "1e16", "9007199254740993", "9007199254740992.0", "0.5", "-1.25e-7",
+          "123.456", "-3.0e2", "4.5E+3", "1e-320", "0.0")
+# (.n, .m) for ARITHMETIC; no pair of integral operands, one written as a
+# float, with an operand or a result past 2**53: that arithmetic is exact
+# on ints now and was on doubles before (README, Numbers)
+OPERANDS = [("2.0", "0.5"), ("-0.0", "3"), ("1E2", "10e-1"), ("10e-1", "-0.0"), ("1e16", "3"), ("9007199254740993", "0.5"),
+            ("9007199254740993", "1"), ("123.456", "7.0"), ("0.1", "0.2"), ("-3.0e2", "4.5E+3"), ("1e-320", "2"),
+            ("7", "2"), ("6", "3.0"), ("1e308", "10"), ("9007199254740992.0", "0.5"), ("-1.25e-7", "1e16")]
+TIMES = ('"2020-01-02T03:04:05Z"', '"2020-01-02T03:04:05+01:30"', '"junk"', "2.0")
+ARITHMETIC = (b'{"sum": .n + .m, "diff": .n - .m, "prod": .n * .m, "quot": .n / .m, "neg": -.n, "round": round(.n),\n'
+              b' "text": string(.n) + " " + string(.m), "number": number(string(.m), null), "item": [10, 20, 30][.i],\n'
+              b' "time": parse-time(.t, "yyyy-MM-dd\'T\'HH:mm:ssX", null), "literals": [2.0, -0.0, 1E2, 10e-1, 1.5e-7]}\n')
+
+
+def float_lines(registry, events) -> list[bytes]:
+    """Each event with its numbers written as FLOATS, once as it is and once more
+    with a float in a string slot and in `custom`; then one line per OPERANDS pair."""
+    texts = itertools.cycle(FLOATS)
+    lines = []
+    for event in events:
+        slots = list(_slots(registry, registry.resolve(*parse_id(event["schema"])[1:]).properties, event, ()))
+        floats = {}
+        for path, prop in slots:
+            if prop.kind == "number":
+                marker = f"\0{len(floats)}"
+                floats[marker] = next(texts)
+                event = set_path(event, JsonPath(path), marker)
+        variants = [event]
+        strings = [path for path, prop in slots if prop.kind == "string" and path != ("schema",)]
+        if strings:
+            floats["\0s"], floats["\0c"] = next(texts), next(texts)
+            variants.append({**set_path(event, JsonPath(strings[0]), "\0s"), "custom": {"f": "\0c"}})
+        for variant in variants:
+            text = json.dumps(variant)
+            for marker, number in floats.items():
+                text = text.replace(json.dumps(marker), number)
+            lines.append(text.encode())
+    for i, (n, m) in enumerate(OPERANDS):
+        lines.append(f'{{"n": {n}, "m": {m}, "i": {FLOATS[i % 4]}, "t": {TIMES[i % 4]}}}'.encode())
+    return lines
+
+
 def build(root: Path) -> None:
     """Write every input of the corpus under `root`."""
     shutil.copytree(FIXTURES / "repo", root / "repo")
@@ -127,6 +174,7 @@ def build(root: Path) -> None:
         lines.extend(json.dumps(mutant).encode() for mutant in plant(registry, event))
     (root / "events.ndjson").write_bytes(b"\n".join(lines + BAD_LINES) + b"\n")
     (root / "numbers.ndjson").write_bytes(b'{"n": 1}\n{"n": 2.5}\n')
+    (root / "floats.ndjson").write_bytes(b"\n".join(float_lines(registry, events)) + b"\n")
 
     samples = root / "samples"
     samples.mkdir()
@@ -148,6 +196,7 @@ def build(root: Path) -> None:
     (root / "programs").mkdir()
     for name, data in PROGRAMS.items():
         (root / "programs" / f"{name}.jslt").write_bytes(data)
+    (root / "programs" / "arithmetic.jslt").write_bytes(ARITHMETIC)
 
 
 def _impact(proposal, samples="samples"):
@@ -160,6 +209,9 @@ CASES = {
     "validate-latest": ["validate", "events.ndjson", "--repo", "repo", "--latest"],
     "validate-explicit": ["validate", "events.ndjson", "--repo", "repo", "--schema", "View Item@1"],
     "transform": ["transform", "events.ndjson", "--repo", "repo"],
+    "validate-floats": ["validate", "floats.ndjson", "--repo", "repo"],
+    "transform-floats": ["transform", "floats.ndjson", "--repo", "repo"],
+    "jslt-run-arithmetic-floats": ["jslt", "run", "programs/arithmetic.jslt", "--input", "floats.ndjson"],
     "dqt-run": ["dqt", "run", "--modules", "checks", "--events", "events.ndjson", "--rate", "1.0", "--window", "w"],
     "dqt-run-repo": ["dqt", "run", "--modules", "checks", "--events", "events.ndjson", "--rate", "1.0",
                      "--window", "w", "--repo", "repo"],
@@ -297,6 +349,7 @@ DIGESTS = {
     "jslt-run-Vehicle-0-to-1": "93d4bbabbc2ab0ca7f01bc5e53d45246461976e2764432c0a636532ab5e3ebca",
     "jslt-run-Vehicle-1-to-2": "93d4bbabbc2ab0ca7f01bc5e53d45246461976e2764432c0a636532ab5e3ebca",
     "jslt-run-View-Item-0-to-1": "d4e8b1a8e2d1a58f54ad75eed8a2be78e5f59c9589fa2065548f9d05d0f0f9f3",
+    "jslt-run-arithmetic-floats": "417b3d41c2b08085e77d1ca3868a3aaeb769809962c58db3499edbbfa249f1a1",
     "jslt-run-bad-escape": "16c51a7e6e72c38524b8ad7835de2a082672b9c3c93d6dca5ef48614ef64898f",
     "jslt-run-bad-unicode-escape": "4ba1eba2908573bc3421fbfeb4cfffb9c4ccd70f07922faa80085bd3f99baa98",
     "jslt-run-not-utf8": "18f07df1c9b6f297b4fefd9b5123a3655936fd2acb5df4566554fda65621db0b",
@@ -361,7 +414,9 @@ DIGESTS = {
     "schema-show-View-Item-1": "6e452ec6061d3bab5c4bb8f39aef6b19c6d96dfeac306b264063dc2842777890",
     "schema-show-View-Item-2": "0a1ba82ae480873b05b25f7e568f1d830354ce71e12c22057560cb4d9f08a1e0",
     "transform": "dcf002141c82060d32a8878fa9d1eca9f3eaabb9020fc78cee10935644276c9b",
+    "transform-floats": "f6bfd7903e8a85f35587e2c04c6eff3c50d0f424a6d4910671c16293d2284f60",
     "validate-explicit": "e024c407c08391402b76a0e86154d526710be886cfa221747842fd2b74408861",
+    "validate-floats": "e76db968300f842e0e3fc25db94304e1b348117522a132583bcfb9e206d0d46c",
     "validate-latest": "2526bcdde27c489e9c6c5058a013afc1446e629ff9f15e98c4c60a5fecfb62c3",
     "validate-self": "a310c57dab69301c85357c27f85886d0fbadee8aac676b99e83dcb0636c76bbb",
 }

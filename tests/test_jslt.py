@@ -1,15 +1,17 @@
 import json
 import math
+import operator
 import sys
 import threading
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semschema import jslt
 from semschema.errors import JsltCompileError, JsltRuntimeError, JsonParseError
-from semschema.jsonmodel import json_equal, parse_json
+from semschema.jsonmodel import dumps, json_equal, parse_json
+from reference_numbers import number_texts, reference_dumps, reference_normalize
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.text(max_size=10),
@@ -237,6 +239,14 @@ class TestBuiltins:
         assert run("round(-2.5)") == -2
         assert run("round(null)") is None
 
+    # Python's int() and float() take each of these; a JSON number in ASCII digits is none of them
+    @pytest.mark.parametrize("text", ["1_000", "\u0663", "\u0661.\u0665", " 2.5 ", "+3", "0x10", "007", ".5", "1.", "2.5\n",
+                                      "Infinity", "nan", "1e400"])
+    def test_number_reads_only_a_json_number(self, text):
+        assert run("number(.s, -1)", {"s": text}) == -1
+        with pytest.raises(JsltRuntimeError, match="^number: cannot parse "):
+            run("number(.s)", {"s": text})
+
     def test_boolean_and_not(self):
         assert run("boolean(.x)", {"x": "y"}) is True
         assert run("boolean(.x)", {}) is False
@@ -252,6 +262,8 @@ class TestBuiltins:
     def test_number(self):
         assert run('number("12")') == 12
         assert run('number("3.5")') == 3.5
+        for text, value in (("-0", 0), ("2.0", 2), ("1E2", 100), ("-1.5e-3", -0.0015), ("9007199254740993", 2**53 + 1)):
+            assert (run("number(.s)", {"s": text}), type(run("number(.s)", {"s": text}))) == (value, type(value))
         assert run("number(7)") == 7
         assert run("number(null)") is None
         assert run('number("bad", 9)') == 9
@@ -482,6 +494,54 @@ class TestNumberLiterals:
 
     def test_numbers_in_range_keep_their_values(self):
         assert run("[1e308, 1.5e-400, 007, 12]") == [1e308, 0.0, 7, 12]
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _written(make):
+    """What `make()` writes, or the message of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestNumberOutput:
+    """Arithmetic on parsed numbers prints as the tree copy printed the same arithmetic in Python."""
+
+    @given(a=number_texts, b=number_texts, op=st.sampled_from(sorted(_OPERATORS)))
+    def test_binary_operators(self, a, b, op):
+        x, y = json.loads(a), json.loads(b)
+        program = jslt.compile(f".a {op} .b")
+        event = parse_json(f'{{"a": {a}, "b": {b}}}')
+        if op == "/" and y == 0:
+            with pytest.raises(JsltRuntimeError, match="division by zero"):
+                program.evaluate(event)
+            return
+        # an integral float within 2**53 is now an exact int, so arithmetic
+        # on two integral operands, one written as a float, is exact past
+        # 2**53 where it was on doubles (test_integral_operands_stay_exact_past_2_53)
+        operands = reference_normalize([x, y])
+        assume(not (all(type(v) is int for v in operands) and any(isinstance(v, float) for v in (x, y))
+                    and max(map(abs, [*operands, _OPERATORS[op](*operands)])) > 2**53))
+        assert _written(lambda: dumps(program.evaluate(event))) == _written(
+            lambda: reference_dumps(_OPERATORS[op](x, y)))
+
+    @given(a=number_texts)
+    def test_negation_and_round(self, a):
+        x = json.loads(a)
+        event = parse_json(f'{{"a": {a}}}')
+        assert dumps(run("-.a", event)) == reference_dumps(-x)
+        assert dumps(run("round(.a)", event)) == reference_dumps(math.floor(x + 0.5))
+
+    def test_integral_operands_stay_exact_past_2_53(self):
+        # 4e15 and 4000000000000000 are one JSON number, with one product
+        for a in ("4e15", "4000000000000000", "4000000000000000.0"):
+            assert dumps(run(".a * 3", parse_json(f'{{"a": {a}}}'))) == "12000000000000000"
+        assert dumps(run(".a + 1", parse_json('{"a": 9007199254740992.0}'))) == "9007199254740993"
+        assert dumps(run(".a - 9007199254740993", parse_json('{"a": 2.0}'))) == "-9007199254740991"
+        assert dumps(run(".a / 9007199254740993", parse_json('{"a": 2.0}'))) == "2.2204460492503128e-16"
 
 
 class TestErrorOrder:

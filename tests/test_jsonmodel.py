@@ -21,6 +21,7 @@ from semschema.jsonmodel import (
     parse_json,
     set_path,
 )
+from reference_numbers import json_texts, reference_dumps
 
 json_values = st.recursive(
     st.none()
@@ -71,6 +72,14 @@ class TestParse:
             parse_json(text)
 
 
+    def test_integral_floats_within_2_53_parse_as_ints(self):
+        for text, value in (("2.0", 2), ("-0.0", 0), ("1E2", 100), ("10e-1", 1), ("9007199254740992.0", 2**53),
+                            ("-9007199254740993.0", -(2**53)), ("1.5e-400", 0)):
+            assert (parse_json(text), type(parse_json(text))) == (value, int)
+        for text in ("2.5", "1e16", "-9007199254740994.0"):
+            assert (parse_json(text), type(parse_json(text))) == (float(text), float)
+        assert math.copysign(1, parse_json("-0.0")) == 1
+
     def test_numbers_beyond_double_range_rejected(self):
         for text in ("1e400", "-1e400", '{"n": [2.5e308]}'):
             with pytest.raises(JsonParseError):
@@ -84,10 +93,14 @@ class TestParse:
 
 
 class TestDumps:
-    def test_integral_floats_print_as_ints(self):
-        assert dumps(1.0) == "1"
-        assert dumps([2.0, 2.5]) == "[2,2.5]"
-        assert dumps(-0.0) == "0"
+    def test_parsed_integral_floats_print_as_ints(self):
+        assert dumps(parse_json("1.0")) == "1"
+        assert dumps(parse_json("[2.0, 2.5, 1E2, 10e-1]")) == "[2,2.5,100,1]"
+        assert dumps(parse_json("-0.0")) == "0"
+
+    def test_a_float_made_in_python_prints_as_python_writes_it(self):
+        assert dumps([2.0, -0.0, 2.5]) == "[2.0,-0.0,2.5]"
+        assert dumps({"a": 2.0}, indent=2) == '{\n  "a": 2.0\n}'
 
     def test_huge_floats_stay_floats(self):
         assert "e" in dumps(1e300).lower() or "." in dumps(1e300)
@@ -99,8 +112,10 @@ class TestDumps:
         assert dumps({"a": [1]}, indent=2) == '{\n  "a": [\n    1\n  ]\n}'
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            dumps(math.nan)
+        for indent in (None, 2):
+            for value in (math.nan, [math.inf], {"a": -math.inf}):
+                with pytest.raises(ValueError, match="^cannot serialize NaN or infinity$"):
+                    dumps(value, indent=indent)
 
     def test_lone_surrogates_are_escaped(self):
         value = {"k\ud800": ["é \udcff", "😀"]}
@@ -114,9 +129,12 @@ class TestDumps:
         value = 1
         for _ in range(sys.getrecursionlimit()):
             value = [value]
+        circular = []
+        circular.append(circular)
         for indent in (None, 2):
-            with pytest.raises(ValueError, match="nesting too deep"):
-                dumps(value, indent=indent)
+            for each in (value, circular):
+                with pytest.raises(ValueError, match="nesting too deep"):
+                    dumps(each, indent=indent)
 
     @given(json_values)
     def test_round_trip(self, value):
@@ -125,6 +143,12 @@ class TestDumps:
     @given(json_values)
     def test_round_trip_indented(self, value):
         assert json_equal(parse_json(dumps(value, indent=2)), value)
+
+    @given(json_texts)
+    def test_parsed_numbers_print_as_the_tree_copy_printed_them(self, text):
+        value, expected = parse_json(text), json.loads(text)
+        assert dumps(value) == reference_dumps(expected)
+        assert dumps(value, indent=2) == reference_dumps(expected, indent=2)
 
 
 class TestEquality:

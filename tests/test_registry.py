@@ -604,7 +604,7 @@ class TestRepoIO:
         with pytest.raises(RegistryError, match="increase"):
             load_repo(scratch_repo)
 
-    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    @pytest.mark.parametrize("version", [True, 1.5, "1"])
     def test_release_snapshot_versions_are_integers(self, scratch_repo, version):
         releases = scratch_repo / "releases.json"
         raw = parse_json(releases.read_text())
@@ -612,6 +612,13 @@ class TestRepoIO:
         releases.write_text(json.dumps(raw))
         with pytest.raises(RegistryError, match="malformed release entry"):
             load_repo(scratch_repo)
+
+    def test_a_snapshot_version_written_as_an_integral_float_is_that_int(self, scratch_repo, tmp_path):
+        releases = scratch_repo / "releases.json"
+        releases.write_text(releases.read_text().replace('"View Item": 2', '"View Item": 1.0'))
+        tag = load_repo(scratch_repo).releases[-1]
+        assert dict(tag.snapshot)["View Item"] == 1 and type(dict(tag.snapshot)["View Item"]) is int
+        assert '"View Item": 1\n' in write_releases(tmp_path, [tag]).read_text()
 
     @pytest.mark.parametrize("field, value, reason", [
         ("allOf", "nope", "not a schema id: 'nope'"),
