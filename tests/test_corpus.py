@@ -445,10 +445,15 @@ def test_every_case_has_a_digest():
 # corpus repository; a connection is a list of steps, each the bytes sent and
 # the number of responses read before the next step.  After its last step a
 # connection is read until the server closes it, so each one ends with a
-# request that closes it.  The first connection of "serve-writable" is one
-# keep-alive connection through every route; each refused head, which closes
-# its connection, gets one of its own.  The digest is over the raw response
-# bytes, with the `Date` value and the Python version in `Server` masked.
+# request that closes it, or with a step that sends `None`: the client's end
+# of the connection, after which the server reads no more.  The first
+# connection of "serve-writable" is one keep-alive connection through every
+# route; each refused head, which closes its connection, gets one of its own.
+# "serve-request-loop" covers what the request loop answers before a route
+# runs: a request line too long to read, a method with no route, and a
+# client that closes with nothing or after a request.  The digest is over the
+# raw response bytes, with the `Date` value and the Python version in
+# `Server` masked.
 
 
 def _request(method: str, path: str, body: bytes | None = None, *fields: str, version: str = "HTTP/1.1") -> bytes:
@@ -462,7 +467,7 @@ def _json(value) -> bytes:
     return json.dumps(value).encode()
 
 
-def server_scripts(registry) -> dict[str, tuple[bool, list[list[tuple[bytes, int]]]]]:
+def server_scripts(registry) -> dict[str, tuple[bool, list[list[tuple[bytes | None, int]]]]]:
     """Script name -> (read-only, connections)."""
     valid = generate_valid(registry, "View Item", 2, GenConfig(seed=4))
     old = generate_valid(registry, "View Item", 0, GenConfig(seed=6))
@@ -517,9 +522,14 @@ def server_scripts(registry) -> dict[str, tuple[bool, list[list[tuple[bytes, int
         _request("POST", "/reload", None, "Content-Length: \xb2") + b"{}",
         _request("GET", "/health", version="HTTP/1.0"),
     ]
+    # the line is exactly one byte too long, so the server has read all of it when it answers
+    too_long = b"GET /" + b"a" * (MAX_LINE_BYTES + 1 - len(b"GET /"))
+    loop = [[(too_long, 0)], [(_request("PUT", "/health"), 0)], [(_request("HEAD", "/health"), 0)],
+            [(None, 0)], [(health, 1), (None, 0)]]
     return {
         "serve-writable": (False, [keep_alive] + [[(request, 0)] for request in refused]),
         "serve-read-only": (True, [[(_request("POST", "/reload", b"{}"), 1), (close, 0)]]),
+        "serve-request-loop": (True, loop),
     }
 
 
@@ -537,12 +547,15 @@ def _read_response(sock: socket.socket, buffer: bytearray) -> bytes:
     return response
 
 
-def run_connection(port: int, steps: list[tuple[bytes, int]]) -> bytes:
+def run_connection(port: int, steps: list[tuple[bytes | None, int]]) -> bytes:
     received = []
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         buffer = bytearray()
         for data, responses in steps:
-            sock.sendall(data)
+            if data is None:
+                sock.shutdown(socket.SHUT_WR)
+            else:
+                sock.sendall(data)
             received += [_read_response(sock, buffer) for _ in range(responses)]
         try:
             while chunk := sock.recv(65_536):
@@ -573,6 +586,7 @@ def server_outcome(root: Path, read_only: bool, connections) -> bytes:
 
 SERVER_DIGESTS = {
     "serve-read-only": "1c42a3c5be7ff0d55b35c3a42d5455637152d14ae6e0f39a629ec1ae2706b25c",
+    "serve-request-loop": "61662921f48340484b67a0ec5a8bcd566ae2fb9f15a1e0a1155836146f52a4cf",
     "serve-writable": "f416e2eb9afb65db96e4436f114b5228c5a628240d666e9f8cb76a5d1c2af24f",
 }
 
