@@ -12,10 +12,9 @@ of pairs the change won, the median gain and the parent's interquartile
 range; each end-to-end metric also gets its bound from BENCHMARK.json
 and a `verdict`: worse, unresolved or no worse (see `verdict`).  A
 metric that reads 0 on every change run but not on every parent run is
-marked `"measured": false` and never met.  A file workload's untraced
-runs also get `work_events_per_s`, the rate with set-up taken out (see
-`work_rate`), summarised with no verdict, since BENCHMARK.json gives it
-no direction or bound.  evolution-ci's plan.json holds
+marked `"measured": false` and never met.  A file workload's run also
+records `events_per_command`, the events each timed command reads.
+evolution-ci's plan.json holds
 the checkout's path, so its `corpus_digest` never matches between
 checkouts; its rows count `same_plan` instead, the pairs whose two plans
 are equal once the `repo` key is dropped.  `src_lines` holds each
@@ -76,18 +75,6 @@ def plan_digest(checkout: Path, seed: int, source_digest: str) -> str | None:
     return hashlib.sha256(json.dumps(plan, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def work_rate(events: int, metrics: dict) -> float | None:
-    """Events over a command's wall time less `setup_s`: the rate of the work alone.
-
-    The wall time is `events / events_per_s`.  None for a run without both
-    metrics, or when the wall time is no longer than the set-up.
-    """
-    rate, setup = metrics.get("events_per_s"), metrics.get("setup_s")
-    if not rate or setup is None or events / rate <= setup:
-        return None
-    return events / (events / rate - setup)
-
-
 def run_once(checkout: Path, side: str, first: str, seed: int, args) -> list[dict]:
     """One perfbench invocation; one record per workload report it prints."""
     invocation = ["--workload", args.workload, "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)]
@@ -111,9 +98,6 @@ def run_once(checkout: Path, side: str, first: str, seed: int, args) -> list[dic
         events = report["samples"].get("events_per_command")
         if events is not None:  # a file workload
             record["events_per_command"] = events
-            work = work_rate(events, record["metrics"])
-            if work is not None:
-                record["metrics"]["work_events_per_s"] = work
         if report["workload"] == "evolution-ci":
             record["plan_digest"] = plan_digest(checkout, seed, stamp["source_digest"])
         records.append(record)
@@ -171,16 +155,10 @@ def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
         if workload == "evolution-ci":
             row["same_plan"] = sum(p["parent"].get("plan_digest") is not None
                                    and p["parent"].get("plan_digest") == p["change"].get("plan_digest") for p in pairs)
-        for name in dict.fromkeys(name for p in pairs for side in p.values() for name in side["metrics"]):
-            # a metric left out of some runs (work_events_per_s) is summarised over the pairs that have it
-            having = [p for p in pairs if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
-            if not having:
-                continue
-            parent = [p["parent"]["metrics"][name] for p in having]
-            change = [p["change"]["metrics"][name] for p in having]
+        for name in pairs[0]["parent"]["metrics"]:
+            parent = [p["parent"]["metrics"][name] for p in pairs]
+            change = [p["change"]["metrics"][name] for p in pairs]
             entry = {"parent": spread(parent), "change": spread(change)}
-            if len(having) < len(pairs):
-                entry["pairs"] = len(having)
             sign = {"higher": 1, "lower": -1}.get(better.get(name))
             if sign is not None:
                 gain = entry["change"]["median"] - entry["parent"]["median"]
@@ -191,7 +169,7 @@ def summarise(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
                 measured = any(change) or not any(parent)
                 entry.update(better=better[name], change_wins=wins, median_gain=round(gain, 6),
                              parent_iqr=round(iqr, 6),
-                             met=measured and wins * 10 >= 9 * len(having) and sign * gain > iqr)
+                             met=measured and wins * 10 >= 9 * len(pairs) and sign * gain > iqr)
                 if not measured:
                     entry["measured"] = False
                 if name in bounds:

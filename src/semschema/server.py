@@ -24,11 +24,18 @@ mix.  Building a snapshot settles every transform chain, so a file that
 does not load and a breaking step with no transform are both refused
 with 400 `reload failed: ...`, and the old snapshot keeps serving.
 
-`_Handler.parse_request` reads the request head in one pass (RFC 9112
-sections 3 and 5), without `email.parser`.  A connection's socket stays
-blocking, with the kernel's receive and send timeouts, and `_respond`
-writes a response in one `wfile.write`, so a request that arrives in one
-segment costs one `recv` and one `send`.
+The server is a `socketserver.ThreadingTCPServer` with its own request
+loop, so the process loads neither `http.server` nor what that imports
+(`http.client`, `ssl` and OpenSSL, `email`, `mimetypes`).  `_Handler`
+does what `http.server.BaseHTTPRequestHandler` did, with the same bytes
+and log lines: it reads the request head in one pass (RFC 9112 sections 3
+and 5), answers a too-long request line (414), a method with no route
+(501) and a bad head with the stdlib's HTML error page, answers
+`Expect: 100-continue`, formats `Date` (RFC 9110 section 5.6.7) itself,
+and logs each request in the stdlib's access-log format when verbose.  A
+connection's socket stays blocking, with the kernel's receive and send
+timeouts, and every response leaves in one `wfile.write`, so a request
+that arrives in one segment costs one `recv` and one `send`.
 """
 
 from __future__ import annotations
@@ -36,9 +43,12 @@ from __future__ import annotations
 import io
 import re
 import socket
+import socketserver
 import struct
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,7 +60,8 @@ from .validator import parse_target, validate
 
 _SCHEMA_PATH_RE = re.compile(r"^/schemas/([a-z]+)/([A-Za-z0-9-]+)/([0-9]+|latest)$")
 MAX_BODY_BYTES = 8 * 1024 * 1024
-# a longer request-head line, or more header fields, is refused with 431
+# a longer request line is refused with 414, a longer field line or more
+# header fields with 431
 MAX_LINE_BYTES = 65_536
 MAX_HEADERS = 100
 # a field name is an RFC 9110 token; a version is HTTP/<major>.<minor>
@@ -65,11 +76,16 @@ class ServerConfig(NamedTuple):
     read_only: bool = True
 
 
-class SchemaServer(ThreadingHTTPServer):
+class SchemaServer(socketserver.ThreadingTCPServer):
     """Serves one repository from `transforms`, the snapshot `_load` built from the bytes in `_files`.
 
-    `reload` swaps in a new snapshot when those bytes have changed.
+    `reload` swaps in a new snapshot when those bytes have changed.  Each
+    connection gets a daemon thread, as `http.server.ThreadingHTTPServer`
+    gives it.
     """
+
+    daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, cfg: ServerConfig, verbose: bool = False):
         self.cfg = cfg
@@ -137,9 +153,11 @@ class _SocketIO(io.RawIOBase):
         return len(data)
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "semschema"
+    sys_version = "Python/" + sys.version.split()[0]
+    default_request_version = "HTTP/0.9"
     # seconds a connection may stay silent, mid-head or mid-body included,
     # before it is closed
     timeout = 30
@@ -152,10 +170,10 @@ class _Handler(BaseHTTPRequestHandler):
         A Python-level timeout (`socket.settimeout`) would poll before every
         `recv` and `send`, and each blocking call hands the interpreter lock
         to another connection's thread.  The timeouts are a POSIX `struct
-        timeval`, two C longs.  Nagle's algorithm is off: `send_error` and a
-        `100 Continue` still answer in more than one write, and the last
-        segment of a long response must not wait for the client's delayed
-        ACK (RFC 896; RFC 1122 section 4.2.3.2).
+        timeval`, two C longs.  Nagle's algorithm is off: a `100 Continue`
+        and its final response leave in two writes, and the last segment of
+        a long response must not wait for the client's delayed ACK (RFC 896;
+        RFC 1122 section 4.2.3.2).
         """
         self.connection = sock = self.request
         timeval = struct.pack("@ll", *divmod(round(self.timeout * 1_000_000), 1_000_000))
@@ -165,9 +183,47 @@ class _Handler(BaseHTTPRequestHandler):
         raw = _SocketIO(sock)
         self.rfile, self.wfile = io.BufferedReader(raw), raw
 
-    def log_message(self, format, *args):  # noqa: A002 - base class signature
+    def handle(self) -> None:
+        """Answer requests until one closes the connection."""
+        self.close_connection = True
+        self.handle_one_request()
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        """Read one request and answer it with the route `do_<method>`; a timeout closes the connection."""
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(self.raw_requestline) > MAX_LINE_BYTES:
+                self.requestline = self.request_version = self.command = ""
+                self.send_error(414)
+                return
+            if not self.raw_requestline:
+                self.close_connection = True
+                return
+            if not self.parse_request():
+                return
+            route = getattr(self, "do_" + self.command, None)
+            if route is None:
+                self.send_error(501, f"Unsupported method ({self.command!r})")
+                return
+            route()
+        except TimeoutError as exc:
+            self.log_error("Request timed out: %r", exc)
+            self.close_connection = True
+
+    # -- logging: the stdlib's access-log format, on stderr when verbose ------
+
+    def log_request(self, code) -> None:
+        self.log_message('"%s" %s %s', self.requestline, str(code), "-")
+
+    def log_error(self, format, *args) -> None:  # noqa: A002 - the stdlib's signature
+        self.log_message(format, *args)
+
+    def log_message(self, format, *args) -> None:  # noqa: A002 - the stdlib's signature
         if self.server.verbose:
-            super().log_message(format, *args)
+            message = (format % args).translate(_CONTROL_CHARS)
+            sys.stderr.write("%s - - [%s] %s\n" % (self.client_address[0], _log_time(), message))
 
     # -- request head ----------------------------------------------------
 
@@ -236,8 +292,29 @@ class _Handler(BaseHTTPRequestHandler):
         elif connection == "keep-alive":
             self.close_connection = False
         if fields.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
-            return self.handle_expect_100()
+            self.wfile.write(b"%s 100 Continue\r\n\r\n" % self.protocol_version.encode())
         return True
+
+    def send_error(self, code: int, message: str | None = None) -> None:
+        """Answer with the stdlib's HTML error page and close the connection; log the error and the request.
+
+        `message`, the status's phrase by default, stands in the status line
+        and, HTML-escaped, in the page.  HTTP/0.9 gets the page alone, and
+        HEAD the head alone.
+        """
+        status = HTTPStatus(code)
+        if message is None:
+            message = status.phrase
+        self.log_error("code %d, message %s", code, message)
+        self.log_request(code)
+        self.close_connection = True
+        body = (_ERROR_PAGE % (code, _escape(message), code, _escape(status.description))).encode("utf-8", "replace")
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            head = (f"{self.protocol_version} {code:d} {message}\r\nServer: {self.server_version} {self.sys_version}"
+                    f"\r\nDate: {_http_date(time.time())}\r\nConnection: close\r\n"
+                    f"Content-Type: text/html;charset=utf-8\r\nContent-Length: {len(body)}\r\n\r\n").encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + body)
 
     # -- plumbing --------------------------------------------------------
 
@@ -247,7 +324,7 @@ class _Handler(BaseHTTPRequestHandler):
         The one map from exceptions to statuses: UnknownSchemaError is a
         404, any other SemSchemaError or ValueError (a response that
         cannot be encoded included) a 400, and anything else a 500, except
-        OSError, which propagates so that the stdlib closes the connection.
+        OSError, which propagates to `socketserver`, which closes the connection.
         """
         try:
             status, value = route()
@@ -261,11 +338,10 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:
             self.log_error("internal error on %s %s: %r", self.command, self.path, exc)
             status, payload = 500, _encode({"error": f"internal error: {type(exc).__name__}"})
-        # the bytes of send_response, two send_header calls and end_headers,
-        # in one write with the body; HTTP/0.9 gets the body alone
+        # head and body in one write; HTTP/0.9 gets the body alone
         self.log_request(status)
         if self.request_version != "HTTP/0.9":
-            payload = (_HEADS[status] % (self.date_time_string(), len(payload))).encode("latin-1") + payload
+            payload = (_HEADS[status] % (_http_date(time.time()), len(payload))).encode("latin-1") + payload
         self.wfile.write(payload)
 
     def _read_body(self):
@@ -338,10 +414,50 @@ class _Handler(BaseHTTPRequestHandler):
 
 # one response head per status, with the Date value and Content-Length left to fill
 _HEADS = {
-    status: f"{_Handler.protocol_version} {status:d} {phrase}\r\nServer: {_Handler.server_version} {_Handler.sys_version}"
-    "\r\nDate: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
-    for status, (phrase, _) in _Handler.responses.items()
+    status.value: f"{_Handler.protocol_version} {status.value:d} {status.phrase}\r\nServer: {_Handler.server_version} "
+    f"{_Handler.sys_version}\r\nDate: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+    for status in HTTPStatus
 }
+
+_ERROR_PAGE = """\
+<!DOCTYPE HTML>
+<html lang="en">
+    <head>
+        <meta charset="utf-8">
+        <title>Error response</title>
+    </head>
+    <body>
+        <h1>Error response</h1>
+        <p>Error code: %d</p>
+        <p>Message: %s.</p>
+        <p>Error code explanation: %d - %s.</p>
+    </body>
+</html>
+"""
+
+
+def _escape(text: str) -> str:
+    """`html.escape(text, quote=False)`, without loading `html.entities`."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+# a logged C0 or C1 control character is written as \xNN, and a backslash doubled
+_CONTROL_CHARS = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_CONTROL_CHARS[ord("\\")] = "\\\\"
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (None, "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(timestamp: float) -> str:
+    """The IMF-fixdate of `timestamp` in whole seconds, e.g. `Sun, 06 Nov 1994 08:49:37 GMT`."""
+    year, month, day, hh, mm, ss, weekday = time.gmtime(timestamp)[:7]
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (_DAYS[weekday], day, _MONTHS[month], year, hh, mm, ss)
+
+
+def _log_time() -> str:
+    """The local time as the access log writes it, e.g. `06/Nov/1994 08:49:37`."""
+    year, month, day, hh, mm, ss = time.localtime()[:6]
+    return "%02d/%3s/%04d %02d:%02d:%02d" % (day, _MONTHS[month], year, hh, mm, ss)
 
 
 def _encode(value) -> bytes:

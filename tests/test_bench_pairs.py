@@ -1,4 +1,4 @@
-"""The verdict rule, the evolution-ci plan check, the work-only rate and the line totals of scripts/bench_pairs.py (the script is run, not installed)."""
+"""The verdict rule, the evolution-ci plan check, the recorded events per command and the line totals of scripts/bench_pairs.py (the script is run, not installed)."""
 
 import importlib.util
 import json
@@ -129,12 +129,9 @@ def report_line(workload, metrics, samples):
     return json.dumps({"report": report})
 
 
-def test_a_file_workload_run_records_its_work_only_rate(tmp_path, monkeypatch):
+def test_a_file_workload_run_records_its_events_per_command(tmp_path, monkeypatch):
     lines = [
-        # 1,000 events in 0.2 s of which 0.1 s is set-up: 10,000 events/s of work
         report_line("transform-history", {"events_per_s": 5000.0, "setup_s": 0.1}, {"events_per_command": 1000}),
-        # set-up as long as the command: no work rate
-        report_line("validate-mixed", {"events_per_s": 5000.0, "setup_s": 0.2}, {"events_per_command": 1000}),
         # a traced run has no events_per_s
         report_line("dqt-checks", {"jslt.evaluate.calls": 3.0}, {"events_per_command": 1000}),
         report_line("serve-mixed", {"events_per_s": 3000.0, "setup_s": 0.1}, {"connections": 2}),
@@ -144,23 +141,8 @@ def test_a_file_workload_run_records_its_work_only_rate(tmp_path, monkeypatch):
     args = type("Args", (), {"workload": "all", "seconds": 1.0, "trace": 0})
     records = {r["workload"]: r for r in bench_pairs.run_once(tmp_path, "parent", "parent", 1, args)}
     assert records["transform-history"]["events_per_command"] == 1000
-    assert records["transform-history"]["metrics"]["work_events_per_s"] == pytest.approx(10_000)
-    assert "work_events_per_s" not in records["validate-mixed"]["metrics"]
-    assert "work_events_per_s" not in records["dqt-checks"]["metrics"]
+    assert records["dqt-checks"]["events_per_command"] == 1000
     assert "events_per_command" not in records["serve-mixed"]
-    assert "work_events_per_s" not in records["serve-mixed"]["metrics"]
-
-
-def test_the_work_only_rate_is_summarised_over_the_pairs_that_have_it_with_no_verdict():
-    def rate(seed, side, work):
-        record = run(seed, side, 1.0)
-        if work is not None:
-            record["metrics"] = {**record["metrics"], "work_events_per_s": work}
-        return record
-
-    runs = [rate(0, "parent", 100.0), rate(0, "change", 110.0), rate(1, "parent", 120.0), rate(1, "change", None),
-            rate(2, "parent", 90.0), rate(2, "change", 100.0)]
-    entry = bench_pairs.summarise(runs, {"m.self_s": "lower"}, {"m.self_s": 0.25})[0]["metrics"]["work_events_per_s"]
-    assert entry["pairs"] == 2
-    assert entry["parent"]["median"] == 95.0 and entry["change"]["median"] == 105.0
-    assert "verdict" not in entry and "change_wins" not in entry
+    # the metrics are perfbench's own, with no rate derived from them
+    assert records["transform-history"]["metrics"] == {"events_per_s": 5000.0, "setup_s": 0.1}
+    assert records["dqt-checks"]["metrics"] == {"jslt.evaluate.calls": 3.0}

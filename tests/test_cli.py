@@ -1001,3 +1001,5 @@ class TestImportFootprint:
         loaded = self.modules_after(tmp_path, "serve", "--repo", str(repo_dir), "--port", "0")
         assert "semschema.server" in loaded
         assert not loaded & {"semschema.dqt", "semschema.generator", "dataclasses", "inspect", "hashlib"}
+        # http.server would bring OpenSSL in through http.client, and the email package
+        assert not loaded & {"ssl", "_ssl", "http.client", "http.server", "email", "mimetypes"}

@@ -1,3 +1,5 @@
+import datetime
+import email.utils
 import http.client
 import io
 import json
@@ -25,7 +27,7 @@ from semschema.generator import GenConfig, generate_valid
 from semschema.jsonmodel import MAX_DEPTH
 from semschema.registry import load_repo, make_id, write_version
 from semschema.server import (
-    MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, SchemaServer, ServerConfig, _Handler, parse_target,
+    MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, SchemaServer, ServerConfig, _Handler, _http_date, parse_target,
 )
 from semschema.validator import ValidationTarget
 
@@ -757,8 +759,10 @@ class TestRequestHead:
         assert [s for s, _ in responses] == [100, 200, 200]
 
 
-class _Stdlib(_Handler):
-    parse_request = BaseHTTPRequestHandler.parse_request
+class _Stdlib(BaseHTTPRequestHandler):
+    # the stdlib's own handler, with the server's protocol version and name
+    protocol_version = _Handler.protocol_version
+    server_version = _Handler.server_version
 
 
 def parsed(handler_class, raw: bytes) -> dict:
@@ -809,7 +813,7 @@ def request_heads(draw) -> tuple[bytes, bytes]:
 
 
 class TestHeadParserMatchesStdlib:
-    """The head parser against `BaseHTTPRequestHandler.parse_request` as oracle.
+    """The head parser against the stdlib's own `BaseHTTPRequestHandler.parse_request` as oracle.
 
     Deliberate differences, each excluded here by name (README, Server):
     the stdlib keeps whitespace after a field value, so it reads the head
@@ -835,6 +839,88 @@ class TestHeadParserMatchesStdlib:
             # an HTTP/0.9 simple request has no header block, so no field counts
             stdlib.update(fields=own["fields"], close=own["close"])
         assert own == stdlib
+
+
+def bare(handler_class, verbose: bool):
+    """A handler of `handler_class` that has read a request head, with no connection."""
+    handler = handler_class.__new__(handler_class)
+    handler.server = SimpleNamespace(verbose=verbose)
+    handler.client_address = ("127.0.0.1", 50_000)
+    handler.wfile = io.BytesIO()
+    return handler
+
+
+class TestStdlibFormats:
+    """The request loop's own `Date`, error responses and log lines against the stdlib's.
+
+    The server process loads neither `email.utils` nor `http.server`; the
+    tests import both as references.
+    """
+
+    @pytest.mark.parametrize("when", [
+        (2024, 2, 29, 12, 0, 0),  # a leap day
+        (2000, 1, 1, 0, 0, 0),
+        (1999, 12, 31, 23, 59, 59),
+        (2023, 12, 31, 8, 5, 9),
+        (1970, 1, 1, 0, 0, 0),
+    ])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.999])
+    def test_date_is_email_utils_formatdate(self, when, fraction):
+        timestamp = datetime.datetime(*when, tzinfo=datetime.timezone.utc).timestamp() + fraction
+        assert _http_date(timestamp) == email.utils.formatdate(timestamp, usegmt=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 253_402_300_799))  # through 31 December 9999
+    def test_date_is_email_utils_formatdate_for_any_second(self, timestamp):
+        assert _http_date(timestamp) == email.utils.formatdate(timestamp, usegmt=True)
+
+    @pytest.mark.parametrize("requestline", [
+        "GET /health HTTP/1.1",
+        "GET /a\x1b[31m\x7f\x9f\\b HTTP/1.1",  # C0, DEL, C1 and a backslash
+        "GET /\xe9\x00\t HTTP/1.0",
+        "",
+    ])
+    def test_access_and_error_lines_are_the_stdlibs(self, monkeypatch, capsys, requestline):
+        local = time.struct_time((2024, 2, 29, 23, 59, 59, 3, 60, 0))
+        monkeypatch.setattr(time, "localtime", lambda *args: local)
+        written = []
+        for handler_class in (_Handler, _Stdlib):
+            handler = bare(handler_class, verbose=True)
+            handler.requestline = requestline
+            handler.log_request(200)
+            handler.log_error("code %d, message %s", 400, f"Bad request syntax ({requestline!r})")
+            handler.log_error("Request timed out: %r", TimeoutError("timed out"))
+            handler.log_error("internal error on %s %s: %r", "POST", requestline, ValueError("\x00"))
+            written.append(capsys.readouterr().err)
+        assert written[0] == written[1]
+        assert written[0].count("\n") == 4 and written[0].startswith("127.0.0.1 - - [29/Feb/2024 23:59:59] ")
+
+    def test_quiet_server_logs_nothing(self, capsys):
+        handler = bare(_Handler, verbose=False)
+        handler.requestline = "GET /health HTTP/1.1"
+        handler.log_request(200)
+        handler.log_error("Request timed out: %r", TimeoutError("timed out"))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("code, message", [
+        (400, "Bad request syntax ('GET /<a&b> c d')"),
+        (414, None),
+        (431, "Line too long"),
+        (501, "Unsupported method ('PUT')"),
+        (505, "Invalid HTTP version (2.0)"),
+    ])
+    @pytest.mark.parametrize("command, version", [("GET", "HTTP/1.1"), ("HEAD", "HTTP/1.0"), (None, "HTTP/0.9"), ("", "")])
+    def test_error_response_is_the_stdlibs(self, monkeypatch, capsys, code, message, command, version):
+        monkeypatch.setattr(time, "time", lambda: 951_782_399.5)  # 28 February 2000, 23:59:59.5
+        monkeypatch.setattr(time, "localtime", lambda *args: time.struct_time((2000, 2, 29, 0, 59, 59, 1, 60, 0)))
+        answers = []
+        for handler_class in (_Handler, _Stdlib):
+            handler = bare(handler_class, verbose=True)
+            handler.requestline, handler.command, handler.request_version = "PUT /x HTTP/1.1", command, version
+            handler.close_connection = False
+            handler.send_error(code, message)
+            answers.append((handler.wfile.getvalue(), handler.close_connection, capsys.readouterr().err))
+        assert answers[0] == answers[1]
 
 
 # Serves the repository named by argv[2] and sends the (path, body) pairs
