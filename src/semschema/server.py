@@ -80,8 +80,7 @@ class SchemaServer(socketserver.ThreadingTCPServer):
     """Serves one repository from `transforms`, the snapshot `_load` built from the bytes in `_files`.
 
     `reload` swaps in a new snapshot when those bytes have changed.  Each
-    connection gets a daemon thread, as `http.server.ThreadingHTTPServer`
-    gives it.
+    connection gets a daemon thread.
     """
 
     daemon_threads = True
@@ -157,7 +156,6 @@ class _Handler(socketserver.BaseRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "semschema"
     sys_version = "Python/" + sys.version.split()[0]
-    default_request_version = "HTTP/0.9"
     # seconds a connection may stay silent, mid-head or mid-body included,
     # before it is closed
     timeout = 30
@@ -215,7 +213,7 @@ class _Handler(socketserver.BaseRequestHandler):
     # -- logging: the stdlib's access-log format, on stderr when verbose ------
 
     def log_request(self, code) -> None:
-        self.log_message('"%s" %s %s', self.requestline, str(code), "-")
+        self.log_message('"%s" %s -', self.requestline, code)
 
     def log_error(self, format, *args) -> None:  # noqa: A002 - the stdlib's signature
         self.log_message(format, *args)
@@ -235,7 +233,7 @@ class _Handler(socketserver.BaseRequestHandler):
         a two-word (HTTP/0.9) GET is answered without reading a header block.
         """
         self.command = None
-        self.request_version = self.default_request_version
+        self.request_version = "HTTP/0.9"
         self.close_connection = True
         self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = requestline.split()
@@ -292,7 +290,7 @@ class _Handler(socketserver.BaseRequestHandler):
         elif connection == "keep-alive":
             self.close_connection = False
         if fields.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
-            self.wfile.write(b"%s 100 Continue\r\n\r\n" % self.protocol_version.encode())
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
     def send_error(self, code: int, message: str | None = None) -> None:
@@ -449,8 +447,12 @@ _MONTHS = (None, "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", 
 
 
 def _http_date(timestamp: float) -> str:
-    """The IMF-fixdate of `timestamp` in whole seconds, e.g. `Sun, 06 Nov 1994 08:49:37 GMT`."""
-    year, month, day, hh, mm, ss, weekday = time.gmtime(timestamp)[:7]
+    """The IMF-fixdate of `timestamp`, e.g. `Sun, 06 Nov 1994 08:49:37 GMT`.
+
+    The time is rounded to the microsecond before its second is taken, as
+    `email.utils.formatdate` rounds it.
+    """
+    year, month, day, hh, mm, ss, weekday = time.gmtime(round(timestamp, 6))[:7]
     return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (_DAYS[weekday], day, _MONTHS[month], year, hh, mm, ss)
 
 

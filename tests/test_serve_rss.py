@@ -1,18 +1,23 @@
-"""scripts/serve_rss.py on one checkout as both sides (the script is run, not installed)."""
+"""scripts/serve_rss.py on one checkout as both sides (the script is run, not installed).
 
-import importlib.util
+It runs in its own process: a child spawned with vfork counts the resident
+size of the process that spawned it, and the test process is far larger than
+a server.
+"""
+
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("serve_rss", _ROOT / "scripts" / "serve_rss.py")
-serve_rss = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(serve_rss)
 
 
-def test_each_side_starts_answers_health_and_reports_its_peak_rss(capsys):
-    assert serve_rss.main(["--parent", str(_ROOT), "--change", str(_ROOT), "--rounds", "1"]) == 0
-    report = json.loads(capsys.readouterr().out)
+def test_each_side_starts_answers_health_and_reports_its_peak_rss():
+    done = subprocess.run([sys.executable, str(_ROOT / "scripts" / "serve_rss.py"), "--parent", str(_ROOT),
+                           "--change", str(_ROOT), "--rounds", "1"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
     assert [(run["side"], run["ok"]) for run in report["runs"]] == [("parent", True), ("change", True)]
     for side in ("parent", "change"):
         assert report["summary"][side]["all_ok"]

@@ -864,7 +864,7 @@ class TestStdlibFormats:
         (2023, 12, 31, 8, 5, 9),
         (1970, 1, 1, 0, 0, 0),
     ])
-    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.999])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.999, 0.9999997])  # the last rounds up to the next second
     def test_date_is_email_utils_formatdate(self, when, fraction):
         timestamp = datetime.datetime(*when, tzinfo=datetime.timezone.utc).timestamp() + fraction
         assert _http_date(timestamp) == email.utils.formatdate(timestamp, usegmt=True)
