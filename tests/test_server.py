@@ -842,7 +842,7 @@ class TestHeadParserMatchesStdlib:
 
 
 def bare(handler_class, verbose: bool):
-    """A handler of `handler_class` that has read a request head, with no connection."""
+    """A handler of `handler_class` with a client address and an in-memory `wfile`, and no connection."""
     handler = handler_class.__new__(handler_class)
     handler.server = SimpleNamespace(verbose=verbose)
     handler.client_address = ("127.0.0.1", 50_000)
