@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import sys
 from pathlib import Path
@@ -387,5 +388,22 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> int:
+    """The process entry point: `semschema` and `python -m semschema.cli`.
+
+    main() itself never freezes the heap: tests and tracers call it in
+    process, and their heap lives on after it returns.
+    """
+    try:
+        return main()
+    finally:
+        # What main built stays alive until the process ends, so the final
+        # collection would walk it only to find it alive; frozen, it is
+        # skipped.  That is safe because every file a command writes is
+        # closed by its `with` before main returns, so no flush waits on a
+        # finalizer, and the interpreter flushes stdout and stderr itself.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import jslt, jsonmodel
 from .errors import JsltRuntimeError, SemSchemaError
+from .hashing import sha256
 from .jslt.functions import is_truthy
 
 if TYPE_CHECKING:
@@ -139,7 +140,7 @@ def run_check(check: CheckDef, event) -> str | None:
 # -- sampling ------------------------------------------------------------
 
 
-def _hash_fraction(event, sha256) -> float:
+def _hash_fraction(event) -> float:
     key = event.get("@id") if isinstance(event, dict) else None
     if not isinstance(key, str):
         key = jsonmodel.dumps(event)
@@ -165,16 +166,12 @@ class Sampler:
         self.strategy = strategy
         self.seed = seed
         self._rng = random.Random(seed)
-        if strategy == "hash" and rate < 1:
-            from hashlib import sha256  # here, so a run that never hashes never loads libcrypto
-
-            self._sha256 = sha256
 
     def keep(self, event) -> bool:
         if self.rate == 1:
             return True
         if self.strategy == "hash":
-            return _hash_fraction(event, self._sha256) < self.rate
+            return _hash_fraction(event) < self.rate
         return self._rng.random() < self.rate
 
 

@@ -9,12 +9,12 @@ UnsatisfiableError carrying the mismatches.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import string as _string
 from typing import NamedTuple
 
 from .errors import GenerationError, UnsatisfiableError
+from .hashing import sha256
 from .jsonmodel import JsonPath, canonical_number, set_path
 from .pattern import compile_pattern, draw_chars, generate_from_pattern
 from .registry import PropertyDef, Registry, ResolvedSchema
@@ -51,7 +51,7 @@ def generate_valid(registry: Registry, title: str, version: int | None = None, c
     doc = resolved.doc
     if doc.is_tombstone():
         raise GenerationError(f"{doc.id} is tombstoned; nothing to generate")
-    digest = hashlib.sha256(f"{cfg.seed}:{title}:{doc.linear_version}".encode()).digest()
+    digest = sha256(f"{cfg.seed}:{title}:{doc.linear_version}".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     schema_id = doc.id if doc.kind == "event" else None
     value = _gen_object(registry, resolved, rng, cfg, schema_id)

@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -974,10 +976,21 @@ class TestImportFootprint:
         heavy = {"dataclasses", "datetime"} | {f"semschema.{m}" for m in ("dqt", "jslt", "evolution", "generator", "server")}
         assert not loaded & heavy
 
+    # OpenSSL's libcrypto: the generator and the hash sampler use CPython's own SHA-256
+    OPENSSL = {"hashlib", "_hashlib"}
+
     def test_generate(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "generate", "--repo", str(repo_dir), "--schema", "View Item")
         assert "semschema.generator" in loaded
         assert not loaded & {"semschema.dqt", "semschema.jslt", "semschema.evolution", "dataclasses", "inspect"}
+        assert not loaded & self.OPENSSL
+
+    def test_impact_test(self, repo_dir, tmp_path):
+        proposal, samples = TestImpactTest().write_inputs(tmp_path)
+        loaded = self.modules_after(tmp_path, "impact-test", "--repo", str(repo_dir), "--proposal", str(proposal),
+                                    "--samples", str(samples))
+        assert {"semschema.evolution", "semschema.generator"} <= loaded
+        assert not loaded & self.OPENSSL
 
     def test_transform(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "transform", "{events}", "--repo", str(repo_dir))
@@ -994,8 +1007,9 @@ class TestImportFootprint:
         events = tmp_path / "events.ndjson"
         events.write_text('{"@id": "e1", "@type": "View"}\n{"@id": "e2"}\n')
         argv = ("dqt", "run", "--modules", str(checks_dir), "--events", str(events), "--sink", str(tmp_path / "out"))
-        assert not self.modules_after(tmp_path, *argv, "--rate", "1.0") & {"hashlib", "_hashlib"}
-        assert "hashlib" in self.modules_after(tmp_path, *argv, "--rate", "0.5")
+        assert not self.modules_after(tmp_path, *argv, "--rate", "1.0") & self.OPENSSL
+        sampled = self.modules_after(tmp_path, *argv, "--rate", "0.5")
+        assert sampled & {"_sha2", "_sha256"} and not sampled & self.OPENSSL
 
     def test_serve(self, repo_dir, tmp_path):
         loaded = self.modules_after(tmp_path, "serve", "--repo", str(repo_dir), "--port", "0")
@@ -1003,3 +1017,78 @@ class TestImportFootprint:
         assert not loaded & {"semschema.dqt", "semschema.generator", "dataclasses", "inspect", "hashlib"}
         # http.server would bring OpenSSL in through http.client, and the email package
         assert not loaded & {"ssl", "_ssl", "http.client", "http.server", "email", "mimetypes"}
+
+
+class TestProcessEntry:
+    """`python -m semschema.cli` runs main through `run`, which freezes the heap
+    before the interpreter's final collection; a command's output and exit code
+    are those of main in process."""
+
+    TIMINGS = re.compile(r'("elapsed_seconds"|"events_per_second"):[-+.e0-9]+')
+
+    def outcomes(self, capsys, argv, written=None):
+        """(exit code, stdout, stderr, the `written` file's text) in process, then in a fresh interpreter."""
+        results = []
+        for spawn in (False, True):
+            if spawn:
+                env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONIOENCODING="utf-8")
+                done = subprocess.run([sys.executable, "-m", "semschema.cli", *argv], env=env, capture_output=True,
+                                      timeout=120)
+                code, out, err = done.returncode, done.stdout.decode(), done.stderr.decode()
+            else:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+            text = written.read_text(encoding="utf-8") if written else None
+            results.append((code, out, self.TIMINGS.sub(r"\1:0", err), text))
+        return results
+
+    def test_transform_past_a_pipe_buffer(self, capsys, repo_dir, registry, tmp_path):
+        events = write_events(tmp_path / "old.ndjson", registry, "View Item", 0, count=260)
+        here, fresh = self.outcomes(capsys, ["transform", str(events), "--repo", str(repo_dir)])
+        assert here == fresh
+        assert here[0] == 0 and len(here[1].encode()) > 65_536
+
+    def test_dqt_run_into_a_sink_file(self, capsys, checks_dir, registry, tmp_path):
+        events = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=40)
+        sink = tmp_path / "metrics.ndjson"
+        argv = ["dqt", "run", "--modules", str(checks_dir), "--events", str(events), "--rate", "0.5",
+                "--sink", str(sink), "--window", "w"]
+        here, fresh = self.outcomes(capsys, argv, written=sink)
+        assert here == fresh
+        assert here[0] == 0 and here[3].count("\n") > 10
+
+    def test_an_invalid_event_exits_one(self, capsys, repo_dir, tmp_path):
+        events = tmp_path / "events.ndjson"
+        events.write_text('{"schema": "nope"}\n{\n')
+        here, fresh = self.outcomes(capsys, ["validate", str(events), "--repo", str(repo_dir)])
+        assert here == fresh
+        assert here[0] == 1
+
+    def test_a_usage_error_exits_two(self, capsys, repo_dir):
+        here, fresh = self.outcomes(capsys, ["validate", "--repo", str(repo_dir), "--bogus"])
+        assert here == fresh
+        assert here[0] == 2 and "usage:" in here[2]
+
+    def test_main_never_freezes_the_heap(self, capsys, repo_dir, tmp_path):
+        events = tmp_path / "empty.ndjson"
+        events.write_text("")
+        assert cli.main(["validate", str(events), "--repo", str(repo_dir)]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_run_freezes_the_heap(self, tmp_path):
+        probe = (
+            "import gc, sys\n"
+            "from semschema import cli\n"
+            "sys.argv = ['semschema', 'validate', sys.argv[1], '--repo', sys.argv[2]]\n"
+            "code = cli.run()\n"
+            "print(code, gc.get_freeze_count() > 0)\n"
+        )
+        events = tmp_path / "empty.ndjson"
+        events.write_text("")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe, str(events), str(Path(cli.__file__).parent / "fixtures" / "repo")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "0 True\n"), done.stderr

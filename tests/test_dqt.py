@@ -174,9 +174,9 @@ class TestSampler:
             def digest(self):
                 return b"\xff" * 32
 
-        monkeypatch.setattr(hashlib, "sha256", TopDigest)
+        monkeypatch.setattr(dqt, "sha256", TopDigest)
         assert Sampler(rate=1.0).keep({"@id": "any"})
-        assert dqt._hash_fraction({"@id": "any"}, hashlib.sha256) < 1.0  # the highest hash would be kept too
+        assert dqt._hash_fraction({"@id": "any"}) < 1.0  # the highest hash would be kept too
 
     def test_hash_is_deterministic_and_seed_free(self):
         events = [{"@id": f"event-{i}"} for i in range(400)]
@@ -206,6 +206,13 @@ class TestSampler:
         top = {i: (int.from_bytes(hashlib.sha256(i.encode()).digest()[:8], "big") >> 11) / 2**53 for i in ids}
         sampler = Sampler(rate=0.3)
         assert [i for i in ids if sampler.keep({"@id": i})] == [i for i in ids if top[i] < 0.3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters() | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), max_size=40))
+    def test_builtin_hash_equals_hashlibs(self, key):
+        # CPython's own SHA-256 in place of OpenSSL's: the same digest, so the same events are kept
+        top = int.from_bytes(hashlib.sha256(key.encode("utf-8", "surrogatepass")).digest()[:8], "big") >> 11
+        assert dqt._hash_fraction({"@id": key}) == top / 2**53
 
     def test_random_strategy_respects_seed(self):
         events = [{"n": i} for i in range(200)]

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semschema import jsonmodel
@@ -125,16 +128,26 @@ class TestDumps:
         assert dumps(value, indent=2) == '{\n  "k\\ud800": [\n    "é \\udcff",\n    "😀"\n  ]\n}'
         assert dumps("é") == '"é"'  # other text keeps ensure_ascii=False
 
+    TOO_DEEP = (
+        "value = 1\n"
+        "for _ in range(sys.getrecursionlimit()):\n"
+        "    value = [value]\n"
+        "circular = []\n"
+        "circular.append(circular)\n"
+        "for each in (value, circular):\n"
+        "    with pytest.raises(ValueError, match='nesting too deep'):\n"
+        "        dumps(each, indent=INDENT)\n"
+    )
+
     def test_too_deep_is_value_error(self):
-        value = 1
-        for _ in range(sys.getrecursionlimit()):
-            value = [value]
-        circular = []
-        circular.append(circular)
-        for indent in (None, 2):
-            for each in (value, circular):
-                with pytest.raises(ValueError, match="nesting too deep"):
-                    dumps(each, indent=indent)
+        exec(self.TOO_DEEP, {"sys": sys, "pytest": pytest, "dumps": dumps, "INDENT": None})
+        # The indented encoder is pure Python and builds a longer indent string
+        # at every level: at the 20,000 frames semschema.jslt allows, about
+        # 1.2 GB.  So indent 2 runs in a fresh interpreter, at the default limit.
+        script = "import sys\nimport pytest\nfrom semschema.jsonmodel import dumps\nINDENT = 2\n" + self.TOO_DEEP
+        env = dict(os.environ, PYTHONPATH=str(Path(jsonmodel.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     @given(json_values)
     def test_round_trip(self, value):
@@ -481,7 +494,40 @@ _PIECES = st.sampled_from([
 ])
 
 
+def scanned_outcome(text):
+    """parse_json's outcome with the positional scan on every text past its
+    length and bracket gate, ahead of one decode: the reference for its C-speed
+    first pass."""
+    if len(text) > 2 * MAX_DEPTH and text.count("[") + text.count("{") > MAX_DEPTH:
+        try:
+            jsonmodel._check_depth(text)
+        except json.JSONDecodeError as exc:
+            error = JsonParseError(exc.msg, exc.lineno, exc.colno)
+            return "error", str(error), error.line, error.col
+    return decode_outcome(text)
+
+
+@st.composite
+def spliced_texts(draw):
+    """A text from nested_texts, with a few _PIECES put in anywhere: a quote
+    may leave a string open to the end, a backslash stand outside a string."""
+    text = draw(nested_texts())
+    for piece in draw(st.lists(_PIECES, max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    return text
+
+
 class TestDepthBound:
+    @settings(max_examples=150, deadline=None)
+    @given(spliced_texts())
+    # a backslash outside a string, then a string, then too many levels: the
+    # first pass reads the escaped quote as the scan does not
+    @example('\\""' + "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1))
+    @example('[\\"' + "[" * MAX_DEPTH + '"' + "]" * MAX_DEPTH + "]")
+    def test_outcome_matches_a_scan_of_every_text(self, text):
+        assert parse_outcome(text) == scanned_outcome(text)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_PIECES, max_size=30))
     def test_error_matches_a_character_walk(self, pieces):
