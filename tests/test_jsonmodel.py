@@ -525,6 +525,10 @@ class TestDepthBound:
     # first pass reads the escaped quote as the scan does not
     @example('\\""' + "[" * (MAX_DEPTH + 1) + "]" * (MAX_DEPTH + 1))
     @example('[\\"' + "[" * MAX_DEPTH + '"' + "]" * MAX_DEPTH + "]")
+    # valid text: an escaped quote, then an escaped backslash before the
+    # closing quote, ahead of one level too many
+    @example('["\\"",' + "[" * MAX_DEPTH + "]" * MAX_DEPTH + "]")
+    @example('["\\\\",' + "[" * MAX_DEPTH + "]" * MAX_DEPTH + "]")
     def test_outcome_matches_a_scan_of_every_text(self, text):
         assert parse_outcome(text) == scanned_outcome(text)
 
