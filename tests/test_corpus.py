@@ -21,9 +21,12 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import re
 import shutil
 import socket
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -32,7 +35,7 @@ import pytest
 import semschema
 from semschema import cli
 from semschema.generator import GenConfig, generate_valid
-from semschema.jsonmodel import JsonPath, set_path
+from semschema.jsonmodel import MAX_DEPTH, JsonPath, set_path
 from semschema.registry import load_repo, make_id, parse_id
 from semschema.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES, SchemaServer, ServerConfig
 
@@ -155,6 +158,12 @@ def float_lines(registry, events) -> list[bytes]:
     return lines
 
 
+def deep_line(depth: int, event: dict) -> bytes:
+    """`event` with a `custom` object that takes the line to `depth` levels."""
+    custom = '{"a": ' * (depth - 1) + '"x"' + "}" * (depth - 1)
+    return ('{"custom": %s, %s' % (custom, json.dumps(event)[1:])).encode()
+
+
 def build(root: Path) -> None:
     """Write every input of the corpus under `root`."""
     shutil.copytree(FIXTURES / "repo", root / "repo")
@@ -174,6 +183,9 @@ def build(root: Path) -> None:
         lines.extend(json.dumps(mutant).encode() for mutant in plant(registry, event))
     (root / "events.ndjson").write_bytes(b"\n".join(lines + BAD_LINES) + b"\n")
     (root / "numbers.ndjson").write_bytes(b'{"n": 1}\n{"n": 2.5}\n')
+    first, second = (generate_valid(registry, "View Item", 0, GenConfig(seed=seed)) for seed in (1, 2))
+    for depth in (MAX_DEPTH, MAX_DEPTH + 1):
+        (root / f"deep-{depth}.ndjson").write_bytes(deep_line(depth, first) + b"\n" + json.dumps(second).encode() + b"\n")
     (root / "floats.ndjson").write_bytes(b"\n".join(float_lines(registry, events)) + b"\n")
 
     samples = root / "samples"
@@ -237,6 +249,19 @@ CASES = {
     **{f"jslt-run-{name}": ["jslt", "run", f"programs/{name}.jslt", "--input", "numbers.ndjson"] for name in PROGRAMS},
     **{f"jslt-run-{path.parent.name}-{path.stem}": ["jslt", "run", f"repo/transforms/{path.parent.name}/{path.name}",
                                                     "--input", "events.ndjson"] for path in TRANSFORMS},
+}
+
+# one line nested MAX_DEPTH levels deep and one a level deeper, each followed by a good line;
+# run in a fresh interpreter (see `test_deep_lines_are_pinned`)
+DEEP_CASES = {
+    f"{name}-deep-{depth}": [*argv[:1], *(arg.format(f"deep-{depth}.ndjson") for arg in argv[1:])]
+    for depth in (MAX_DEPTH, MAX_DEPTH + 1)
+    for name, argv in (
+        ("validate", ["validate", "{}", "--repo", "repo"]),
+        ("transform", ["transform", "{}", "--repo", "repo"]),
+        ("dqt-run", ["dqt", "run", "--modules", "checks", "--events", "{}", "--rate", "1.0", "--window", "w",
+                     "--repo", "repo"]),
+    )
 }
 
 _TIMINGS = re.compile(r'("elapsed_seconds"|"events_per_second"):[-+.e0-9]+')
@@ -437,6 +462,33 @@ def test_output_is_pinned(corpus, monkeypatch, case):
 
 def test_every_case_has_a_digest():
     assert sorted(DIGESTS) == sorted(CASES)
+
+
+DEEP_DIGESTS = {
+    "dqt-run-deep-400": "9e397cbda7193d0ce06ca98bb6089e2848f9d2c7cfe62b23780f03f44a1abd9f",
+    "dqt-run-deep-401": "b283546147a05a83f40f3bf0b22440f723d44bd87327b988d6483f576bc76759",
+    "transform-deep-400": "ae3ec515163df07256824c6179337bd57e3974721193a86b84a795c2b873e0d6",
+    "transform-deep-401": "1b460ecf80be0018b3d2019a5058f3e026882c51b61cdd2c99ae9cd63960926f",
+    "validate-deep-400": "6cc431ca49b5960aabb437a3691ef8cad4c55175a144cc171193cab183379e80",
+    "validate-deep-401": "e9ee58a9371c3855a7b1f2dc12c68fdd29cc79cf64087dac26a95c1adcbcf23a",
+}
+
+_DEEP_SCRIPT = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from test_corpus import DEEP_CASES, digest
+os.chdir(sys.argv[2])
+print(json.dumps({case: digest(argv) for case, argv in DEEP_CASES.items()}))
+"""
+
+
+def test_deep_lines_are_pinned(corpus):
+    """Every DEEP_CASES case in one fresh interpreter, at the recursion limit semschema leaves it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(semschema.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _DEEP_SCRIPT, str(Path(__file__).parent), str(corpus)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == DEEP_DIGESTS
 
 
 # -- the server ------------------------------------------------------------
