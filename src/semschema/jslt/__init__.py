@@ -13,19 +13,10 @@ The compiled Program is reusable and safe to share across threads.
 
 from __future__ import annotations
 
-import sys
-
 from ..errors import JsltRuntimeError
 from .parser import parse
 
 __all__ = ["Program", "compile"]
-
-
-def _ensure_recursion_room() -> None:
-    # parse + eval recursion on deeply nested programs outgrows CPython's
-    # default frame budget; only ever raise the limit, never lower it
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
 
 
 class Program:
@@ -50,5 +41,4 @@ class Program:
 
 def compile(source: str) -> Program:
     """Parse and check a program, raising JsltCompileError on bad input."""
-    _ensure_recursion_room()
     return Program(source, parse(source))

@@ -19,7 +19,10 @@ from .. import jsonmodel
 from ..errors import JsltCompileError, JsltRuntimeError, PatternError
 from .functions import BUILTINS, LITERAL_BINDERS, is_truthy, to_string
 
-MAX_CALL_DEPTH = 500
+# A user call costs 3 or 4 frames when the call it makes stands in an
+# operand, an argument or an array of its body, so a chain this deep runs
+# within the default recursion limit and leaves 300 frames to its caller.
+MAX_CALL_DEPTH = 150
 _DEPTH = "#depth"  # '#' cannot start a variable name
 
 _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}

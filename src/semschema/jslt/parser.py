@@ -21,7 +21,10 @@ from ..errors import JsltCompileError
 from . import compiler as build
 from .lexer import Token, tokenize
 
-_COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
+# how tightly each binary operator binds; operators of one power group to
+# the left, except comparisons, which do not chain
+_POWER = {"or": 1, "and": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
+_COMPARE = 3
 
 # Keys after '.' are bare identifiers or quoted strings. Keyword-named
 # keys must use the quoted form; a bare keyword key would swallow the
@@ -30,7 +33,11 @@ _KEYISH = {"ident", "string"}
 
 _CONSTANTS = {"true": True, "false": False, "null": None}
 
-MAX_NESTING = 500
+# A level of nesting costs the parser at most 4 frames, and a literal
+# pattern nested pattern.MAX_GROUP_DEPTH deep about 270 more, so a program
+# at this bound compiles within the default recursion limit and leaves 300
+# frames to its caller; evaluating it costs at most 2 frames a level.
+MAX_NESTING = 100
 
 
 def _def_params(tokens: list[Token]) -> dict[str, tuple]:
@@ -162,14 +169,31 @@ class Parser:
         self.scope = scope
         return self.wrap_lets(lets, body)
 
-    # -- expressions, by precedence --------------------------------------
+    # -- expressions -----------------------------------------------------
 
     def parse_expr(self):
+        """Operands joined by binary operators, grouped by _POWER in one loop.
+
+        `pending` holds the operators whose right operand is still being read,
+        binding tighter from bottom to top; an operator pops and applies those
+        that bind at least as tightly before it is pushed.  No operator adds a
+        frame, so the frames a program needs grow with its nesting alone.
+        """
         self.deeper()
-        try:
-            return self.parse_or()
-        finally:
-            self.depth -= 1
+        operands = [self.parse_operand()]
+        pending = []
+        while (tok := self.peek()).kind in _POWER:
+            power = _POWER[tok.kind]
+            if power == _COMPARE and any(_POWER[op.kind] == _COMPARE for op in pending):
+                raise JsltCompileError("comparisons cannot be chained", tok.line, tok.col)
+            while pending and _POWER[pending[-1].kind] >= power:
+                self.reduce(operands, pending.pop())
+            pending.append(self.next())
+            operands.append(self.parse_operand())
+        while pending:
+            self.reduce(operands, pending.pop())
+        self.depth -= 1  # an error ends the parse, so the count is never unwound
+        return operands[0]
 
     def deeper(self) -> None:
         """Count one more level of nesting; the caller counts it down again."""
@@ -178,38 +202,10 @@ class Parser:
             tok = self.peek()
             raise JsltCompileError(f"expression nesting exceeds {MAX_NESTING}", tok.line, tok.col)
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("or"):
-            left = self.binary(self.next(), left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_comparison()
-        while self.at("and"):
-            left = self.binary(self.next(), left, self.parse_comparison())
-        return left
-
-    def parse_comparison(self):
-        left = self.parse_additive()
-        if self.peek().kind in _COMPARISON_OPS:
-            left = self.binary(self.next(), left, self.parse_additive())
-            again = self.peek()
-            if again.kind in _COMPARISON_OPS:
-                raise JsltCompileError("comparisons cannot be chained", again.line, again.col)
-        return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            left = self.binary(self.next(), left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self):
-        left = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
-            left = self.binary(self.next(), left, self.parse_unary())
-        return left
+    def reduce(self, operands: list, tok: Token) -> None:
+        """Apply `tok` to the last two operands."""
+        right = operands.pop()
+        operands[-1] = self.binary(tok, operands[-1], right)
 
     def binary(self, tok: Token, left, right):
         op = tok.kind
@@ -220,18 +216,55 @@ class Parser:
     def is_null(self, fn) -> bool:
         return fn in self.literals and self.literals[fn] is None
 
-    def parse_unary(self):
-        if not self.at("-"):
-            return self.parse_postfix()
-        tok = self.next()
-        self.deeper()  # each sign nests, as a parenthesis does
-        try:
-            return self.node(tok, build.negate((tok.line, tok.col), self.parse_unary()))
-        finally:
+    def parse_operand(self):
+        """A sign and its operand, or a primary with its key steps and brackets."""
+        tok = self.peek()
+        kind = tok.kind
+        if kind == "-":
+            self.next()
+            self.deeper()  # each sign nests, as a parenthesis does
+            fn = self.node(tok, build.negate((tok.line, tok.col), self.parse_operand()))
             self.depth -= 1
-
-    def parse_postfix(self):
-        fn = self.parse_primary()
+            return fn
+        if kind == "number" or kind == "string" or kind in _CONSTANTS:
+            self.next()
+            value = _CONSTANTS.get(kind, tok.value)
+            fn = self.node(tok, build.literal(value))
+            self.literals[fn] = value
+        elif kind == ".":
+            self.next()
+            fn = self.node(tok, build.context())
+            self.paths[fn] = (), None
+            if self.peek().kind in _KEYISH:
+                fn = self.key_step(tok, fn, self.parse_key())
+        elif kind == "var":
+            self.next()
+            if tok.value not in self.scope and self.error is None:
+                self.error = JsltCompileError(f"undefined variable ${tok.value}", tok.line, tok.col)
+            fn = self.node(tok, build.variable(tok.value))
+        elif kind == "if":
+            self.next()
+            cond = self.parse_parenthesised()
+            then = self.parse_branch()
+            orelse = None
+            if self.at("else"):
+                self.next()
+                orelse = self.parse_branch()
+            fn = self.node(tok, build.conditional(cond, then, orelse))
+        elif kind == "[":
+            fn = self.parse_array()
+        elif kind == "{":
+            fn = self.parse_object()
+        elif kind == "(":
+            fn = self.parse_parenthesised()
+        elif kind == "ident" and self.peek(1).kind == "(":
+            fn = self.parse_call()
+        elif kind == "ident":
+            raise JsltCompileError(
+                f"bare identifier {tok.text!r} (did you mean .{tok.text} or ${tok.text}?)", tok.line, tok.col
+            )
+        else:
+            raise JsltCompileError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
         while True:
             if self.at("."):
                 dot = self.next()
@@ -269,50 +302,6 @@ class Parser:
         high = None if self.at("]") else self.parse_expr()
         self.expect("]")
         return self.node(tok, build.slice_access(pos, target, low, high))
-
-    def parse_primary(self):
-        tok = self.peek()
-        kind = tok.kind
-        if kind == "number" or kind == "string" or kind in _CONSTANTS:
-            self.next()
-            value = _CONSTANTS.get(kind, tok.value)
-            fn = self.node(tok, build.literal(value))
-            self.literals[fn] = value
-            return fn
-        if kind == ".":
-            self.next()
-            fn = self.node(tok, build.context())
-            self.paths[fn] = (), None
-            if self.peek().kind in _KEYISH:
-                fn = self.key_step(tok, fn, self.parse_key())
-            return fn
-        if kind == "var":
-            self.next()
-            if tok.value not in self.scope and self.error is None:
-                self.error = JsltCompileError(f"undefined variable ${tok.value}", tok.line, tok.col)
-            return self.node(tok, build.variable(tok.value))
-        if kind == "if":
-            self.next()
-            cond = self.parse_parenthesised()
-            then = self.parse_branch()
-            orelse = None
-            if self.at("else"):
-                self.next()
-                orelse = self.parse_branch()
-            return self.node(tok, build.conditional(cond, then, orelse))
-        if kind == "[":
-            return self.parse_array()
-        if kind == "{":
-            return self.parse_object()
-        if kind == "(":
-            return self.parse_parenthesised()
-        if kind == "ident":
-            if self.peek(1).kind == "(":
-                return self.parse_call()
-            raise JsltCompileError(
-                f"bare identifier {tok.text!r} (did you mean .{tok.text} or ${tok.text}?)", tok.line, tok.col
-            )
-        raise JsltCompileError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
 
     def parse_parenthesised(self):
         self.expect("(")

@@ -11,6 +11,7 @@ import pytest
 
 from semschema import cli
 from semschema.errors import JsonParseError
+from semschema.jslt.parser import MAX_NESTING
 from semschema.jsonmodel import MAX_DEPTH, parse_json
 from semschema.registry import make_id
 
@@ -410,7 +411,8 @@ class TestJsltRun:
         data.write_text('{"n": 1}\n')
         done = fresh_cli(["jslt", "run", program, "--input", data])
         assert (done.returncode, done.stdout) == (2, "")
-        assert json.loads(done.stderr) == {"error": f"{program}: expression nesting exceeds 500 at 1:501"}
+        assert json.loads(done.stderr) == {
+            "error": f"{program}: expression nesting exceeds {MAX_NESTING} at 1:{MAX_NESTING + 1}"}
 
     def test_runtime_error_marks_the_line(self, capsys, tmp_path):
         program = tmp_path / "div.jslt"
@@ -573,7 +575,7 @@ class TestDeepLines:
         assert (summary["total"], summary["parse_errors"]) == (3, 1)
 
     def test_validate_at_the_default_recursion_limit(self, repo_dir, registry, tmp_path):
-        # a fresh interpreter: validate never imports jslt, which raises the limit
+        # a fresh interpreter, at the default recursion limit
         path = write_events(tmp_path / "events.ndjson", registry, "View Item", 2, count=2)
         first, second = path.read_text().splitlines()
         found = "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1)
@@ -677,8 +679,9 @@ class TestDeepValues:
 class TestEvaluationDepth:
     """A JSLT evaluation that outgrows the recursion limit fails its line alone.
 
-    `w` wraps its value in 50 arrays per call, so `.n` = 450 builds a value
-    22,500 levels deep, which `==` cannot compare within the frames left.
+    `w` wraps its value in 50 arrays per call, so `.n` = 30 builds a value
+    1,500 levels deep in 30 calls, well under MAX_CALL_DEPTH, and `==`
+    cannot compare it within the default recursion limit.
     """
 
     W = "def w(n, v) if ($n == 0) $v else w($n - 1, %s) " % ("[" * 50 + "$v" + "]" * 50)
@@ -687,7 +690,7 @@ class TestEvaluationDepth:
         program = tmp_path / "w.jslt"
         program.write_text(self.W + "w(.n, .) == w(.n, .)")
         data = tmp_path / "in.ndjson"
-        data.write_text('{"n": 1}\n{"n": 450}\n{"n": 2}\n')
+        data.write_text('{"n": 1}\n{"n": 30}\n{"n": 2}\n')
         done = fresh_cli(["jslt", "run", program, "--input", data])
         assert (done.returncode, done.stdout) == (1, "true\ntrue\n")
         assert [json.loads(line) for line in done.stderr.splitlines()] == [{"line": 2, "error": "nesting too deep"}]
@@ -699,7 +702,7 @@ class TestEvaluationDepth:
         )
         path = write_events(tmp_path / "events.ndjson", registry, "View Item", 0, count=3)
         events = path.read_text().splitlines()
-        lines = [event[:-1] + ', "custom": {"n": "%s"}}' % n for event, n in zip(events, (1, 450, 2))]
+        lines = [event[:-1] + ', "custom": {"n": "%s"}}' % n for event, n in zip(events, (1, 30, 2))]
         path.write_text("\n".join(lines) + "\n")
         done = fresh_cli(["transform", path, "--repo", scratch_repo])
         assert done.returncode == 1
@@ -711,7 +714,7 @@ class TestEvaluationDepth:
         modules.mkdir()
         check = self.W + "w(.n, .) == w(.n, .)"
         (modules / "w.json").write_text(json.dumps({"w": {"filter": ".n", "check": check}}))
-        lines = ['{"@id": "%d", "n": %d}' % (i, n) for i, n in enumerate((1, 450, 2))]
+        lines = ['{"@id": "%d", "n": %d}' % (i, n) for i, n in enumerate((1, 30, 2))]
         _, counts = fresh_dqt(modules, tmp_path, lines)
         assert {name: counts.get(f"w.{name}") for name in ("applicable", "valid", "invalid", "error")} == {
             "applicable": 3, "valid": 2, "invalid": None, "error": 1,
@@ -720,8 +723,8 @@ class TestEvaluationDepth:
 
 class TestDeepPatterns:
     """A pattern nested past MAX_GROUP_DEPTH is one usage error naming its file; at the bound it still
-    works in a schema nested as deep as MAX_DEPTH allows. Fresh interpreters: validate and schema load
-    run at the default recursion limit, as they never import jslt."""
+    works in a schema nested as deep as MAX_DEPTH allows. Fresh interpreters, at the default recursion
+    limit."""
 
     @staticmethod
     def nested(depth):

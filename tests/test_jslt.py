@@ -1,16 +1,23 @@
 import json
 import math
 import operator
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import semschema
 from semschema import jslt
 from semschema.errors import JsltCompileError, JsltRuntimeError, JsonParseError
+from semschema.jslt.compiler import MAX_CALL_DEPTH
+from semschema.jslt.parser import MAX_NESTING
 from semschema.jsonmodel import dumps, json_equal, parse_json
+from semschema.pattern import MAX_GROUP_DEPTH
 from reference_numbers import number_texts, reference_dumps, reference_normalize
 
 json_values = st.recursive(
@@ -23,13 +30,6 @@ json_values = st.recursive(
 
 def run(source: str, value=None):
     return jslt.compile(source).evaluate(value)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def recursion_room():
-    # the first jslt.compile raises the recursion limit; hypothesis warns (an
-    # error here) when that happens inside a @given test, as when one runs alone
-    jslt.compile("null")
 
 
 class TestLiteralsAndOperators:
@@ -401,16 +401,18 @@ class TestCompileErrors:
         assert fragment in str(err.value)
 
     def test_deep_nesting_rejected(self):
-        source = "[" * 600 + "1" + "]" * 600
-        with pytest.raises(JsltCompileError):
+        # the top-level expression is one level, so MAX_NESTING arrays hold one level too many
+        source = "[" * MAX_NESTING + "1" + "]" * MAX_NESTING
+        with pytest.raises(JsltCompileError, match=f"expression nesting exceeds {MAX_NESTING}") as err:
             jslt.compile(source)
+        assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
 
     def test_each_minus_sign_counts_as_nesting(self):
-        # the top-level expression is one level, so 499 signs fit under the cap of 500
-        assert run("-" * 499 + "1") == -1
-        with pytest.raises(JsltCompileError, match="expression nesting exceeds 500") as err:
-            jslt.compile("-" * 500 + "1")
-        assert (err.value.line, err.value.col) == (1, 501)
+        # the top-level expression is one level, so MAX_NESTING - 1 signs fit under the cap
+        assert run("-" * (MAX_NESTING - 1) + "1") == (-1) ** (MAX_NESTING - 1)
+        with pytest.raises(JsltCompileError, match=f"expression nesting exceeds {MAX_NESTING}") as err:
+            jslt.compile("-" * MAX_NESTING + "1")
+        assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
 
     def test_error_position_reported(self):
         with pytest.raises(JsltCompileError) as err:
@@ -601,7 +603,7 @@ class TestRuntimeErrorPositions:
             ("1\n /\n 0", None, "division by zero", 2, 2),
             ('1 +\n  -"a"', None, "cannot negate a", 2, 3),
             ('1 +\n   round("x")', None, "round: not a number", 2, 4),
-            ("def f(n)\n  f($n + 1)\nf(0)", None, "call depth exceeds 500", 2, 3),
+            ("def f(n)\n  f($n + 1)\nf(0)", None, f"call depth exceeds {MAX_CALL_DEPTH}", 2, 3),
         ],
     )
     def test_message_and_position(self, source, value, fragment, line, col):
@@ -611,6 +613,107 @@ class TestRuntimeErrorPositions:
         assert (err.value.line, err.value.col) == (line, col)
 
 
+_DEFAULT_LIMIT_SCRIPT = """
+import contextlib, io, json, sys, threading
+before = sys.getrecursionlimit()
+from semschema import cli, jslt
+from semschema.errors import SemSchemaError
+
+cases, repo, events = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
+jslt.compile("1 + 1")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["transform", events, "--repo", repo])
+report = {"limit": [before, sys.getrecursionlimit()], "transform": code}
+
+def outcome(source, value):
+    try:
+        return jslt.compile(source).evaluate(value)
+    except SemSchemaError as exc:
+        return str(exc)
+
+def at_depth(frames, fn):
+    return fn() if frames == 0 else at_depth(frames - 1, fn)
+
+checks = lambda: [outcome(source, value) for source, value in cases]
+report["main"] = at_depth(300, checks)
+thread = threading.Thread(target=lambda: report.update(thread=at_depth(300, checks)))
+thread.start()
+thread.join()
+print(json.dumps(report))
+"""
+
+
+def nest(prefix: str, inner: str, suffix: str, times: int) -> str:
+    return prefix * times + inner + suffix * times
+
+
+_DEEP_TEST = 'test("a", "%s")' % nest("(", "a", ")", MAX_GROUP_DEPTH)
+
+
+class TestDefaultRecursionLimit:
+    """The deepest program each bound admits runs at the interpreter's default recursion limit.
+
+    In a fresh interpreter, which semschema never gives a higher limit: each
+    program runs under 300 frames of its caller's own, in the main thread and
+    in a worker thread.  The top-level expression is the first level.
+    """
+
+    N = MAX_NESTING
+    # shape -> (its program n levels deep, its value for {"a": 1} at the bound as
+    # JSON, the column where the level past the bound starts one level deeper)
+    SHAPES = {
+        "parentheses": (lambda n: nest("(", ".a", ")", n - 1), "1", N + 1),
+        "arrays": (lambda n: nest("[", ".a", "]", n - 1), nest("[", "1", "]", N - 1), N + 1),
+        # an object's key is a level of its own
+        "objects": (lambda n: nest('{"a": ', ".a", "}", n - 1), nest('{"a": ', "1", "}", N - 1), 6 * (N - 1) + 2),
+        "if conditions": (lambda n: nest("if (", ".a", ") .a", n - 1), "1", 4 * N + 1),
+        "signs": (lambda n: nest("-", ".a", "", n - 1), str((-1) ** (N - 1)), N + 1),
+        "sums": (lambda n: nest("1 + (", ".a", ")", n - 1), str(N), 5 * N + 1),
+        # the costliest levels, each around a literal pattern as deep as the
+        # pattern parser admits, in a call whose arguments are the innermost level
+        "loop sources": (lambda n: nest("[for (", f"[{_DEEP_TEST}]", ") .]", n - 3), "[true]", 6 * (N - 2) + 7),
+        "object lets": (lambda n: nest("{let a = ", _DEEP_TEST, "}", n - 2), "{}", 9 * (N - 1) + 6),
+    }
+    # n calls deep for .n = n, each costing 3 and 4 frames
+    CALLS = {
+        "def fact(n) if ($n < 2) 1 else $n * fact($n - 1) fact(.n)": math.factorial(MAX_CALL_DEPTH),
+        "def wrap(n) if ($n < 2) [] else [wrap($n - 1)] wrap(.n)": json.loads(nest("[", "", "]", MAX_CALL_DEPTH)),
+    }
+
+    @pytest.fixture(scope="class")
+    def report(self, repo_dir, tmp_path_factory):
+        from semschema.generator import GenConfig, generate_valid
+        from semschema.registry import load_repo
+
+        events = tmp_path_factory.mktemp("limit") / "events.ndjson"
+        events.write_text(json.dumps(generate_valid(load_repo(repo_dir), "View Item", 0, GenConfig(seed=1))) + "\n")
+        cases = [(make(n), {"a": 1}) for make, _, _ in self.SHAPES.values() for n in (self.N, self.N + 1)]
+        cases += [(source, {"n": n}) for source in self.CALLS for n in (MAX_CALL_DEPTH, MAX_CALL_DEPTH + 1)]
+        env = dict(os.environ, PYTHONPATH=str(Path(semschema.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", _DEFAULT_LIMIT_SCRIPT, json.dumps(cases), str(repo_dir), str(events)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-3000:]
+        return json.loads(done.stdout)
+
+    def test_semschema_leaves_the_limit_as_it_found_it(self, report):
+        assert report["limit"] == [1000, 1000]
+        assert report["transform"] == 0
+
+    @pytest.mark.parametrize("thread", ["main", "thread"])
+    def test_nesting_bound(self, report, thread):
+        found = dict(zip(self.SHAPES, zip(report[thread][0::2], report[thread][1::2])))
+        assert found == {
+            shape: (json.loads(value), f"expression nesting exceeds {self.N} at 1:{col}")
+            for shape, (_, value, col) in self.SHAPES.items()
+        }
+
+    @pytest.mark.parametrize("thread", ["main", "thread"])
+    def test_call_bound(self, report, thread):
+        outcomes = report[thread][2 * len(self.SHAPES):]
+        assert outcomes[0::2] == list(self.CALLS.values())
+        assert [message.split(" at ")[0] for message in outcomes[1::2]] == [f"call depth exceeds {MAX_CALL_DEPTH}"] * 2
+
+
 class TestSharedProgram:
     def test_threads_keep_separate_call_depths(self):
         program = jslt.compile(
@@ -618,7 +721,8 @@ class TestSharedProgram:
             "def loop(n) loop($n + 1)\n"
             "if (.runaway) loop(0) else fact(.n)"
         )
-        inputs = {"a": {"n": 400}, "b": {"n": 400}, "runaway": {"runaway": True}}
+        # fact(MAX_CALL_DEPTH) runs at the bound: a call counted in the wrong thread fails it
+        inputs = {"a": {"n": MAX_CALL_DEPTH}, "b": {"n": MAX_CALL_DEPTH}, "runaway": {"runaway": True}}
         results = {name: [] for name in inputs}
         errors = {name: [] for name in inputs}
         barrier = threading.Barrier(len(inputs))
@@ -642,8 +746,8 @@ class TestSharedProgram:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results["a"] == results["b"] == [math.factorial(400)] * 50
-        assert errors == {"a": [], "b": [], "runaway": ["call depth exceeds 500 at 2:13"] * 50}
+        assert results["a"] == results["b"] == [math.factorial(MAX_CALL_DEPTH)] * 50
+        assert errors == {"a": [], "b": [], "runaway": [f"call depth exceeds {MAX_CALL_DEPTH} at 2:13"] * 50}
 
 
 class TestPrograms:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import semschema
 from semschema.evolution import TransformSet
 from semschema.generator import GenConfig, generate_valid
+from semschema.jslt.parser import MAX_NESTING
 from semschema.jsonmodel import MAX_DEPTH
 from semschema.registry import load_repo, make_id, write_version
 from semschema.server import (
@@ -299,7 +300,7 @@ class TestReload:
         httpd, scratch = writable_server
         (scratch / "transforms" / "View-Item" / "0-to-1.jslt").write_text("-" * 19_990 + "1")
         status, body = request_json(httpd, "POST", "/reload", {})
-        assert status == 400 and body["error"].endswith("expression nesting exceeds 500 at 1:501")
+        assert status == 400 and body["error"].endswith(f"expression nesting exceeds {MAX_NESTING} at 1:{MAX_NESTING + 1}")
 
     def test_overlapping_reloads_leave_the_later_one_serving(self, writable_server, monkeypatch):
         httpd, scratch = writable_server
