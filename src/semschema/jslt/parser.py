@@ -175,25 +175,27 @@ class Parser:
         """Operands joined by binary operators, grouped by _POWER in one loop.
 
         `pending` holds the operators whose right operand is still being read,
-        binding tighter from bottom to top; an operator pops and applies those
-        that bind at least as tightly before it is pushed.  No operator adds a
-        frame, so the frames a program needs grow with its nesting alone.
+        binding tighter from bottom to top; an operator first applies those
+        that bind at least as tightly, and the end of the expression applies
+        them all.  No operator adds a frame, so the frames a program needs
+        grow with its nesting alone.
         """
         self.deeper()
         operands = [self.parse_operand()]
         pending = []
-        while (tok := self.peek()).kind in _POWER:
-            power = _POWER[tok.kind]
+        while True:
+            tok = self.peek()
+            power = _POWER.get(tok.kind, 0)
             if power == _COMPARE and any(_POWER[op.kind] == _COMPARE for op in pending):
                 raise JsltCompileError("comparisons cannot be chained", tok.line, tok.col)
             while pending and _POWER[pending[-1].kind] >= power:
-                self.reduce(operands, pending.pop())
+                right = operands.pop()
+                operands[-1] = self.binary(pending.pop(), operands[-1], right)
+            if not power:
+                self.depth -= 1  # an error ends the parse, so the count is never unwound
+                return operands[0]
             pending.append(self.next())
             operands.append(self.parse_operand())
-        while pending:
-            self.reduce(operands, pending.pop())
-        self.depth -= 1  # an error ends the parse, so the count is never unwound
-        return operands[0]
 
     def deeper(self) -> None:
         """Count one more level of nesting; the caller counts it down again."""
@@ -201,11 +203,6 @@ class Parser:
         if self.depth > MAX_NESTING:
             tok = self.peek()
             raise JsltCompileError(f"expression nesting exceeds {MAX_NESTING}", tok.line, tok.col)
-
-    def reduce(self, operands: list, tok: Token) -> None:
-        """Apply `tok` to the last two operands."""
-        right = operands.pop()
-        operands[-1] = self.binary(tok, operands[-1], right)
 
     def binary(self, tok: Token, left, right):
         op = tok.kind

@@ -76,9 +76,11 @@ class Repeat(NamedTuple):
 Node = Union[Lit, CharClass, Dot, Seq, Alt, Repeat]
 
 
-# The parser, re.compile and generation recurse per group level (246 levels
-# exhaust the default recursion limit); at this bound a pattern still fits
-# in a schema nested as deep as jsonmodel.MAX_DEPTH allows.
+# The parser, re.compile and generation recurse per group level, about 4
+# frames a level (246 levels are the most that compile from an empty stack
+# at the default recursion limit); at this bound a pattern still fits in a
+# schema nested as deep as jsonmodel.MAX_DEPTH allows, and in a JSLT
+# program nested as deep as jslt.parser.MAX_NESTING allows.
 MAX_GROUP_DEPTH = 64
 # an error quotes at most this many characters of the pattern, and its offset
 _QUOTED_CHARS = 64

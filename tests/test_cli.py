@@ -414,6 +414,23 @@ class TestJsltRun:
         assert json.loads(done.stderr) == {
             "error": f"{program}: expression nesting exceeds {MAX_NESTING} at 1:{MAX_NESTING + 1}"}
 
+    @pytest.mark.parametrize(
+        "time_format, reason",
+        [
+            ("yyyy-'MM", "unterminated quote in time format"),
+            ("yyyy-QQ", "unsupported time format token 'QQ'"),
+            ("yyyy-MM-dd yyyy", "time format repeats a field"),
+        ],
+    )
+    def test_a_bad_literal_time_format_is_a_usage_error(self, capsys, tmp_path, time_format, reason):
+        program = tmp_path / "time.jslt"
+        program.write_text('{"at":\n  parse-time(.t, "%s")}' % time_format)
+        data = tmp_path / "in.ndjson"
+        data.write_text('{"t": "2020"}\n')
+        code, out, err = run(capsys, "jslt", "run", str(program), "--input", str(data))
+        assert (code, out) == (2, [])
+        assert err == [{"error": f"{program}: parse-time: {reason} at 2:18"}]
+
     def test_runtime_error_marks_the_line(self, capsys, tmp_path):
         program = tmp_path / "div.jslt"
         program.write_text("1 / .n")

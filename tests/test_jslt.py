@@ -28,6 +28,42 @@ json_values = st.recursive(
 )
 
 
+def _operator(op: str, power: int, apply):
+    """Join two (source, value, power) operands with `op`, in parentheses only where the grammar needs them."""
+
+    def join(operands):
+        (left, a, left_power), (right, b, right_power) = operands
+        left = left if left_power >= power else f"({left})"
+        right = right if right_power > power else f"({right})"  # operators of one power group to the left
+        return f"{left} {op} {right}", apply(a, b), power
+
+    return join
+
+
+# expressions as (source, value, power): an operand binds at power 6
+_numbers = st.recursive(
+    st.integers(0, 9).map(lambda n: (str(n), n, 6)),
+    lambda inner: st.one_of(
+        inner.map(lambda t: ("-" + (t[0] if t[2] == 6 else f"({t[0]})"), -t[1], 6)),
+        st.tuples(inner, inner).map(_operator("+", 4, operator.add)),
+        st.tuples(inner, inner).map(_operator("-", 4, operator.sub)),
+        st.tuples(inner, inner).map(_operator("*", 5, operator.mul)),
+    ),
+    max_leaves=8,
+)
+_comparisons = st.sampled_from([("==", operator.eq), ("!=", operator.ne), ("<", operator.lt), ("<=", operator.le),
+                                (">", operator.gt), (">=", operator.ge)])
+_booleans = st.recursive(
+    st.sampled_from([("true", True, 6), ("false", False, 6)])
+    | st.tuples(_comparisons, _numbers, _numbers).map(lambda t: _operator(t[0][0], 3, t[0][1])(t[1:])),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(_operator("and", 2, lambda a, b: a and b)),
+        st.tuples(inner, inner).map(_operator("or", 1, lambda a, b: a or b)),
+    ),
+    max_leaves=6,
+)
+
+
 def run(source: str, value=None):
     return jslt.compile(source).evaluate(value)
 
@@ -80,6 +116,11 @@ class TestLiteralsAndOperators:
     def test_and_short_circuits(self):
         assert run("false and 1 / 0") is False
         assert run("true or 1 / 0") is True
+
+    @given(_numbers | _booleans)
+    def test_operators_group_by_precedence(self, expression):
+        source, value, _ = expression
+        assert run(source) == value and type(run(source)) is type(value), source
 
     def test_runtime_errors(self):
         with pytest.raises(JsltRuntimeError):

@@ -75,6 +75,20 @@ class TestMatching:
             (r"\1", r"unsupported construct: back-reference in pattern '\\1' at offset 2"),
             (r"[\1]", r"unsupported construct: back-reference in pattern '[\\1]' at offset 3"),
             (r"[\D]", r"unsupported escape \D in class in pattern '[\\D]' at offset 3"),
+            # the other refusals, each at the offset where the parser stands
+            ("a)", "unexpected ')' in pattern 'a)' at offset 1"),
+            ("a{2", "unclosed { in pattern 'a{2' at offset 3"),
+            ("a{x}", "bad repetition bounds {x} in pattern 'a{x}' at offset 4"),
+            ("a{2,1}", "repetition bounds out of order {2,1} in pattern 'a{2,1}' at offset 6"),
+            ("(?=a)", "unsupported construct: lookaround or named group in pattern '(?=a)' at offset 2"),
+            ("(a", "unclosed group in pattern '(a' at offset 2"),
+            ("a^b", "'^' is only supported at the start of the pattern in pattern 'a^b' at offset 1"),
+            ("a$b", "'$' is only supported at the end of the pattern in pattern 'a$b' at offset 1"),
+            ("a|*", "quantifier '*' with nothing to repeat in pattern 'a|*' at offset 2"),
+            ("[a", "unclosed character class in pattern '[a' at offset 2"),
+            (r"[\d-z]", r"range endpoint cannot be a class escape in pattern '[\\d-z]' at offset 4"),
+            (r"[a-\d]", r"range endpoint cannot be a class escape in pattern '[a-\\d]' at offset 5"),
+            ("[z-a]", "range z-a out of order in pattern '[z-a]' at offset 4"),
         ],
     )
     def test_escape_errors_name_the_escape_and_where_it_stands(self, source, message):
