@@ -679,7 +679,7 @@ checks = lambda: [outcome(source, value) for source, value in cases]
 report["main"] = at_depth(300, checks)
 thread = threading.Thread(target=lambda: report.update(thread=at_depth(300, checks)))
 thread.start()
-thread.join()
+thread.join(60)
 print(json.dumps(report))
 """
 
@@ -700,8 +700,8 @@ class TestDefaultRecursionLimit:
     """
 
     N = MAX_NESTING
-    # shape -> (its program n levels deep, its value for {"a": 1} at the bound as
-    # JSON, the column where the level past the bound starts one level deeper)
+    # shape -> (its program n levels deep, its value for {"a": 1} at the bound,
+    # as JSON, and the column of the first token past the bound one level deeper)
     SHAPES = {
         "parentheses": (lambda n: nest("(", ".a", ")", n - 1), "1", N + 1),
         "arrays": (lambda n: nest("[", ".a", "]", n - 1), nest("[", "1", "]", N - 1), N + 1),
